@@ -19,7 +19,7 @@ from .errors import ConfigError
 class Config:
     seed: int = 7
     out_dir: str = "waveop_out"
-    threads: int = 0                     # 0 = use available cores
+    threads: int = 0                     # threads for lambda nodes; 0 = serial
     lambda0: float = 0.1
     grid: tuple = (12, 8, 16)            # (n_r, n_theta, n_phi)
     rep_grid: tuple = (8, 6, 10)         # grid for the theta-representation check

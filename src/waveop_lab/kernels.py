@@ -477,9 +477,10 @@ def kp_smeared_reference(pot: Potential, cutoff: Cutoff, coarse_grid, x, y,
 class K3Evaluator:
     """K_3(x, y) integrated on a fixed log-lambda grid.
 
-    Each lambda node costs one dense inversion of M(lambda); the node
-    set is shared by all (x, y) pairs, and evaluation walks the nodes
-    once per batch so only one Gamma3 matrix is alive at a time.
+    Each lambda node costs one inversion of the mode blocks of
+    M(lambda); the node set is shared by all (x, y) pairs, and
+    evaluation walks the nodes once per batch so only one Gamma3 stack
+    is alive at a time.
     """
 
     def __init__(self, terms: ExpansionTerms, cutoff: Cutoff,
@@ -500,21 +501,26 @@ class K3Evaluator:
 
         pairs: array-like of shape (p, 2, 3).
         Returns (values (p,), profiles (p, n_lambda)).
+
+        Gamma3 comes as mode blocks, so the row and column vectors of
+        each pair are taken to azimuthal modes too (ifft for the rows,
+        fft for the columns) and contracted mode by mode.
         """
         pairs = np.asarray(pairs, dtype=float)
-        xs = pairs[:, 0, :]
-        ys = pairs[:, 1, :]
-        nodes = self.pot.grid.nodes
-        wgt = self.pot.grid.weights
+        grid = self.pot.grid
+        nodes = grid.nodes
         v = self.pot.v
-        rx = np.linalg.norm(xs[:, None, :] - nodes[None, :, :], axis=-1)
-        ry = np.linalg.norm(ys[:, None, :] - nodes[None, :, :], axis=-1)
+        shape = (len(pairs), grid.size // grid.n_phi, grid.n_phi)
+        rx = np.linalg.norm(pairs[:, 0, None, :] - nodes[None, :, :], axis=-1)
+        ry = np.linalg.norm(pairs[:, 1, None, :] - nodes[None, :, :], axis=-1)
 
         def one(lam):
             gamma = self.terms.gamma3_value_frame(lam)
-            rows = r0_kernel_r(Branch.plus, lam, rx) * (wgt * v)[None, :]
+            rows = r0_kernel_r(Branch.plus, lam, rx) * (grid.weights * v)[None, :]
             cols = r0_diff_r(lam, ry) * v[None, :]
-            contr = np.einsum("pi,ij,pj->p", rows, gamma, cols, optimize=True)
+            contr = np.einsum("pam,mab,pbm->p", np.fft.ifft(rows.reshape(shape), axis=-1),
+                              gamma, np.fft.fft(cols.reshape(shape), axis=-1),
+                              optimize=True)
             return lam ** 3 * self.cutoff(lam) * contr
 
         from .parallel import pmap

@@ -20,11 +20,17 @@ operators D0, C1, A2 with
 and Gamma3 decaying like lambda^3.  This module materializes all of
 those matrices on the grid and measures the decay.
 
-Matrix conventions: public OperatorMatrix objects act on grid value
-vectors with quadrature weights baked into the columns.  Internally the
-algebra runs in the similarity-transformed "tilde" frame
-A~ = S A S^{-1}, S = diag(sqrt(w)), where kernel operators are symmetric
-and the weighted L^2 norm is the plain Euclidean one.
+Matrix conventions: the algebra runs in the similarity-transformed
+"tilde" frame A~ = S A S^{-1}, S = diag(sqrt(w)), where kernel operators
+are symmetric and the weighted L^2 norm is the plain Euclidean one.
+V is radial and the ball grid is uniform in phi, so every operator here
+commutes with the rotations of the grid about the z axis: it is
+block-circulant in the phi index.  It is stored as its mode stack, an
+array (n_phi, nb, nb) with nb = n_r * n_theta holding one block per
+azimuthal Fourier mode (``mode_stack``).  Sums, products and inverses
+act block by block, so ``@`` and ``np.linalg.inv`` work on the stacks
+as they would on the N x N matrices; the operator norm is the largest
+block norm and the Frobenius norm squared is the sum over blocks.
 """
 
 from __future__ import annotations
@@ -65,104 +71,70 @@ def r0_diff_r(lam: float, r):
 
 
 # ----------------------------------------------------------------------
-# Operator matrices
+# Azimuthal mode stacks
 # ----------------------------------------------------------------------
 
-@dataclass
-class OperatorMatrix:
-    """Dense matrix realization of an integral operator on a ball grid.
+def mode_stack(grid: BallGrid, kernel) -> np.ndarray:
+    """Mode blocks (n_phi, nb, nb) of the operator with entries kernel(|x_i - x_j|).
 
-    ``mat`` acts on vectors of point values; quadrature weights are
-    baked into the columns (weights_baked is kept for clarity).
+    The operator is block-circulant in the azimuth index, so its
+    columns at the phi = 0 nodes (an N x nb distance array) determine
+    it; an FFT over the row azimuth turns them into one block per mode.
     """
-
-    mat: np.ndarray
-    grid: BallGrid
-    weights_baked: bool = True
-    name: str = ""
-
-    def tilde(self) -> np.ndarray:
-        s = np.sqrt(self.grid.weights)
-        return (s[:, None] / s[None, :]) * self.mat
-
-    def norm(self) -> float:
-        """Weighted-L2 operator norm (power iteration on A*A)."""
-        return spectral_norm(self.tilde())
-
-    def kernel_values(self) -> np.ndarray:
-        """Raw kernel values K(x_i, x_j) (weights divided out)."""
-        return self.mat / self.grid.weights[None, :]
-
-
-def spectral_norm(tilde_mat: np.ndarray, iters: int = 20, tol: float = 1e-6) -> float:
-    """Largest singular value by power iteration on A^H A."""
-    n = tilde_mat.shape[0]
-    x = 1.0 + 0.5 * np.sin(np.arange(n, dtype=float))
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        y = tilde_mat @ x
-        sig_new = np.linalg.norm(y)
-        z = tilde_mat.conj().T @ y
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            return 0.0
-        x = z / zn
-        if abs(sig_new - sigma) <= tol * max(sig_new, 1e-300):
-            return float(sig_new)
-        sigma = sig_new
-    return float(sigma)
-
-
-def _sqw(pot: Potential) -> np.ndarray:
-    return np.sqrt(pot.grid.weights)
-
-
-def _pair_distances(grid: BallGrid) -> np.ndarray:
     x = grid.nodes
-    d = x[:, None, :] - x[None, :, :]
-    return np.linalg.norm(d, axis=-1)
+    nb = x.shape[0] // grid.n_phi
+    r = np.linalg.norm(x[:, None, :] - x[None, ::grid.n_phi, :], axis=-1)
+    cols = kernel(r).reshape(nb, grid.n_phi, nb)
+    return np.fft.fft(cols, axis=1).transpose(1, 0, 2)
+
+
+def mode_apply(stack: np.ndarray, f) -> np.ndarray:
+    """The block-circulant operator of ``stack`` applied to grid values f."""
+    n_phi, nb, _ = stack.shape
+    fh = np.fft.fft(np.asarray(f).reshape(nb, n_phi), axis=1)
+    return np.fft.ifft(np.einsum("mbc,cm->bm", stack, fh), axis=1).reshape(-1)
+
+
+def operator_norm(stack: np.ndarray) -> float:
+    """Euclidean operator norm of a block-circulant operator: the largest
+    singular value over its mode blocks."""
+    return float(np.linalg.norm(stack, ord=2, axis=(-2, -1)).max())
+
+
+def _per_block(pot: Potential, values) -> np.ndarray:
+    """A grid function that is constant in phi, one value per (r, theta) block."""
+    return np.asarray(values)[::pot.grid.n_phi]
+
+
+def _vt(pot: Potential) -> np.ndarray:
+    """sqrt(w) v per block: multiplication by v in the tilde frame."""
+    return _per_block(pot, np.sqrt(pot.grid.weights) * pot.v)
+
+
+def _vkv(pot: Potential, kernel) -> np.ndarray:
+    """v K(|x - y|) v in the tilde frame, as mode blocks."""
+    vt = _vt(pot)
+    return vt[:, None] * mode_stack(pot.grid, kernel) * vt[None, :]
+
+
+def _u_diag(pot: Potential) -> np.ndarray:
+    """U as a multiplication operator: the same diagonal block in every mode."""
+    return np.diag(_per_block(pot, pot.U).astype(complex))
 
 
 def m_tilde(pot: Potential, lam: float) -> np.ndarray:
-    """U + v R0+(lambda^4) v in the tilde frame (symmetric kernel part)."""
-    r = pot.pair_r if hasattr(pot, "pair_r") else _cache_pair_r(pot)
-    vt = _sqw(pot) * pot.v
-    mat = np.diag(pot.U.astype(complex))
-    mat += vt[:, None] * r0_kernel_r(Branch.plus, lam, r) * vt[None, :]
-    return mat
-
-
-def _cache_pair_r(pot: Potential) -> np.ndarray:
-    pot.pair_r = _pair_distances(pot.grid)
-    return pot.pair_r
-
-
-def _to_operator(pot: Potential, tilde: np.ndarray, name: str = "") -> OperatorMatrix:
-    s = _sqw(pot)
-    mat = (1.0 / s[:, None]) * tilde * s[None, :]
-    return OperatorMatrix(mat=mat, grid=pot.grid, name=name)
-
-
-def assemble_M(lam: float, pot: Potential) -> OperatorMatrix:
-    """Matrix of U delta + v(x_i) R0+(lambda^4, x_i, x_j) v(x_j) w_j."""
-    return _to_operator(pot, m_tilde(pot, lam), name=f"M(lambda={lam:g})")
+    """U + v R0+(lambda^4) v in the tilde frame."""
+    return _u_diag(pot) + _vkv(pot, lambda r: r0_kernel_r(Branch.plus, lam, r))
 
 
 def t_tilde(pot: Potential) -> np.ndarray:
     """T = U + v G0 v with G0 = -|x-y|/(8 pi), tilde frame."""
-    r = _cache_pair_r(pot) if not hasattr(pot, "pair_r") else pot.pair_r
-    vt = _sqw(pot) * pot.v
-    mat = np.diag(pot.U.astype(complex))
-    mat += vt[:, None] * (-r / (8.0 * np.pi)) * vt[None, :]
-    return mat
+    return _u_diag(pot) + _vkv(pot, lambda r: -r / (8.0 * np.pi))
 
 
 def vg1v_tilde(pot: Potential) -> np.ndarray:
     """v |x-y|^2 v, tilde frame."""
-    r = _cache_pair_r(pot) if not hasattr(pot, "pair_r") else pot.pair_r
-    vt = _sqw(pot) * pot.v
-    return (vt[:, None] * (r ** 2) * vt[None, :]).astype(complex)
+    return _vkv(pot, lambda r: r ** 2)
 
 
 # ----------------------------------------------------------------------
@@ -172,27 +144,33 @@ def vg1v_tilde(pot: Potential) -> np.ndarray:
 class QSplit:
     """Orthonormal complement of v in the weighted inner product.
 
-    Built from a single Householder reflection in the tilde frame, so
-    restriction to the Q-subspace is numerically stable.
+    v is radial, so span{v} lies in azimuthal mode 0: P is the rank-one
+    projection onto u (v normalized per block) there and zero in every
+    other mode, where Q = I.  The mode-0 complement comes from a single
+    Householder reflection, so restriction to it is numerically stable.
     """
 
     def __init__(self, pot: Potential):
-        vt = _sqw(pot) * pot.v
+        vt = _vt(pot)
         u = vt / np.linalg.norm(vt)
         h = u.copy()
         h[0] += 1.0 if u[0] >= 0 else -1.0
         h /= np.linalg.norm(h)
         H = np.eye(u.size) - 2.0 * np.outer(h, h)
         self.u = u
-        self.basis = H[:, 1:]          # (n, n-1), columns orthonormal, span u-perp
-        self.P = np.outer(u, u)
+        self.basis = H[:, 1:]          # (nb, nb-1), columns orthonormal, span u-perp
+        self.P = np.zeros((pot.grid.n_phi, u.size, u.size))
+        self.P[0] = np.outer(u, u)
         self.Q = np.eye(u.size) - self.P
 
-    def restrict(self, tilde_mat: np.ndarray) -> np.ndarray:
-        return self.basis.T @ tilde_mat @ self.basis
+    def restrict(self, stack: np.ndarray):
+        """Q A Q on the Q-subspace: the mode-0 block on u-perp, and the
+        blocks of the other modes whole."""
+        return self.basis.T @ stack[0] @ self.basis, stack[1:]
 
-    def extend(self, small: np.ndarray) -> np.ndarray:
-        return self.basis @ small @ self.basis.T
+    def extend(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Inverse of ``restrict``: extend by zero on span{v}."""
+        return np.concatenate([(self.basis @ head @ self.basis.T)[None], tail])
 
 
 @dataclass
@@ -206,16 +184,13 @@ class RegularityReport:
 
 def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
                           cond_limit: float = 1e12) -> RegularityReport:
-    """Conditioning of QTQ on the Q-subspace (regular-point test)."""
+    """Conditioning of QTQ on the Q-subspace (regular-point test), from
+    the exact singular values of its mode blocks."""
     qs = qsplit or QSplit(pot)
-    tq = qs.restrict(t_tilde(pot))
-    smax = spectral_norm(tq)
-    try:
-        inv = np.linalg.inv(tq)
-        inv_norm = spectral_norm(inv)
-        smin = 1.0 / inv_norm if inv_norm > 0 else 0.0
-    except np.linalg.LinAlgError:
-        smin = 0.0
+    head, tail = qs.restrict(t_tilde(pot))
+    sv = np.concatenate([np.linalg.svd(head, compute_uv=False),
+                         np.linalg.svd(tail, compute_uv=False).ravel()])
+    smax, smin = sv.max(), sv.min()
     cond = smax / smin if smin > 0 else np.inf
     return RegularityReport(condition_number=float(cond),
                             invertible=bool(np.isfinite(cond) and cond < cond_limit),
@@ -229,7 +204,8 @@ def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
 
 @dataclass
 class ExpansionTerms:
-    """lambda-independent matrices of the inverse expansion (tilde frame)."""
+    """lambda-independent operators of the inverse expansion (tilde frame,
+    mode blocks)."""
 
     pot: Potential
     a: complex
@@ -242,9 +218,6 @@ class ExpansionTerms:
     qa10: np.ndarray = field(repr=False)        # Q A_{1,0} part of C1
     a01q: np.ndarray = field(repr=False)        # A_{0,1} Q part of C1
     ptilde: np.ndarray = field(repr=False)      # (1/a) P part of C1
-    B1: np.ndarray = field(repr=False)
-    B2: np.ndarray = field(repr=False)
-    B3: np.ndarray = field(repr=False)
     qsplit: QSplit = field(repr=False, default=None)
     regularity: RegularityReport = None
 
@@ -252,9 +225,6 @@ class ExpansionTerms:
     def A0(self) -> np.ndarray:
         """The lambda^0 term Q A0 Q, which equals D0."""
         return self.D0
-
-    def as_operator(self, which: str) -> OperatorMatrix:
-        return _to_operator(self.pot, getattr(self, which), name=which)
 
     def expansion_value(self, lam: float, drop=()) -> np.ndarray:
         """D0 + lambda C1 + lambda^2 A2 with optional dropped terms."""
@@ -273,9 +243,8 @@ class ExpansionTerms:
 
     def gamma3_value_frame(self, lam: float) -> np.ndarray:
         """Gamma3 in the value frame (weights baked), for kernel contractions."""
-        s = _sqw(self.pot)
-        g = self.gamma3_tilde(lam)
-        return (1.0 / s[:, None]) * g * s[None, :]
+        s = _per_block(self.pot, np.sqrt(self.pot.grid.weights))
+        return (1.0 / s[:, None]) * self.gamma3_tilde(lam) * s[None, :]
 
 
 def expansion_terms(pot: Potential, regularity: RegularityReport | None = None) -> ExpansionTerms:
@@ -292,12 +261,9 @@ def expansion_terms(pot: Potential, regularity: RegularityReport | None = None) 
     a = (1.0 + 1j) * sigma / (8.0 * np.pi)
     a1 = (1.0 - 1j) / (48.0 * np.pi)
 
-    B1 = T / a
     T2 = T @ T
-    B2 = (a1 / a) * G1 - T2 / a ** 2
-    B3 = -(a1 / a ** 2) * (T @ G1 + G1 @ T) + (T2 @ T) / a ** 3
-
-    D0 = qs.extend(np.linalg.inv(qs.restrict(T)))
+    head, tail = qs.restrict(T)
+    D0 = qs.extend(np.linalg.inv(head), np.linalg.inv(tail))
 
     # expansion of (lambda/a) * Mtilde(lambda)^{-1} through the block
     # inversion, written in x = lambda/a with c = a1 * a:
@@ -330,8 +296,8 @@ def expansion_terms(pot: Potential, regularity: RegularityReport | None = None) 
           + T2 @ D0 - c * GD0
           + D0 @ T2 - c * D0G) / a ** 2
     return ExpansionTerms(pot=pot, a=a, a1=a1, T=T, G1=G1, D0=D0, C1=C1, A2=A2,
-                          qa10=qa10, a01q=a01q, ptilde=ptilde,
-                          B1=B1, B2=B2, B3=B3, qsplit=qs, regularity=reg)
+                          qa10=qa10, a01q=a01q, ptilde=ptilde, qsplit=qs,
+                          regularity=reg)
 
 
 @dataclass
@@ -343,43 +309,48 @@ class ExpansionResidualReport:
     dropped: tuple
 
 
-def expansion_residual(terms: ExpansionTerms, lambda_list, drop=()) -> ExpansionResidualReport:
-    """||Gamma3(lambda)|| over a lambda list plus its log-log slope fit.
+def expansion_residual(terms: ExpansionTerms, lambda_list,
+                       drops=((),)) -> list[ExpansionResidualReport]:
+    """||Gamma3(lambda)|| over a lambda list plus its log-log slope fit,
+    one report per drop set.
 
-    drop may contain "a2" and/or "ptilde" for the ablation runs (the
-    dropped expansion term then dominates the residual and the slope
-    degrades accordingly).
+    A drop set may contain "a2" and/or "ptilde" for the ablation runs
+    (the dropped expansion term then dominates the residual and the
+    slope degrades accordingly).  M(lambda) is inverted once per lambda
+    for all drop sets.
     """
     lams = np.asarray(lambda_list, dtype=float)
 
     def one(lam):
         mt = m_tilde(terms.pot, lam)
         minv = np.linalg.inv(mt)
-        res = spectral_norm(mt @ minv - np.eye(mt.shape[0]))
-        return spectral_norm(minv - terms.expansion_value(lam, drop=drop)), res
+        res = operator_norm(mt @ minv - np.eye(mt.shape[-1]))
+        return [operator_norm(minv - terms.expansion_value(lam, drop=d)) for d in drops], res
 
     from .parallel import pmap
     out = pmap(one, lams)
     norms = np.array([o[0] for o in out])
     solve_res = np.array([o[1] for o in out])
-    return ExpansionResidualReport(lambdas=lams, norms=norms,
-                                   fit=fit_loglog(lams, norms),
-                                   solve_residuals=solve_res, dropped=tuple(drop))
+    return [ExpansionResidualReport(lambdas=lams, norms=norms[:, k],
+                                    fit=fit_loglog(lams, norms[:, k]),
+                                    solve_residuals=solve_res, dropped=tuple(d))
+            for k, d in enumerate(drops)]
 
 
 def feshbach_consistency(terms: ExpansionTerms, lam: float) -> float:
     """Relative gap between the block-inversion route and direct inversion.
 
     Inverts Mtime = (lambda/a) M(lambda) via E = (Mtime + Q)^{-1} and the
-    Q-subspace operator Q - Q E Q, then compares with a direct dense
-    inverse (Frobenius, relative).
+    Q-subspace operator Q - Q E Q, then compares with a direct inverse
+    (Frobenius, relative).
     """
     qs = terms.qsplit
     mt = (lam / terms.a) * m_tilde(terms.pot, lam)
     E = np.linalg.inv(mt + qs.Q)
-    small = np.eye(qs.basis.shape[1]) - qs.basis.T @ E @ qs.basis
-    inv_small = np.linalg.inv(small)
-    route = E + E @ qs.basis @ inv_small @ qs.basis.T @ E
+    head, tail = qs.restrict(E)
+    inv_small = qs.extend(np.linalg.inv(np.eye(head.shape[-1]) - head),
+                          np.linalg.inv(np.eye(tail.shape[-1]) - tail))
+    route = E + E @ inv_small @ E
     direct = np.linalg.inv(mt)
     return float(np.linalg.norm(route - direct) / np.linalg.norm(direct))
 
@@ -394,9 +365,8 @@ def _weighted_norm(pot: Potential, f) -> float:
 
 def vr0_apply(pot: Potential, lam: float, f, branch: Branch = Branch.plus) -> np.ndarray:
     """v(x) * (R0(lambda^4) f)(x) on the grid."""
-    r = _cache_pair_r(pot) if not hasattr(pot, "pair_r") else pot.pair_r
-    K = r0_kernel_r(branch, lam, r) * pot.grid.weights[None, :]
-    return pot.v * (K @ np.asarray(f, dtype=complex))
+    K = mode_stack(pot.grid, lambda r: r0_kernel_r(branch, lam, r))
+    return pot.v * mode_apply(K * _per_block(pot, pot.grid.weights), f)
 
 
 @dataclass

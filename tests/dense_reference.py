@@ -1,0 +1,167 @@
+"""Dense reference for the azimuthal-mode route of waveop_lab.resolvent.
+
+Every operator here is the whole N x N matrix on the ball grid,
+assembled from all pairwise node distances, with the expansion algebra
+run on those matrices.  The package works on per-mode blocks instead;
+the tests compare the two on small grids.  Nothing in the package
+imports this module.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
+from waveop_lab.specfun import Branch
+
+
+def to_dense(stack: np.ndarray) -> np.ndarray:
+    """The N x N matrix of a block-circulant operator given by its mode blocks.
+
+    Node order is ((i_r, i_theta), i_phi) flattened, so the phi index
+    runs fastest.
+    """
+    n_phi, nb, _ = stack.shape
+    a = np.fft.ifft(stack, axis=0)              # a[d][b, c] = A[(b, d), (c, 0)]
+    j = np.arange(n_phi)
+    full = a[(j[:, None] - j[None, :]) % n_phi]  # [j, k, b, c]
+    return full.transpose(2, 0, 3, 1).reshape(n_phi * nb, n_phi * nb)
+
+
+def pair_distances(grid) -> np.ndarray:
+    x = grid.nodes
+    return np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+
+
+def _vt(pot) -> np.ndarray:
+    return np.sqrt(pot.grid.weights) * pot.v
+
+
+def m_tilde(pot, lam: float) -> np.ndarray:
+    """U + v R0+(lambda^4) v in the tilde frame."""
+    vt = _vt(pot)
+    mat = np.diag(pot.U.astype(complex))
+    mat += vt[:, None] * r0_kernel_r(Branch.plus, lam, pair_distances(pot.grid)) * vt[None, :]
+    return mat
+
+
+def t_tilde(pot) -> np.ndarray:
+    """T = U + v G0 v with G0 = -|x-y|/(8 pi), tilde frame."""
+    vt = _vt(pot)
+    mat = np.diag(pot.U.astype(complex))
+    mat += vt[:, None] * (-pair_distances(pot.grid) / (8.0 * np.pi)) * vt[None, :]
+    return mat
+
+
+def vg1v_tilde(pot) -> np.ndarray:
+    """v |x-y|^2 v, tilde frame."""
+    vt = _vt(pot)
+    return (vt[:, None] * pair_distances(pot.grid) ** 2 * vt[None, :]).astype(complex)
+
+
+class QSplit:
+    """Orthonormal complement of v from one Householder reflection."""
+
+    def __init__(self, pot):
+        vt = _vt(pot)
+        u = vt / np.linalg.norm(vt)
+        h = u.copy()
+        h[0] += 1.0 if u[0] >= 0 else -1.0
+        h /= np.linalg.norm(h)
+        H = np.eye(u.size) - 2.0 * np.outer(h, h)
+        self.basis = H[:, 1:]
+        self.P = np.outer(u, u)
+        self.Q = np.eye(u.size) - self.P
+
+    def restrict(self, tilde_mat):
+        return self.basis.T @ tilde_mat @ self.basis
+
+    def extend(self, small):
+        return self.basis @ small @ self.basis.T
+
+
+def expansion_terms(pot) -> SimpleNamespace:
+    """D0, C1 (= QA10 + A01Q + Ptilde/a) and A2 as dense matrices."""
+    qs = QSplit(pot)
+    T = t_tilde(pot)
+    G1 = vg1v_tilde(pot)
+    a = (1.0 + 1j) * pot.normV_grid / (8.0 * np.pi)
+    a1 = (1.0 - 1j) / (48.0 * np.pi)
+    T2 = T @ T
+    D0 = qs.extend(np.linalg.inv(qs.restrict(T)))
+
+    c = a1 * a
+    TD0 = T @ D0
+    D0T = D0 @ T
+    GD0 = G1 @ D0
+    D0G = D0 @ G1
+    D0T2D0 = D0 @ T2 @ D0
+    D0GD0 = D0 @ GD0
+
+    qa10 = (qs.Q - D0T + D0T2D0) / a - a1 * D0GD0
+    a01q = -TD0 / a
+    ptilde = qs.P.astype(complex) / a
+    C1 = qa10 + a01q + ptilde
+
+    W1 = (c * c * (D0GD0 @ GD0)
+          - c * (D0G @ D0T2D0)
+          - c * (D0T2D0 @ GD0)
+          + D0T2D0 @ T2 @ D0
+          - D0 @ T2 @ TD0
+          + c * (D0 @ (T @ G1) @ D0)
+          + c * (D0 @ (G1 @ T) @ D0))
+    A2 = (-T + W1
+          + c * (TD0 @ GD0) - TD0 @ T2 @ D0
+          + c * (D0GD0 @ T) - D0T2D0 @ T
+          + TD0 @ T
+          + T2 @ D0 - c * GD0
+          + D0 @ T2 - c * D0G) / a ** 2
+    return SimpleNamespace(pot=pot, a=a, a1=a1, T=T, G1=G1, D0=D0, C1=C1, A2=A2,
+                           qa10=qa10, a01q=a01q, ptilde=ptilde, qsplit=qs)
+
+
+def gamma3_tilde(terms, lam: float) -> np.ndarray:
+    minv = np.linalg.inv(m_tilde(terms.pot, lam))
+    return minv - (terms.D0 + lam * terms.C1 + lam ** 2 * terms.A2)
+
+
+def gamma3_value_frame(terms, lam: float) -> np.ndarray:
+    s = np.sqrt(terms.pot.grid.weights)
+    return (1.0 / s[:, None]) * gamma3_tilde(terms, lam) * s[None, :]
+
+
+def feshbach_consistency(terms, lam: float) -> float:
+    qs = terms.qsplit
+    mt = (lam / terms.a) * m_tilde(terms.pot, lam)
+    E = np.linalg.inv(mt + qs.Q)
+    small = np.eye(qs.basis.shape[1]) - qs.basis.T @ E @ qs.basis
+    route = E + E @ qs.basis @ np.linalg.inv(small) @ qs.basis.T @ E
+    direct = np.linalg.inv(mt)
+    return float(np.linalg.norm(route - direct) / np.linalg.norm(direct))
+
+
+def vr0_apply(pot, lam: float, f, branch: Branch = Branch.plus) -> np.ndarray:
+    """v(x) * (R0(lambda^4) f)(x) on the grid."""
+    K = r0_kernel_r(branch, lam, pair_distances(pot.grid)) * pot.grid.weights[None, :]
+    return pot.v * (K @ np.asarray(f, dtype=complex))
+
+
+def k3_eval_pairs(k3, terms, pairs):
+    """K3Evaluator.eval_pairs with the dense Gamma3 of ``terms``."""
+    pairs = np.asarray(pairs, dtype=float)
+    nodes = k3.pot.grid.nodes
+    wgt = k3.pot.grid.weights
+    v = k3.pot.v
+    rx = np.linalg.norm(pairs[:, 0, None, :] - nodes[None, :, :], axis=-1)
+    ry = np.linalg.norm(pairs[:, 1, None, :] - nodes[None, :, :], axis=-1)
+    profiles = []
+    for lam in k3.lambdas:
+        gamma = gamma3_value_frame(terms, lam)
+        rows = r0_kernel_r(Branch.plus, lam, rx) * (wgt * v)[None, :]
+        cols = r0_diff_r(lam, ry) * v[None, :]
+        contr = np.einsum("pi,ij,pj->p", rows, gamma, cols, optimize=True)
+        profiles.append(lam ** 3 * k3.cutoff(lam) * contr)
+    profiles = np.stack(profiles, axis=1)
+    return profiles @ k3.weights, profiles

@@ -40,7 +40,7 @@ def test_criterion_02_specfun_envelopes(ctx):
 
 
 def test_criterion_03_resolvent_expansion(ctx):
-    _finish(xp.check_resolvent_expansion(ctx), 300.0)
+    _finish(xp.check_resolvent_expansion(ctx), 15.0)
 
 
 def test_criterion_04_projection_gain(ctx):
@@ -56,7 +56,7 @@ def test_criterion_06_kp_leading_agreement(ctx):
 
 
 def test_criterion_07_k3_envelope(ctx):
-    _finish(xp.check_k3_bound(ctx), 900.0)
+    _finish(xp.check_k3_bound(ctx), 12.0)
 
 
 def test_criterion_08a_weak11(ctx):

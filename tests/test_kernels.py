@@ -165,14 +165,14 @@ def test_kp_leading_agreement_sweep(small_pot, cutoff, rng):
 
 def test_k3_zero_gamma_gives_zero(strong_terms, cutoff):
     k3 = kn.K3Evaluator(strong_terms, cutoff, n_lambda=6)
-    n = strong_terms.pot.grid.size
+    shape = strong_terms.D0.shape           # (n_phi, nb, nb) mode blocks
 
     class ZeroTerms:
         pot = strong_terms.pot
 
         @staticmethod
         def gamma3_value_frame(lam):
-            return np.zeros((n, n), dtype=complex)
+            return np.zeros(shape, dtype=complex)
 
     k3.terms = ZeroTerms()
     pairs = np.array([[[1.0, 0, 0], [0, 2.0, 0]]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from waveop_lab import resolvent as rs
 from waveop_lab.errors import InvalidInputError, RegularityError
 from waveop_lab.potential import PotentialSpec, build_potential
@@ -30,9 +31,12 @@ def test_r0_kernel_values():
 
 
 def test_assembled_matrix_kernel_symmetry(small_pot):
-    m = rs.assemble_M(0.05, small_pot)
-    k = m.kernel_values() - np.diag(np.diag(m.kernel_values()))
-    assert np.max(np.abs(k - k.T)) < 1e-12
+    # a symmetric kernel K(x_i, x_j) = K(x_j, x_i) means the transposed
+    # operator is the same one: block m transposed is the block of mode -m
+    m = rs.m_tilde(small_pot, 0.05)
+    n_phi = m.shape[0]
+    mt = m[(-np.arange(n_phi)) % n_phi].transpose(0, 2, 1)
+    assert np.max(np.abs(m - mt)) < 1e-12 * np.max(np.abs(m))
 
 
 def test_m_taylor_first_order(small_pot):
@@ -41,7 +45,7 @@ def test_m_taylor_first_order(small_pot):
     T = rs.t_tilde(small_pot)
     a = (1 + 1j) * small_pot.normV_grid / (8 * np.pi)
     lams = np.geomspace(1e-4, 1e-2, 6)
-    norms = [rs.spectral_norm(rs.m_tilde(small_pot, lam) - (a / lam) * qs.P - T)
+    norms = [rs.operator_norm(rs.m_tilde(small_pot, lam) - (a / lam) * qs.P - T)
              for lam in lams]
     fit = fit_loglog(lams, norms)
     assert abs(fit.slope - 1.0) < 0.05
@@ -53,8 +57,21 @@ def test_zero_regularity(small_pot):
     assert rep.condition_number < 10.0
     # eigenvalues of QTQ cluster near -1 for a weak negative bump
     qs = rs.QSplit(small_pot)
-    ev = np.linalg.eigvals(qs.restrict(rs.t_tilde(small_pot)))
-    assert np.max(np.abs(ev + 1.0)) < 0.05
+    head, tail = qs.restrict(rs.t_tilde(small_pot))
+    for ev in (np.linalg.eigvals(head), np.linalg.eigvals(tail)):
+        assert np.max(np.abs(ev + 1.0)) < 0.05
+
+
+def test_regularity_matches_dense_svd(strong_pot):
+    """The condition number is exact: it equals that of the dense QTQ
+    restricted to the complement of v."""
+    qs = dense.QSplit(strong_pot)
+    sv = np.linalg.svd(qs.restrict(dense.t_tilde(strong_pot)), compute_uv=False)
+    rep = rs.zero_regularity_check(strong_pot)
+    assert rep.sigma_max == pytest.approx(sv.max(), rel=1e-12)
+    assert rep.sigma_min == pytest.approx(sv.min(), rel=1e-12)
+    assert rep.condition_number == pytest.approx(sv.max() / sv.min(), rel=1e-12)
+    assert rep.condition_number > 1.02
 
 
 def test_resonance_sweep_qualitative():
@@ -80,26 +97,27 @@ def test_expansion_structure(strong_terms):
     assert np.max(np.abs(P @ t.A0)) < 1e-10
     assert np.max(np.abs(t.A0 @ P)) < 1e-10
     # D0 inverts QTQ on the Q-subspace
-    gap = t.qsplit.restrict(t.D0 @ t.T @ t.D0 - t.D0)
-    assert np.max(np.abs(gap)) < 1e-10
+    for gap in t.qsplit.restrict(t.D0 @ t.T @ t.D0 - t.D0):
+        assert np.max(np.abs(gap)) < 1e-10
     # C1 splits into QA10 + A01Q + (1/a) P
     assert np.max(np.abs(t.qa10 + t.a01q + t.ptilde - t.C1)) < 1e-12
     assert np.max(np.abs(t.ptilde - P / t.a)) < 1e-14
     # the appendix constants
     assert t.a == pytest.approx((1 + 1j) * t.pot.normV_grid / (8 * np.pi))
     assert t.a1 == pytest.approx((1 - 1j) / (48 * np.pi))
-    assert np.max(np.abs(t.B1 - t.T / t.a)) < 1e-12
 
 
 def test_expansion_residual_slopes(strong_terms):
-    rep = rs.expansion_residual(strong_terms, LAMS)
+    rep, rep2, rep3 = rs.expansion_residual(strong_terms, LAMS,
+                                            drops=((), ("a2",), ("ptilde",)))
     assert abs(rep.fit.slope - 3.0) <= 0.3
     assert rep.fit.r_squared >= 0.98
     assert np.all(rep.solve_residuals < 1e-9)
-    rep2 = rs.expansion_residual(strong_terms, LAMS, drop=("a2",))
     assert abs(rep2.fit.slope - 2.0) <= 0.3
-    rep3 = rs.expansion_residual(strong_terms, LAMS, drop=("ptilde",))
     assert abs(rep3.fit.slope - 1.0) <= 0.3
+    # one report per drop set from the same inverses
+    assert [r.dropped for r in (rep, rep2, rep3)] == [(), ("a2",), ("ptilde",)]
+    assert rep2.solve_residuals is rep.solve_residuals
 
 
 def test_feshbach_consistency(strong_terms):
@@ -123,7 +141,7 @@ def test_gamma0_grid_refinement_stability():
                                                    + cf[2] * x[:, 1] + cf[3] * x[:, 2] ** 2)
             g = np.exp(-0.5 * np.sum(x ** 2, axis=1)) * (cg[0] + cg[1] * x[:, 2]
                                                          + cg[2] * x[:, 0] + cg[3] * x[:, 1])
-            u = (terms.D0 @ (s * f)) / s      # value-frame action of D0
+            u = rs.mode_apply(terms.D0, s * f) / s      # value-frame action of D0
             out.append(np.sum(w * u * g))
         return np.array(out)
 
