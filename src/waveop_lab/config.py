@@ -131,6 +131,20 @@ def validate(cfg: Config) -> None:
     pot = cfg.potential
     if pot.get("amplitude", 0.0) == 0.0:
         raise ConfigError("potential amplitude must be nonzero")
+    # check_schur compares the last two domain radii
+    radii = cfg.schur["radii"]
+    if (not isinstance(radii, (list, tuple)) or len(radii) < 2
+            or not all(_is_number(r) and r > 0 for r in radii)
+            or any(b <= a for a, b in zip(radii, radii[1:]))):
+        raise ConfigError("schur radii must be at least two positive, "
+                          "strictly increasing numbers")
+    n_samples = cfg.schur["n_samples"]
+    if not (_is_number(n_samples) and n_samples == int(n_samples) and n_samples >= 1):
+        raise ConfigError("schur n_samples must be an integer >= 1")
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def config_to_json(cfg: Config) -> str:

@@ -265,6 +265,16 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
     phase range, so accuracy is uniform in the radii.  With
     ``transpose`` the returned callable evaluates Psi(rho_array, s)
     instead (the kernel is not symmetric).
+
+    On the gate the four exponentials of ``psi2_radial`` have exponents
+    that are sums of a rho term and an s term, and their denominators
+    depend on rho only.  So each is a (rho, lambda) table times a
+    lambda-only factor.  One phase table E = exp(i rho lambda) is
+    contracted against the lambda-only weight columns in one matmul;
+    its conjugate enters as conj(E) @ m = conj(E @ conj(m)).  The
+    transposed kernel also contracts the real decay table
+    exp(-rho lambda) against the real and imaginary parts of its
+    weights.  The denominators are applied to the contracted vectors.
     """
     from .quadrature import _leggauss
     x, wgl = _leggauss(n_gl)
@@ -300,20 +310,30 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
         if gate.any():
             rg = np.maximum(rho[gate], 1e-12)
             sc = max(s, 1e-12)
-            if transpose:
-                Z = rg[:, None]        # |z| axis (vector), |w| = s
-                W = sc
-            else:
-                Z = sc
-                W = rg[:, None]
             lam, w = panel_rule(lo, hi, s + rg.max())
             wchi = w * cutoff(lam, 1)
-            L = lam[None, :]
-            b = (-np.exp(1j * L * (Z + W)) / (1j * (Z + W))
-                 + np.exp(1j * L * (Z - W)) / (1j * (Z - W))
-                 + np.exp(-L * (Z + 1j * W)) / (Z + 1j * W)
-                 - np.exp(-L * (Z - 1j * W)) / (Z - 1j * W))
-            out[gate] = (b @ wchi) / (sc * rg)
+            phase = np.outer(rg, lam)
+            # cos and sin into one buffer: no complex temporary, cheaper than exp(1j*x)
+            E = np.empty(phase.shape, dtype=complex)
+            np.cos(phase, out=E.real)
+            np.sin(phase, out=E.imag)
+            ws = wchi * np.exp(1j * lam * sc)
+            if transpose:
+                # Z = rho, W = s: e^{iL(rho+-s)} = E e^{+-iLs}, e^{-L(rho+-is)} = D e^{-+iLs}
+                ep, em = (E @ np.stack([ws, ws.conj()], axis=1)).T
+                D = np.exp(-phase, out=phase)
+                dr, di = (D @ np.stack([ws.real, ws.imag], axis=1)).T
+                dp, dm = dr + 1j * di, dr - 1j * di
+                b = (-ep / (1j * (rg + sc)) + em / (1j * (rg - sc))
+                     + dm / (rg + 1j * sc) - dp / (rg - 1j * sc))
+            else:
+                # Z = s, W = rho: e^{iL(s+-rho)} = e^{iLs} (E or conj E),
+                # e^{-L(s+-i rho)} = e^{-Ls} (conj E or E)
+                ep, ed, ec = (E @ np.stack([ws, wchi * np.exp(-lam * sc), ws.conj()],
+                                           axis=1)).T
+                b = (-ep / (1j * (sc + rg)) + ec.conj() / (1j * (sc - rg))
+                     + ed.conj() / (sc + 1j * rg) - ed / (sc - 1j * rg))
+            out[gate] = b / (sc * rg)
         return out
 
     return batch

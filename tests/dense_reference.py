@@ -1,10 +1,16 @@
-"""Dense reference for the azimuthal-mode route of waveop_lab.resolvent.
+"""Direct references for the structured fast paths of waveop_lab.
 
-Every operator here is the whole N x N matrix on the ball grid,
-assembled from all pairwise node distances, with the expansion algebra
-run on those matrices.  The package works on per-mode blocks instead;
-the tests compare the two on small grids.  Nothing in the package
-imports this module.
+Resolvent layer: every operator here is the whole N x N matrix on the
+ball grid, assembled from all pairwise node distances, with the
+expansion algebra run on those matrices.  The package works on
+per-mode blocks instead; the tests compare the two on small grids.
+
+Kernel integrals: ``psi_gate_batch`` evaluates the gated Psi with all
+four exponentials on the full (rho, lambda) table, and
+``tg_abs_far_batch`` sums the far-field Phi over every (d, rho) node;
+the package uses separable phase tables and a moment series instead.
+
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from waveop_lab.quadrature import _leggauss, cap_area
 from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
 from waveop_lab.specfun import Branch
 
@@ -165,3 +172,52 @@ def k3_eval_pairs(k3, terms, pairs):
         profiles.append(lam ** 3 * k3.cutoff(lam) * contr)
     profiles = np.stack(profiles, axis=1)
     return profiles @ k3.weights, profiles
+
+
+def psi_gate_batch(cutoff, s: float, rho, transpose: bool = False, n_gl: int = 8):
+    """kernels.make_psi_batch on the gate |s - rho| >= 1 only, with the
+    four exponentials of psi2_radial evaluated on the whole (rho, lambda)
+    table.
+
+    The table is summed in extended precision: at s of a few thousand
+    the exponents lambda (s +- rho) and the near-cancelling terms of
+    small rho leave a float64 evaluation ~3e-12 of the row max off,
+    which is more than the fast route's own error.
+    """
+    ext = np.longdouble
+    rho = np.asarray(rho, dtype=float)
+    assert np.all(np.abs(s - rho) >= 1.0)
+    rg = np.maximum(rho, 1e-12)
+    lo, hi = cutoff.transition_band
+    x, wgl = _leggauss(n_gl)
+    n_pan = max(16, int(np.ceil((s + rg.max()) * (hi - lo) / 3.0)))
+    sub = np.linspace(lo, hi, n_pan + 1)
+    mid = 0.5 * (sub[:-1] + sub[1:])
+    half = 0.5 * np.diff(sub)
+    lam = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wchi = ((half[:, None] * wgl[None, :]).ravel() * cutoff(lam, 1)).astype(ext)
+    rg = rg.astype(ext)
+    sc = ext(max(s, 1e-12))
+    Z, W = (rg[:, None], sc) if transpose else (sc, rg[:, None])
+    L = lam.astype(ext)[None, :]
+    b = (-np.exp(1j * L * (Z + W)) / (1j * (Z + W))
+         + np.exp(1j * L * (Z - W)) / (1j * (Z - W))
+         + np.exp(-L * (Z + 1j * W)) / (Z + 1j * W)
+         - np.exp(-L * (Z - 1j * W)) / (Z - 1j * W))
+    return ((b @ wchi) / (sc * rg)).astype(complex)
+
+
+def tg_abs_far_batch(op, s_values, R: float, n_rho: int = 48) -> np.ndarray:
+    """CounterexampleOperator.tg_abs_far_batch as the direct sum of
+    a0 / (a0^4 - rho^4) over every (u1, d, rho) node."""
+    xr, wrho = _leggauss(n_rho)
+    out = np.empty(len(s_values))
+    rho = 0.5 * (R + op.d)[:, None] * (xr[None, :] + 1.0)
+    wr = 0.5 * (R + op.d)[:, None] * wrho[None, :]
+    capw = cap_area(rho, op.d[:, None], R) * wr
+    for i, s in enumerate(s_values):
+        A = op.a0_grid(s)[..., None, None]
+        core = A / ((A - rho) * (A + rho) * (A ** 2 + rho ** 2))
+        phi = (capw * core).sum(axis=-1)
+        out[i] = ((phi @ op.w2) * op.w1).sum()
+    return out / (2.0 * np.sqrt(2.0) * np.pi * op.pot.normV_L1 ** 2)

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from waveop_lab.cli import main
 
 
@@ -22,6 +24,21 @@ def test_bad_potential_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"potential": {"amplitude": 0.0}}))
     assert main(["identities", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("schur", [
+    {"radii": [500.0]},
+    {"radii": [1000.0, 500.0]},
+    {"radii": [0.0, 500.0]},
+    {"radii": 500.0},
+    {"n_samples": 0},
+    {"n_samples": 2.5},
+], ids=["one-radius", "decreasing", "zero-radius", "scalar", "no-samples", "fractional"])
+def test_bad_schur_config(tmp_path, capsys, schur):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schur": schur}))
+    assert main(["schur", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):
