@@ -12,7 +12,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
+from .potential import PotentialSpec
 
 
 @dataclass
@@ -118,8 +119,10 @@ def load_config(path: str | None) -> Config:
 def validate(cfg: Config) -> None:
     if cfg.lambda0 <= 0:
         raise ConfigError("lambda0 must be positive")
-    if len(cfg.grid) != 3 or min(cfg.grid) < 2:
-        raise ConfigError("grid must be three counts >= 2")
+    for name in ("grid", "rep_grid"):
+        grid = getattr(cfg, name)
+        if len(grid) != 3 or min(grid) < 2:
+            raise ConfigError(f"{name} must be three counts >= 2")
     if cfg.lambda_window["min"] <= 0 or cfg.lambda_window["max"] <= cfg.lambda_window["min"]:
         raise ConfigError("lambda window must satisfy 0 < min < max")
     if cfg.lambda_window["count"] < 6:
@@ -128,9 +131,14 @@ def validate(cfg: Config) -> None:
         widths = val[1:] if isinstance(val, (list, tuple)) else [val]
         if any(not (w > 0) for w in widths):
             raise ConfigError(f"tolerance {name!r} must be positive")
-    pot = cfg.potential
-    if pot.get("amplitude", 0.0) == 0.0:
-        raise ConfigError("potential amplitude must be nonzero")
+    for name in ("potential", "expansion_potential"):
+        pot = getattr(cfg, name)
+        if pot.get("amplitude", 0.0) == 0.0:
+            raise ConfigError(f"{name} amplitude must be nonzero")
+        try:
+            PotentialSpec(**pot)
+        except (InvalidInputError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     # check_schur compares the last two domain radii
     radii = cfg.schur["radii"]
     if (not isinstance(radii, (list, tuple)) or len(radii) < 2
@@ -145,7 +153,3 @@ def validate(cfg: Config) -> None:
 
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def config_to_json(cfg: Config) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)

@@ -69,18 +69,6 @@ def phi_radial(a0: float, d: float, R: float, rel_tol: float = 1e-9) -> float:
     return total
 
 
-def phi_integral(u1, u2, x, R: float, rel_tol: float = 1e-9) -> float:
-    """Phi(u1, u2, x) via the exact radial reduction."""
-    a0 = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(u1, dtype=float)))
-    d = float(np.linalg.norm(np.asarray(u2, dtype=float)))
-    return phi_radial(a0, d, R, rel_tol)
-
-
-def phi_lower_bound_chain(a0: float, R: float, R0: float) -> float:
-    """The analytic chain lower bound pi*log(1 + 2(R-R0)/(a0-R+R0)) - 2 pi^2."""
-    return float(np.pi * np.log1p(2.0 * (R - R0) / (a0 - R + R0)) - 2.0 * np.pi ** 2)
-
-
 def phi_log_bound(R: float, R0: float) -> float:
     """(pi/2) log(1 + (R-R0)/(2 R0+1)): the uniform band lower bound."""
     return float(0.5 * np.pi * np.log1p((R - R0) / (2.0 * R0 + 1.0)))
@@ -526,8 +514,7 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
                                           sw["radius_min"], sw["radius_max"])
         fieldk = kn.KernelField(
             name=f"G11{'+' if sign > 0 else '-'}",
-            radial=lambda s, t, refine=0, b=branch: kn.g_radial(1, 1, b, s, t, cut, refine),
-            envelope=None)
+            radial=lambda s, t, refine=0, b=branch: kn.g_radial(1, 1, b, s, t, cut, refine))
         env = kn.EnvelopeSpec("prop22_min", sign=sign)
         repb = kn.bound_ratio_sweep(fieldk, env, pairs)
         measured[fieldk.name] = {"sup": repb.sup_ratio,
@@ -865,8 +852,9 @@ class SuiteReport:
 
 
 def _format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
+    # numpy scalars repr as "np.float64(x)" under numpy 2; write the number
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 

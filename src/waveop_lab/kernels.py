@@ -3,16 +3,18 @@
 Every kernel here is a cutoff lambda-integral of products of the
 special functions F, A, B against free-resolvent factors:
 
-* ``eval_G``       oscillatory envelope kernels G_{alpha beta}(X, Y),
-* ``eval_EN``      their single dyadic-band pieces,
-* ``KPDirect``     the rank-one-projection kernel K_P, both by direct
-                   quadrature (factorized through the radial potential
-                   profile) and through its closed-form leading term,
-* ``eval_KtildeP`` the translation-invariant core of K_P,
-* ``eval_Psi``     its admissible remainder (stable cutoff-derivative
-                   representation in the far field),
-* ``K3Evaluator``  the cubic-remainder kernel K_3, contracted through
-                   cached Gamma3(lambda) matrices.
+* ``g_radial``       oscillatory envelope kernels G_{alpha beta} at radii
+                     (|X|, |Y|),
+* ``ktilde_radial``  the translation-invariant core KtildeP of K_P,
+* ``psi2_radial``    its admissible remainder on the gate (stable
+                     cutoff-derivative representation),
+* ``make_psi_batch`` Psi = KtildeP off the gate, Psi2 on it, on fixed
+                     panel rules for the Schur integrals,
+* ``KPDirect``       the rank-one-projection kernel K_P, both by direct
+                     quadrature (factorized through the radial potential
+                     profile) and through its closed-form leading term,
+* ``K3Evaluator``    the cubic-remainder kernel K_3, contracted through
+                     cached Gamma3(lambda) matrices.
 
 Verification sweeps compare |kernel| against named envelope families
 (``EnvelopeSpec``) and report sup ratios with refinement stability.
@@ -30,7 +32,7 @@ from .potential import Potential
 from .quadrature import gauss_rule, integrate_adaptive
 from .reports import BoundReport, SlopeFit, fit_loglog
 from .resolvent import ExpansionTerms, r0_diff_r, r0_kernel_r
-from .specfun import Branch, Cutoff, DyadicPartition, eval_F, eval_F_diff
+from .specfun import Branch, Cutoff, eval_F, eval_F_diff
 
 # ----------------------------------------------------------------------
 # Envelopes
@@ -107,8 +109,6 @@ class KernelField:
     name: str
     radial: Callable = None
     evaluator: Callable = None
-    envelope: EnvelopeSpec | None = None
-    structure: str = "biradial"
 
     def at(self, x, y, refine: int = 0):
         if self.evaluator is not None:
@@ -117,33 +117,21 @@ class KernelField:
         t = float(np.linalg.norm(y))
         return self.radial(s, t, refine)
 
-    def at_radii(self, s, t, refine: int = 0):
-        if self.radial is None:
-            raise InvalidInputError(f"kernel {self.name} has no radial form")
-        return self.radial(s, t, refine)
-
 
 # ----------------------------------------------------------------------
-# G_{alpha beta} and its dyadic bands
+# G_{alpha beta}
 # ----------------------------------------------------------------------
 
 def _g_tols(refine):
     return (1e-9 / 100.0 ** refine, 1e-19)
 
 
-def eval_G(alpha: int, beta: int, branch: Branch, X, Y, cutoff: Cutoff,
-           refine: int = 0) -> complex:
-    """G_{alpha beta}(X, Y): cutoff integral of
+def g_radial(alpha: int, beta: int, branch: Branch, sx: float, sy: float,
+             cutoff: Cutoff, refine: int = 0) -> complex:
+    """G_{alpha beta} at radii (|X|, |Y|): cutoff integral of
     lambda^(5-alpha-beta) F^(alpha)(lambda|X|) F^(beta)(lambda|Y|)."""
     if alpha not in (0, 1) or beta not in (0, 1):
         raise InvalidInputError("alpha and beta must be 0 or 1")
-    sx = float(np.linalg.norm(X))
-    sy = float(np.linalg.norm(Y))
-    return g_radial(alpha, beta, branch, sx, sy, cutoff, refine)
-
-
-def g_radial(alpha: int, beta: int, branch: Branch, sx: float, sy: float,
-             cutoff: Cutoff, refine: int = 0) -> complex:
     power = 5 - alpha - beta
     rel, floor = _g_tols(refine)
 
@@ -154,40 +142,6 @@ def g_radial(alpha: int, beta: int, branch: Branch, sx: float, sy: float,
 
     val, _ = integrate_adaptive(integrand, 0.0, cutoff.lambda0, rel_tol=rel,
                                 abs_tol=floor, freq=(sx + sy) * (1 + refine),
-                                breakpoints=(cutoff.lambda0 / 2.0,))
-    return val
-
-
-def dyadic_band_top(lambda0: float) -> int:
-    """Largest N with supp(chi * phi_N) nonempty."""
-    return int(np.floor(np.log2(lambda0))) + 2
-
-
-def dyadic_band_range(lambda0: float, n_bands: int = 14):
-    top = dyadic_band_top(lambda0)
-    return range(top - n_bands + 1, top + 1)
-
-
-def eval_EN(N: int, alpha: int, beta: int, branch: Branch, X, Y, cutoff: Cutoff,
-            part: DyadicPartition | None = None, refine: int = 0) -> complex:
-    """Single dyadic-band piece of G (integrand multiplied by phi_N)."""
-    part = part or DyadicPartition()
-    sx = float(np.linalg.norm(X))
-    sy = float(np.linalg.norm(Y))
-    lo = 2.0 ** (N - 2)
-    hi = min(2.0 ** N, cutoff.lambda0)
-    if hi <= lo:
-        return 0.0 + 0.0j
-    power = 5 - alpha - beta
-    rel, floor = _g_tols(refine)
-
-    def integrand(lam):
-        return (lam ** power * cutoff(lam) * part.phi(N, lam)
-                * eval_F(Branch.plus, lam * sx, alpha)
-                * eval_F(branch, lam * sy, beta))
-
-    val, _ = integrate_adaptive(integrand, lo, hi, rel_tol=rel, abs_tol=floor,
-                                freq=(sx + sy) * (1 + refine),
                                 breakpoints=(cutoff.lambda0 / 2.0,))
     return val
 
@@ -208,11 +162,6 @@ def ktilde_radial(sz: float, sw: float, cutoff: Cutoff, refine: int = 0) -> comp
                                 abs_tol=floor, freq=(sz + sw) * (1 + refine),
                                 breakpoints=(cutoff.lambda0 / 2.0,))
     return val
-
-
-def eval_KtildeP(z, w, cutoff: Cutoff, refine: int = 0) -> complex:
-    return ktilde_radial(float(np.linalg.norm(z)), float(np.linalg.norm(w)),
-                         cutoff, refine)
 
 
 def cancellation_identity_lhs(sz, sw):
@@ -247,13 +196,6 @@ def psi2_radial(sz: float, sw: float, cutoff: Cutoff, refine: int = 0) -> comple
     val, _ = integrate_adaptive(integrand, lo, hi, rel_tol=rel, abs_tol=floor,
                                 freq=(sz + sw) * (1 + refine))
     return val / (szc * swc)
-
-
-def psi_radial(sz: float, sw: float, cutoff: Cutoff, refine: int = 0) -> complex:
-    """Psi = KtildeP + gated singular correction, assembled stably."""
-    if abs(sz - sw) >= 1.0:
-        return psi2_radial(sz, sw, cutoff, refine)
-    return ktilde_radial(sz, sw, cutoff, refine)
 
 
 def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
@@ -339,11 +281,6 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
     return batch
 
 
-def eval_Psi(z, w, cutoff: Cutoff, refine: int = 0) -> complex:
-    return psi_radial(float(np.linalg.norm(z)), float(np.linalg.norm(w)),
-                      cutoff, refine)
-
-
 # ----------------------------------------------------------------------
 # K_P: direct quadrature and closed-form leading term
 # ----------------------------------------------------------------------
@@ -411,23 +348,6 @@ class KPDirect:
                                     breakpoints=(self.cutoff.lambda0 / 2.0,))
         return self.prefactor * val
 
-    def pieces(self, x, y, refine: int = 0):
-        """The four exponential pieces (K1, K2, K3, K4) before combination."""
-        sx = float(np.linalg.norm(x))
-        sy = float(np.linalg.norm(y))
-        rel, floor = 1e-8 / 100.0 ** refine, 1e-19
-        combos = (((+1,), (+1,)), ((+1,), (-1,)), ((0,), (+1,)), ((0,), (-1,)))
-        out = []
-        for (mx,), (my,) in combos:
-            def integrand(lam, mx=mx, my=my):
-                return self.cutoff(lam) * self._shell(lam, sx, mx) * self._shell(lam, sy, my)
-            val, _ = integrate_adaptive(integrand, 0.0, self.cutoff.lambda0,
-                                        rel_tol=rel, abs_tol=floor,
-                                        freq=sx + sy + 2 * self.pot.radius,
-                                        breakpoints=(self.cutoff.lambda0 / 2.0,))
-            out.append(val)
-        return tuple(out)
-
     def leading_radial(self, sx: float, sy: float):
         """Closed-form leading term and the error envelope at (|x|, |y|)."""
         env = 1.0 / (_jb(sx) * _jb(sy) * _jb(sx - sy) ** 2)
@@ -440,54 +360,6 @@ class KPDirect:
 
     def leading(self, x, y):
         return self.leading_radial(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-
-
-def _kp_for(pot: Potential, cutoff: Cutoff) -> "KPDirect":
-    cache = getattr(pot, "_kp_cache", None)
-    if cache is None:
-        cache = pot._kp_cache = {}
-    key = cutoff.lambda0
-    if key not in cache:
-        cache[key] = KPDirect(pot, cutoff)
-    return cache[key]
-
-
-def eval_KP_direct(x, y, pot: Potential, cutoff: Cutoff, refine: int = 0) -> complex:
-    """K_P(x, y) by quadrature (cached factorized evaluator per potential)."""
-    return _kp_for(pot, cutoff).direct(x, y, refine=refine)
-
-
-def eval_KP_leading(x, y, pot: Potential, cutoff: Cutoff):
-    """Closed-form leading term of K_P and its error envelope at (x, y)."""
-    return _kp_for(pot, cutoff).leading(x, y)
-
-
-def eval_K3(x, y, k3: "K3Evaluator") -> complex:
-    """Single-pair convenience wrapper around a K3Evaluator."""
-    vals, _ = k3.eval_pairs(np.asarray([[x, y]], dtype=float))
-    return complex(vals[0])
-
-
-def kp_smeared_reference(pot: Potential, cutoff: Cutoff, coarse_grid, x, y,
-                         n_lambda: int = 320) -> complex:
-    """K_P(x, y) as the double ball-grid smearing of KtildeP.
-
-    Independent route for the factorized evaluator: fixed panelized
-    Gauss rule in lambda, explicit double sum over a coarse potential
-    grid.  Accuracy is limited by the coarse grid, not the rule.
-    """
-    w = coarse_grid.weights * np.abs(pot.profile(coarse_grid.radii()))
-    dz = np.linalg.norm(np.asarray(x) - coarse_grid.nodes, axis=1)
-    dw = np.linalg.norm(np.asarray(y) - coarse_grid.nodes, axis=1)
-    rule = gauss_rule(n_lambda, 0.0, cutoff.lambda0)
-    lam = rule.nodes
-    chiw = cutoff(lam) * rule.weights * lam ** 2
-    fz = eval_F(Branch.plus, lam[:, None] * dz[None, :])          # (L, n)
-    fw = eval_F_diff(lam[:, None] * dw[None, :])
-    sz = fz * w[None, :]
-    sw = fw * w[None, :]
-    vals = (chiw * sz.sum(axis=1) * sw.sum(axis=1)).sum()
-    return vals / (8.0 * np.pi * (1.0 + 1j) * pot.normV_L1 ** 2)
 
 
 # ----------------------------------------------------------------------
@@ -577,11 +449,6 @@ def bound_ratio_sweep(fieldk: KernelField, env: EnvelopeSpec, samples,
                          details={"n_samples": len(samples), "values": values,
                                   "ratios": ratios})
     if refine_check:
-        xr, yr = samples[k]
-        val_ref = fieldk.at(xr, yr, refine=1)
-        ratio_ref = abs(val_ref) / float(env(xr, yr))
-        denom = max(abs(ratio_ref), 1e-300)
-        report.details["refine_rel_change"] = abs(ratio_ref - ratios[k]) / denom
         # stability of the sweep sup as a whole: re-evaluate the top decile
         order = np.argsort(ratios)[::-1]
         top = order[:max(3, len(samples) // 20)]

@@ -21,10 +21,6 @@ def set_threads(n: int) -> None:
         _THREADS = max(1, min(int(n), os.cpu_count() or 1))
 
 
-def get_threads() -> int:
-    return _THREADS
-
-
 def pmap(fn, items):
     items = list(items)
     if _THREADS <= 1 or len(items) <= 1:

@@ -92,18 +92,13 @@ class Potential:
     def projections(self) -> "ProjectionSet":
         return ProjectionSet(self)
 
-    def weight_G(self, x):
-        """G(x) = |x|/||V||_1 * int |V|(u)/|x-u| du.
+    def weight_G_radial(self, s):
+        """G(x) = |x|/||V||_1 * int |V|(u)/|x-u| du at radii s = |x|.
 
         For the radial |V| the angular integral collapses to
         (4 pi / ||V||_1) * int_0^R min(|x|, r) r |V|(r) dr, which is
-        exactly 1 outside the support.  x may be a point (..., 3).
+        exactly 1 outside the support.  Vectorized in s.
         """
-        s = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-        return self.weight_G_radial(s)
-
-    def weight_G_radial(self, s):
-        """Same as weight_G but takes radii |x| directly (vectorized)."""
         s = np.asarray(s, dtype=float)
         rn, rw = self._rule.nodes, self._rule.weights
         core = rn * self.abs_profile(rn) * rw
@@ -170,12 +165,3 @@ class ProjectionSet:
         if kind == "Ptilde":
             return pf / self.a
         raise InvalidInputError(f"unknown projection kind {kind!r}")
-
-
-def project(pot: Potential, kind: str, f):
-    """P, Q or Ptilde applied to a grid function."""
-    return pot.projections.apply(kind, f)
-
-
-def weight_G(pot: Potential, x):
-    return pot.weight_G(x)

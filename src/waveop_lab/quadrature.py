@@ -2,9 +2,8 @@
 
 Provides the adaptive 1D integrator used for every oscillatory lambda
 integral in the package, Gauss-Legendre product grids on balls in R^3,
-the closed-form sphere/ball intersection area used to reduce shifted
-ball integrals to one dimension, and the homogeneous line measure
-r^2 dr.
+and the closed-form sphere/ball intersection area used to reduce shifted
+ball integrals to one dimension.
 
 The adaptive integrator is a nested Gauss-Kronrod (G7, K15) panel
 scheme with bisection.  Oscillatory integrands are handled by seeding
@@ -190,15 +189,6 @@ class QuadratureRule:
     weights: np.ndarray
     interval: tuple
 
-    @classmethod
-    def gauss(cls, n: int, a: float, b: float) -> "QuadratureRule":
-        x, w = _leggauss(n)
-        half = 0.5 * (b - a)
-        return cls(nodes=a + half * (x + 1.0), weights=half * w, interval=(a, b))
-
-    def integrate(self, fvals: np.ndarray):
-        return np.tensordot(np.asarray(fvals), self.weights, axes=([-1], [0]))
-
 
 @lru_cache(maxsize=128)
 def _leggauss(n: int):
@@ -207,21 +197,15 @@ def _leggauss(n: int):
 
 
 def gauss_rule(n: int, a: float, b: float) -> QuadratureRule:
-    return QuadratureRule.gauss(n, a, b)
+    """n-point Gauss-Legendre rule on [a, b]."""
+    x, w = _leggauss(n)
+    half = 0.5 * (b - a)
+    return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w, interval=(a, b))
 
 
 # ----------------------------------------------------------------------
 # Ball grids
 # ----------------------------------------------------------------------
-
-def unit_direction(x: np.ndarray) -> np.ndarray:
-    """x/|x| with the value 0 at the origin; works on (..., 3) arrays."""
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    out = np.zeros_like(x)
-    np.divide(x, r, out=out, where=r > 0.0)
-    return out
-
 
 @dataclass(frozen=True)
 class BallGrid:
@@ -247,15 +231,8 @@ class BallGrid:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    def integrate(self, fvals: np.ndarray):
-        return np.tensordot(np.asarray(fvals), self.weights, axes=([-1], [0]))
-
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.nodes, axis=1)
-
-    @staticmethod
-    def direction(x: np.ndarray) -> np.ndarray:
-        return unit_direction(x)
 
 
 def ball_grid(radius: float, n_r: int, n_theta: int, n_phi: int) -> BallGrid:
@@ -309,38 +286,3 @@ def cap_area(rho, d, R):
     if area.ndim == 0:
         return float(area)
     return area
-
-
-# ----------------------------------------------------------------------
-# Homogeneous measure r^2 dr
-# ----------------------------------------------------------------------
-
-class HomogeneousMeasure:
-    """The doubling measure d(mu) = r^2 dr on the real line."""
-
-    @staticmethod
-    def weight(r):
-        return np.asarray(r, dtype=float) ** 2
-
-    @staticmethod
-    def interval(a: float, b: float) -> float:
-        """mu([a, b]) = (b^3 - a^3)/3, exact."""
-        return (b ** 3 - a ** 3) / 3.0
-
-    @classmethod
-    def union(cls, intervals) -> float:
-        """Measure of a finite union of intervals (overlaps merged)."""
-        ivs = sorted((float(a), float(b)) for a, b in intervals if b > a)
-        total = 0.0
-        cur = None
-        for a, b in ivs:
-            if cur is None:
-                cur = [a, b]
-            elif a <= cur[1]:
-                cur[1] = max(cur[1], b)
-            else:
-                total += cls.interval(cur[0], cur[1])
-                cur = [a, b]
-        if cur is not None:
-            total += cls.interval(cur[0], cur[1])
-        return total

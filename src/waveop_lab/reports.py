@@ -32,6 +32,16 @@ class SlopeFit:
     y: np.ndarray = field(repr=False, default=None)
 
 
+def _fit_line(u, v, x, y) -> SlopeFit:
+    """Least-squares v = slope * u + intercept, with R^2 in v."""
+    A = np.vstack([u, np.ones_like(u)]).T
+    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+    resid = v - A @ coef
+    ss_tot = float(((v - v.mean()) ** 2).sum())
+    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
+    return SlopeFit(float(coef[0]), float(coef[1]), r2, x, y)
+
+
 def fit_loglog(x, y) -> SlopeFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -39,22 +49,11 @@ def fit_loglog(x, y) -> SlopeFit:
     lx, ly = np.log(x[good]), np.log(y[good])
     if lx.size < 2:
         return SlopeFit(np.nan, np.nan, 0.0, x, y)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = ly - A @ coef
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return SlopeFit(float(coef[0]), float(coef[1]), r2, x, y)
+    return _fit_line(lx, ly, x, y)
 
 
 def fit_linear_in_logx(x, y) -> SlopeFit:
     """Fit y = slope * log(x) + intercept (for logarithmic growth laws)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    lx = np.log(x)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return SlopeFit(float(coef[0]), float(coef[1]), r2, x, y)
+    return _fit_line(np.log(x), y, x, y)

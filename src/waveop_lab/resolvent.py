@@ -56,12 +56,6 @@ def r0_kernel_r(branch: Branch, lam: float, r):
     return eval_F(branch, lam * np.asarray(r, dtype=float)) / (8.0 * np.pi * lam)
 
 
-def r0_kernel(branch: Branch, lam: float, x, y):
-    """Pointwise free-resolvent kernel; x, y are points in R^3."""
-    r = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
-    return r0_kernel_r(branch, lam, r)
-
-
 def r0_diff_r(lam: float, r):
     """(R0+ - R0-)(lambda^4) at distance r: i sin(lambda r)/(4 pi lambda^2 r)."""
     if lam <= 0.0:
@@ -220,11 +214,6 @@ class ExpansionTerms:
     ptilde: np.ndarray = field(repr=False)      # (1/a) P part of C1
     qsplit: QSplit = field(repr=False, default=None)
     regularity: RegularityReport = None
-
-    @property
-    def A0(self) -> np.ndarray:
-        """The lambda^0 term Q A0 Q, which equals D0."""
-        return self.D0
 
     def expansion_value(self, lam: float, drop=()) -> np.ndarray:
         """D0 + lambda C1 + lambda^2 A2 with optional dropped terms."""

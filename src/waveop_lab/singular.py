@@ -14,9 +14,8 @@ integral
 on the homogeneous line (R, r^2 dr).  This module provides that
 reduction, distribution-function (weak-type) profiles with level-set
 measures, the smoothness (Hormander-type) modulus of the 1D kernel,
-truncated Hilbert transforms and the centered maximal function with
-dyadic parameter sets, and Schur row/column integrals with growth
-diagnostics in the domain radius.
+and Schur row/column integrals with growth diagnostics in the domain
+radius.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
-from .quadrature import _leggauss, cap_area, integrate_adaptive
+from .quadrature import _leggauss, integrate_adaptive
 
 # ----------------------------------------------------------------------
 # Exact kernel decompositions
@@ -84,15 +83,6 @@ class RadialProfile:
     support: tuple
     label: str = ""
 
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.support
-        inside = (r >= lo) & (r <= hi)
-        out = np.zeros_like(r, dtype=float)
-        if np.any(inside):
-            out[inside] = self.fn(r[inside])
-        return out
-
     def mass_omega(self) -> float:
         """Integral of |g| r^2 dr over the support (omega-measure mass)."""
         lo, hi = self.support
@@ -117,28 +107,6 @@ def smooth_bump_profile(center: float, width: float, normalize: bool = True) -> 
         prof = RadialProfile(lambda r, m=m: raw(r) / m, prof.support,
                              label=prof.label + "/mass")
     return prof
-
-
-def polar_reduce(f3d: Callable, r_grid, n_mu: int = 24, n_phi: int = 48) -> RadialProfile:
-    """g(r) = integral of f(r omega) over the unit sphere, sampled on r_grid.
-
-    Returns a linearly interpolated profile supported on the grid range.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    mu, wmu = _leggauss(n_mu)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    st = np.sqrt(np.maximum(0.0, 1.0 - mu ** 2))
-    dirs = np.stack([
-        np.outer(st, np.cos(phi)).ravel(),
-        np.outer(st, np.sin(phi)).ravel(),
-        np.outer(mu, np.ones(n_phi)).ravel(),
-    ], axis=-1)
-    wdir = (np.outer(wmu, np.full(n_phi, 2.0 * np.pi / n_phi))).ravel()
-    vals = np.empty(r_grid.size)
-    for i, r in enumerate(r_grid):
-        vals[i] = float(np.dot(wdir, f3d(r * dirs)))
-    fn = lambda r: np.interp(np.asarray(r, dtype=float), r_grid, vals)
-    return RadialProfile(fn, (float(r_grid[0]), float(r_grid[-1])), label="polar_reduce")
 
 
 # ----------------------------------------------------------------------
@@ -239,75 +207,6 @@ def weak11_profile(op_abs: Callable, input_mass: float, s_max: float,
     return DistributionProfile(thresholds, masses, quasi, input_mass, label)
 
 
-def lq_norm_probe(profile: RadialProfile, q: float = 1.25, s_max: float = 400.0,
-                  s_min: float = 1e-3, n: int = 3000) -> float:
-    """Finite-sample ||W g||_{L^q(mu)} / ||g||_{L^q(mu)} with mu = r^2 dr.
-
-    The 1D operator is L^q-bounded on the homogeneous line for
-    1 < q < 3/2; this probes the ratio at one exponent on a log grid
-    (evidence, not a proof).
-    """
-    if not 1.0 < q < 1.5:
-        raise InvalidInputError("the weighted probe needs 1 < q < 3/2")
-    s = np.geomspace(s_min, s_max, n)
-    w = np.abs(apply_W(profile, s))
-    cells = np.diff(np.geomspace(s_min, s_max, n + 1))
-    mu = s ** 2 * cells
-    num = float(np.sum(mu * w ** q) ** (1.0 / q))
-    lo, hi = profile.support
-    den, _ = integrate_adaptive(lambda r: np.abs(profile.fn(r)) ** q * r ** 2,
-                                lo, hi, rel_tol=1e-10)
-    return num / float(den.real) ** (1.0 / q)
-
-
-def model_operator_abs(profile: RadialProfile, rel_tol: float = 1e-9):
-    """|T f|(s) for the gated model kernel s/(s^4 - rho^4), radial f.
-
-    The full model operator is the three-piece sum; in polar form it is
-    4 pi times the rho-integral of the gated kernel against f rho^2.
-    """
-
-    def op(s_values):
-        s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-        lo, hi = profile.support
-        out = np.empty(s_values.shape)
-        for i, s in enumerate(s_values):
-            total = 0.0
-            for a, b in ((lo, min(hi, s - 1.0)), (max(lo, s + 1.0), hi)):
-                if b > a:
-                    val, _ = integrate_adaptive(
-                        lambda r: profile.fn(r) * r ** 2 * s /
-                        ((s - r) * (s + r) * (s ** 2 + r ** 2)),
-                        a, b, rel_tol=rel_tol, abs_tol=1e-16)
-                    total += float(val.real)
-            out[i] = abs(4.0 * np.pi * total)
-        return out if out.size > 1 else float(out[0])
-
-    return op
-
-
-def kp_leading_operator_abs(pot, profile: RadialProfile, rel_tol: float = 1e-9):
-    """|T f|(s) for the closed-form leading kernel of K_P, radial f.
-
-    The kernel factorizes through the Newtonian weight G, so this is
-    |G(s)| times the gated model transform of G * f (up to the constant
-    sqrt(2)/(4 pi) modulus of the prefactor).
-    """
-    weighted = RadialProfile(
-        lambda r: pot.weight_G_radial(r) * profile.fn(r), profile.support,
-        label=profile.label + "*G")
-    inner = model_operator_abs(weighted, rel_tol)
-
-    def op(s_values):
-        s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-        g = pot.weight_G_radial(s_values)
-        vals = np.atleast_1d(inner(s_values))
-        out = np.sqrt(2.0) / (4.0 * np.pi) * g * vals
-        return out if out.size > 1 else float(out[0])
-
-    return op
-
-
 # ----------------------------------------------------------------------
 # Kernel smoothness modulus (Hormander-type)
 # ----------------------------------------------------------------------
@@ -343,74 +242,6 @@ def hormander_check(r: float, r_bar: float, delta: float,
                                     abs_tol=1e-13,
                                     breakpoints=[p for p in brk if a < p < b])
         total += float(val.real)
-    return total
-
-
-# ----------------------------------------------------------------------
-# Truncated Hilbert transform and maximal function (dyadic parameters)
-# ----------------------------------------------------------------------
-
-_DYADIC = 2.0 ** np.arange(-10, 11)
-
-
-def hilbert_truncated(profile: RadialProfile, s: float, eps: float,
-                      rel_tol: float = 1e-9) -> float:
-    """integral of g(r)/(s - r) over the support minus (s-eps, s+eps)."""
-    lo, hi = profile.support
-    total = 0.0
-    for a, b in ((lo, min(hi, s - eps)), (max(lo, s + eps), hi)):
-        if b > a:
-            val, _ = integrate_adaptive(lambda r: profile.fn(r) / (s - r),
-                                        a, b, rel_tol=rel_tol, abs_tol=1e-15)
-            total += float(val.real)
-    return total
-
-
-def hilbert_star(profile: RadialProfile, s: float, eps_set=_DYADIC) -> float:
-    return max(abs(hilbert_truncated(profile, s, float(e))) for e in eps_set)
-
-
-def maximal_fn(profile: RadialProfile, s: float, radii=_DYADIC) -> float:
-    """Centered Hardy-Littlewood maximal function over dyadic radii."""
-    lo, hi = profile.support
-    best = 0.0
-    for rho in radii:
-        a, b = max(lo, s - rho), min(hi, s + rho)
-        if b <= a:
-            continue
-        val, _ = integrate_adaptive(lambda r: np.abs(profile.fn(r)), a, b,
-                                    rel_tol=1e-9, abs_tol=1e-15)
-        best = max(best, float(val.real) / (2.0 * rho))
-    return best
-
-
-def quartic_profile(profile: RadialProfile) -> RadialProfile:
-    """g~(rho) = rho^{-1/4} g(rho^{1/4}), the quartic-substitution profile."""
-    lo, hi = profile.support
-
-    def fn(rho):
-        rho = np.asarray(rho, dtype=float)
-        q = rho ** 0.25
-        return np.where(rho > 0, rho ** -0.25, 0.0) * profile(q)
-
-    return RadialProfile(fn, (lo ** 4, hi ** 4), label=profile.label + "~quartic")
-
-
-def quartic_gate_transform(profile: RadialProfile, sigma: float,
-                           rel_tol: float = 1e-9) -> float:
-    """G(sigma): Hilbert-type transform of g~ with the quartic-root gate
-    |sigma^(1/4) - rho^(1/4)| >= 1."""
-    gp = quartic_profile(profile)
-    lo, hi = gp.support
-    q = sigma ** 0.25
-    cut_lo = (q - 1.0) ** 4 if q >= 1.0 else lo - 1.0
-    cut_hi = (q + 1.0) ** 4
-    total = 0.0
-    for a, b in ((lo, min(hi, cut_lo)), (max(lo, cut_hi), hi)):
-        if b > a:
-            val, _ = integrate_adaptive(lambda rho: gp.fn(rho) / (sigma - rho),
-                                        a, b, rel_tol=rel_tol, abs_tol=1e-15)
-            total += float(val.real)
     return total
 
 
@@ -483,45 +314,3 @@ def schur_growth(row_eval: Callable, R_list, n_samples: int = 16,
     return [schur_admissibility(row_eval, R, n_samples, col_eval=col_eval,
                                 s_samples=s_samples)
             for R in R_list]
-
-
-def model_row_integral(s: float, R: float, eps: float) -> float:
-    """Row L1 integral of the *untruncated* model kernel with an inner
-    cutoff |s - rho| >= eps; diverges like log(1/eps) as eps -> 0."""
-    def integrand(rho):
-        return np.abs(s / (s ** 4 - rho ** 4)) * 4.0 * np.pi * rho ** 2
-
-    total = 0.0
-    for a, b in ((0.0, s - eps), (s + eps, R)):
-        if b > a:
-            val, _ = integrate_adaptive(integrand, a, b, rel_tol=1e-8,
-                                        abs_tol=1e-14, breakpoints=(s * 0.5,))
-            total += float(val.real)
-    return total
-
-
-def convolution_row_integral(kfn_of_distance: Callable, s: float, R: float,
-                             tail: float = 60.0) -> float:
-    """integral over |y| <= R of |k(|x - y|)| dy for |x| = s.
-
-    Reduced through the sphere/ball intersection area; ``tail`` caps the
-    distance range for kernels with their own decay.
-    """
-    top = s + R if tail is None else min(s + R, max(tail, 1.0))
-
-    def integrand(rho):
-        return np.abs(kfn_of_distance(rho)) * cap_area(rho, s, R)
-
-    val, _ = integrate_adaptive(integrand, 0.0, top, rel_tol=1e-9, abs_tol=1e-14,
-                                breakpoints=[b for b in (abs(R - s),) if 0 < b < top])
-    return float(val.real)
-
-
-def model_kernel_batch(s, rho):
-    """Gated model kernel values for Schur probes (vectorized in rho)."""
-    s_arr = np.full_like(np.asarray(rho, dtype=float), float(s))
-    rho = np.asarray(rho, dtype=float)
-    gate = np.abs(s_arr - rho) >= 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = s_arr / (s_arr ** 4 - rho ** 4)
-    return np.where(gate, val, 0.0)

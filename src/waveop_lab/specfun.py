@@ -6,10 +6,8 @@ The building blocks are
     A(s)  = e^{-sigma*i*s} * F'(s)
     B(s)  = e^{-sigma*i*s} * F(s) = (1 - e^{(-1-sigma*i)s}) / s
 
-together with derivatives up to order 5 (F) and 4 (A, B), a C-infinity
-cutoff chi that is 1 on [0, lambda0/2] and 0 beyond lambda0, and the
-homogeneous dyadic partition of unity phi_N with supp phi_N inside
-[2^(N-2), 2^N].
+together with derivatives up to order 5 (F) and 4 (A, B), and a
+C-infinity cutoff chi that is 1 on [0, lambda0/2] and 0 beyond lambda0.
 
 All removable singularities at s = 0 are evaluated by truncated Taylor
 series; the closed forms take over beyond s = 0.5 where cancellation is
@@ -34,7 +32,7 @@ _N_SERIES = 36
 
 __all__ = [
     "Branch", "eval_F", "eval_AB", "envelope_report",
-    "CutoffSpec", "Cutoff", "cutoff_chi", "DyadicPartition", "dyadic_phi",
+    "CutoffSpec", "Cutoff",
 ]
 
 
@@ -205,7 +203,7 @@ def envelope_report(kind: str, order: int, s_samples) -> BoundReport:
 
 
 # ----------------------------------------------------------------------
-# Smooth step, cutoff, dyadic partition
+# Smooth step and cutoff
 # ----------------------------------------------------------------------
 
 def _bump_hat(t: np.ndarray, order: int = 0) -> np.ndarray:
@@ -318,55 +316,3 @@ class Cutoff:
         else:
             out = -np.asarray(self._step(lam_arr, order))
         return out if np.ndim(out) else float(out)
-
-
-@lru_cache(maxsize=32)
-def _cutoff_for(spec: CutoffSpec) -> Cutoff:
-    return Cutoff(spec)
-
-
-def cutoff_chi(spec: CutoffSpec, lam, order: int = 0):
-    """chi^(order)(lambda) for the given cutoff spec."""
-    return _cutoff_for(spec)(lam, order)
-
-
-@dataclass(frozen=True)
-class DyadicPartition:
-    """Homogeneous dyadic partition phi_N(lambda) = phi_0(2^-N lambda).
-
-    phi_0 = theta(lambda) - theta(lambda/2) with theta a smooth step
-    rising on [1/4, 1/2]; then supp phi_N is in [2^(N-2), 2^N] and the
-    sum over N telescopes to 1 exactly.
-    """
-
-    n_min: int = -60
-    n_max: int = 20
-
-    @property
-    def theta(self) -> SmoothStep:
-        return _dyadic_theta()
-
-    def phi(self, N: int, lam):
-        lam_arr = np.asarray(lam, dtype=float)
-        if np.any(lam_arr <= 0.0):
-            raise InvalidInputError("dyadic partition is defined for lambda > 0")
-        th = self.theta
-        scale = 2.0 ** (-N)
-        return th(scale * lam_arr) - th(0.5 * scale * lam_arr)
-
-    def partition_sum(self, lam):
-        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        total = np.zeros_like(lam_arr)
-        for N in range(self.n_min, self.n_max + 1):
-            total += self.phi(N, lam_arr)
-        return total if np.ndim(lam) else float(total[0])
-
-
-@lru_cache(maxsize=1)
-def _dyadic_theta() -> SmoothStep:
-    return SmoothStep(0.25, 0.5)
-
-
-def dyadic_phi(part: DyadicPartition, N: int, lam):
-    """phi_N(lambda); zero outside [2^(N-2), 2^N]."""
-    return part.phi(N, lam)

@@ -9,6 +9,13 @@ Kernel integrals: ``psi_gate_batch`` evaluates the gated Psi with all
 four exponentials on the full (rho, lambda) table, and
 ``tg_abs_far_batch`` sums the far-field Phi over every (d, rho) node;
 the package uses separable phase tables and a moment series instead.
+``psi_radial`` assembles Psi from the scalar adaptive routes,
+``kp_pieces`` integrates the four exponential pieces of K_P one by one,
+``kp_smeared_reference`` smears KtildeP over a coarse potential grid,
+and ``phi_lower_bound_chain`` is the analytic lower bound for Phi.
+
+Paper objects with no check of their own: ``dyadic_phi`` is the
+homogeneous dyadic partition of unity behind the band estimates.
 
 Nothing in the package imports this module.
 """
@@ -19,9 +26,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from waveop_lab.quadrature import _leggauss, cap_area
+from waveop_lab.kernels import ktilde_radial, psi2_radial
+from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
 from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
-from waveop_lab.specfun import Branch
+from waveop_lab.specfun import Branch, SmoothStep, eval_F, eval_F_diff
 
 
 def to_dense(stack: np.ndarray) -> np.ndarray:
@@ -221,3 +229,61 @@ def tg_abs_far_batch(op, s_values, R: float, n_rho: int = 48) -> np.ndarray:
         phi = (capw * core).sum(axis=-1)
         out[i] = ((phi @ op.w2) * op.w1).sum()
     return out / (2.0 * np.sqrt(2.0) * np.pi * op.pot.normV_L1 ** 2)
+
+
+def psi_radial(sz: float, sw: float, cutoff) -> complex:
+    """Psi: Psi2 on the gate |sz - sw| >= 1, KtildeP off it."""
+    if abs(sz - sw) >= 1.0:
+        return psi2_radial(sz, sw, cutoff)
+    return ktilde_radial(sz, sw, cutoff)
+
+
+def kp_pieces(kp, x, y):
+    """The four exponential pieces (K1, K2, K3, K4) of K_P before combination;
+    K_P = kp.prefactor * (K1 - K2 - K3 + K4)."""
+    sx = float(np.linalg.norm(x))
+    sy = float(np.linalg.norm(y))
+    out = []
+    for mx, my in ((+1, +1), (+1, -1), (0, +1), (0, -1)):
+        def integrand(lam, mx=mx, my=my):
+            return kp.cutoff(lam) * kp._shell(lam, sx, mx) * kp._shell(lam, sy, my)
+        val, _ = integrate_adaptive(integrand, 0.0, kp.cutoff.lambda0,
+                                    rel_tol=1e-8, abs_tol=1e-19,
+                                    freq=sx + sy + 2 * kp.pot.radius,
+                                    breakpoints=(kp.cutoff.lambda0 / 2.0,))
+        out.append(val)
+    return tuple(out)
+
+
+def kp_smeared_reference(pot, cutoff, coarse_grid, x, y, n_lambda: int = 320) -> complex:
+    """K_P(x, y) as the double ball-grid smearing of KtildeP.
+
+    Independent route for the factorized evaluator: fixed Gauss rule in
+    lambda, explicit double sum over a coarse potential grid.  Accuracy
+    is limited by the coarse grid, not the rule.
+    """
+    w = coarse_grid.weights * np.abs(pot.profile(coarse_grid.radii()))
+    dz = np.linalg.norm(np.asarray(x) - coarse_grid.nodes, axis=1)
+    dw = np.linalg.norm(np.asarray(y) - coarse_grid.nodes, axis=1)
+    rule = gauss_rule(n_lambda, 0.0, cutoff.lambda0)
+    lam = rule.nodes
+    chiw = cutoff(lam) * rule.weights * lam ** 2
+    sz = (eval_F(Branch.plus, lam[:, None] * dz[None, :]) * w[None, :]).sum(axis=1)
+    sw = (eval_F_diff(lam[:, None] * dw[None, :]) * w[None, :]).sum(axis=1)
+    return (chiw * sz * sw).sum() / (8.0 * np.pi * (1.0 + 1j) * pot.normV_L1 ** 2)
+
+
+def phi_lower_bound_chain(a0: float, R: float, R0: float) -> float:
+    """The analytic chain lower bound pi*log(1 + 2(R-R0)/(a0-R+R0)) - 2 pi^2."""
+    return float(np.pi * np.log1p(2.0 * (R - R0) / (a0 - R + R0)) - 2.0 * np.pi ** 2)
+
+
+_THETA = SmoothStep(0.25, 0.5)
+
+
+def dyadic_phi(N: int, lam):
+    """phi_N(lambda) = theta(2^-N lambda) - theta(2^-(N+1) lambda), theta
+    rising on [1/4, 1/2]: supp phi_N is in [2^(N-2), 2^N] and the sum over
+    N telescopes to 1."""
+    lam = np.asarray(lam, dtype=float)
+    return _THETA(2.0 ** -N * lam) - _THETA(2.0 ** -(N + 1) * lam)

@@ -41,6 +41,24 @@ def test_bad_schur_config(tmp_path, capsys, schur):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    {"potential": {"R0": -1}},
+    {"potential": {"shape": "cube"}},
+    {"potential": {"R0": "one"}},
+    {"expansion_potential": {"R0": 0}},
+    {"expansion_potential": {"amplitude": 0.0}},
+    {"rep_grid": [1, 4, 4]},
+    {"rep_grid": [8, 6]},
+], ids=["negative-R0", "unknown-shape", "string-R0", "expansion-R0",
+        "expansion-amplitude", "rep-grid-count", "rep-grid-axes"])
+def test_bad_config_at_load(tmp_path, capsys, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section))
+    assert main(["counterexample-l1", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"wavelength": 3}))

@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from waveop_lab import experiments as xp
 from waveop_lab.config import default_config
 from waveop_lab.errors import InvalidInputError
@@ -15,15 +17,12 @@ def test_phi_closed_form_oracle():
     a0, R = 13.5, 10.0
     exact = np.pi * np.log((a0 + R) / (a0 - R)) - 2 * np.pi * np.arctan(R / a0)
     assert xp.phi_radial(a0, 0.0, R) == pytest.approx(exact, rel=1e-8)
-    # point-based wrapper agrees
-    x = np.array([13.5, 0.0, 0.0])
-    assert xp.phi_integral(np.zeros(3), np.zeros(3), x, R) == pytest.approx(exact, rel=1e-8)
 
 
 def test_phi_dominates_chain_bound():
     R, R0 = 100.0, 1.0
     for a0 in (103.0, 103.5, 104.5):
-        chain = xp.phi_lower_bound_chain(a0, R, R0)
+        chain = dense.phi_lower_bound_chain(a0, R, R0)
         assert xp.phi_radial(a0, 0.6, R) >= chain
     # in the asymptotic regime the uniform band bound holds pointwise
     assert xp.phi_radial(104.5, 0.0, R) >= xp.phi_log_bound(R, R0)
@@ -87,3 +86,14 @@ def test_run_suite_writes_reports(tmp_path):
     with pytest.raises(InvalidInputError):
         xp.run_suite(cfg, names=["bogus"])
     assert os.path.exists(tmp_path / "report.json")
+
+
+def test_write_csv_numpy_scalars(tmp_path):
+    # numpy scalars are written as numbers, not as "np.float64(...)"
+    path = tmp_path / "cells.csv"
+    xp.write_csv(str(path), ("kernel", "x1", "ratio"),
+                 [("K3", np.float64(-0.191854), 0.5), ("K3", np.float32(2.0), 1.25)])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["kernel", "x1", "ratio"], ["K3", "-0.191854", "0.5"],
+                    ["K3", "2.0", "1.25"]]

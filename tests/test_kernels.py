@@ -1,16 +1,36 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from waveop_lab import kernels as kn
 from waveop_lab.errors import InvalidInputError
 from waveop_lab.quadrature import ball_grid, integrate_adaptive
-from waveop_lab.specfun import Branch, DyadicPartition
+from waveop_lab.specfun import Branch, eval_F
 
-X0 = np.zeros(3)
+
+def band_piece(N, alpha, beta, branch, sx, sy, cutoff):
+    """E_N: the G_{alpha beta} integrand at radii (sx, sy) times phi_N."""
+    lo, hi = 2.0 ** (N - 2), min(2.0 ** N, cutoff.lambda0)
+    if hi <= lo:
+        return 0.0 + 0.0j
+
+    def integrand(lam):
+        return (lam ** (5 - alpha - beta) * cutoff(lam) * dense.dyadic_phi(N, lam)
+                * eval_F(Branch.plus, lam * sx, alpha) * eval_F(branch, lam * sy, beta))
+
+    val, _ = integrate_adaptive(integrand, lo, hi, rel_tol=1e-9, abs_tol=1e-19,
+                                freq=sx + sy, breakpoints=(cutoff.lambda0 / 2.0,))
+    return val
+
+
+def band_range(lambda0, n_bands):
+    """The n_bands highest N with supp(chi * phi_N) nonempty."""
+    top = int(np.floor(np.log2(lambda0))) + 2
+    return range(top - n_bands + 1, top + 1)
 
 
 def test_g11_at_origin(cutoff):
-    got = kn.eval_G(1, 1, Branch.plus, X0, X0, cutoff)
+    got = kn.g_radial(1, 1, Branch.plus, 0.0, 0.0, cutoff)
     oracle, _ = integrate_adaptive(lambda lam: lam ** 3 * cutoff(lam), 0.0, 0.1,
                                    rel_tol=1e-13)
     assert got == pytest.approx(oracle, rel=1e-10)
@@ -20,45 +40,37 @@ def test_g11_at_origin(cutoff):
 
 def test_g_invalid_orders(cutoff):
     with pytest.raises(InvalidInputError):
-        kn.eval_G(2, 0, Branch.plus, X0, X0, cutoff)
+        kn.g_radial(2, 0, Branch.plus, 0.0, 0.0, cutoff)
 
 
 def test_dyadic_band_partition(cutoff):
-    part = DyadicPartition()
-    X = np.array([3.0, 1.0, -2.0])
-    Y = np.array([-1.0, 4.0, 0.5])
+    sx = np.linalg.norm([3.0, 1.0, -2.0])
+    sy = np.linalg.norm([-1.0, 4.0, 0.5])
     for (a, b, br) in ((1, 1, Branch.plus), (1, 0, Branch.minus), (0, 0, Branch.plus)):
-        g = kn.eval_G(a, b, br, X, Y, cutoff)
-        s = sum(kn.eval_EN(N, a, b, br, X, Y, cutoff, part)
-                for N in kn.dyadic_band_range(0.1, 16))
+        g = kn.g_radial(a, b, br, sx, sy, cutoff)
+        s = sum(band_piece(N, a, b, br, sx, sy, cutoff) for N in band_range(0.1, 16))
         assert abs(g - s) / abs(g) < 1e-9
 
 
 def test_band_magnitude_bound(cutoff):
-    part = DyadicPartition()
-    X = np.array([4.0, 0.0, 0.0])
-    Y = np.array([0.0, 7.0, 0.0])
     jb = np.sqrt(1 + 16.0) * np.sqrt(1 + 49.0)
-    for N in kn.dyadic_band_range(0.1, 6):
-        v = abs(kn.eval_EN(N, 1, 1, Branch.plus, X, Y, cutoff, part))
+    for N in band_range(0.1, 6):
+        v = abs(band_piece(N, 1, 1, Branch.plus, 4.0, 7.0, cutoff))
         assert v <= 20.0 * 2.0 ** (2 * N) / jb
 
 
 def test_band_decay_far_field(cutoff):
-    part = DyadicPartition()
-    X = np.array([100.0, 0.0, 0.0])
-    Y = np.array([0.0, 80.0, 0.0])
-    vals = [abs(kn.eval_EN(N, 1, 1, Branch.plus, X, Y, cutoff, part))
-            for N in kn.dyadic_band_range(0.1, 6)]
+    vals = [abs(band_piece(N, 1, 1, Branch.plus, 100.0, 80.0, cutoff))
+            for N in band_range(0.1, 6)]
     assert vals[-1] < vals[-3]       # top bands shrink at large radii
 
 
 def test_minus_branch_conjugation(cutoff):
-    X = np.array([2.0, -1.0, 0.5])
-    Y = np.array([0.3, 1.0, -2.0])
+    sx = np.linalg.norm([2.0, -1.0, 0.5])
+    sy = np.linalg.norm([0.3, 1.0, -2.0])
     for (a, b) in ((1, 1), (1, 0), (0, 1)):
-        lhs = np.conj(kn.eval_G(a, b, Branch.minus, X, Y, cutoff))
-        rhs = kn.eval_G(b, a, Branch.minus, Y, X, cutoff)
+        lhs = np.conj(kn.g_radial(a, b, Branch.minus, sx, sy, cutoff))
+        rhs = kn.g_radial(b, a, Branch.minus, sy, sx, cutoff)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -86,8 +98,8 @@ def test_psi2_cases(cutoff):
     # vanishes off the gate
     assert kn.psi2_radial(3.0, 2.5, cutoff) == 0.0
     # Psi equals KtildeP inside the band and Psi2 on the gate
-    assert kn.psi_radial(3.0, 2.5, cutoff) == kn.ktilde_radial(3.0, 2.5, cutoff)
-    assert kn.psi_radial(9.0, 2.0, cutoff) == kn.psi2_radial(9.0, 2.0, cutoff)
+    assert dense.psi_radial(3.0, 2.5, cutoff) == kn.ktilde_radial(3.0, 2.5, cutoff)
+    assert dense.psi_radial(9.0, 2.0, cutoff) == kn.psi2_radial(9.0, 2.0, cutoff)
 
 
 def test_psi_batch_matches_scalar(cutoff):
@@ -96,10 +108,10 @@ def test_psi_batch_matches_scalar(cutoff):
     rho = np.array([0.3, 2.0, 19.5, 21.0, 60.0])
     s = 20.0
     vb = batch(s, rho)
-    vs = np.array([kn.psi_radial(s, float(t), cutoff) for t in rho])
+    vs = np.array([dense.psi_radial(s, float(t), cutoff) for t in rho])
     assert np.max(np.abs(vb - vs) / np.maximum(np.abs(vs), 1e-18)) < 1e-9
     vt = batch_t(s, rho)
-    vst = np.array([kn.psi_radial(float(t), s, cutoff) for t in rho])
+    vst = np.array([dense.psi_radial(float(t), s, cutoff) for t in rho])
     assert np.max(np.abs(vt - vst) / np.maximum(np.abs(vst), 1e-18)) < 1e-9
 
 
@@ -108,28 +120,28 @@ def test_kp_direct_split_consistency(small_pot, cutoff):
     coarse = ball_grid(1.0, 8, 6, 10)
     for x, y in (([3.0, 0, 0], [0, 5.0, 0]), ([10.0, 0, 0], [2.0, 1.0, 0])):
         d = kp.direct(np.array(x), np.array(y))
-        sm = kn.kp_smeared_reference(small_pot, cutoff, coarse, np.array(x), np.array(y))
+        sm = dense.kp_smeared_reference(small_pot, cutoff, coarse, np.array(x), np.array(y))
         assert abs(d - sm) / abs(d) < 1e-2
     # and the smeared route converges to the factorized one with the grid
     fine = ball_grid(1.0, 14, 10, 16)
     x, y = np.array([3.0, 0, 0]), np.array([0, 5.0, 0])
     d = kp.direct(x, y)
-    err_c = abs(d - kn.kp_smeared_reference(small_pot, cutoff, coarse, x, y))
-    err_f = abs(d - kn.kp_smeared_reference(small_pot, cutoff, fine, x, y))
+    err_c = abs(d - dense.kp_smeared_reference(small_pot, cutoff, coarse, x, y))
+    err_f = abs(d - dense.kp_smeared_reference(small_pot, cutoff, fine, x, y))
     assert err_f < 0.3 * err_c
 
 
 def test_kp_four_piece_combination(small_pot, cutoff):
     kp = kn.KPDirect(small_pot, cutoff)
     x, y = np.array([2.0, 1.0, 0.0]), np.array([0.0, 3.0, 1.0])
-    k1, k2, k3, k4 = kp.pieces(x, y)
+    k1, k2, k3, k4 = dense.kp_pieces(kp, x, y)
     combo = kp.prefactor * (k1 - k2 - k3 + k4)
     assert combo == pytest.approx(kp.direct(x, y), rel=1e-6)
 
 
 def test_kp_finite_at_origin(small_pot, cutoff):
     kp = kn.KPDirect(small_pot, cutoff)
-    v = kp.direct(X0, X0)
+    v = kp.direct(np.zeros(3), np.zeros(3))
     assert np.isfinite(v.real) and np.isfinite(v.imag)
     # |K_P| <x><y> stays bounded on a small sweep
     for s, t in ((1.0, 1.0), (10.0, 9.5), (50.0, 50.0), (100.0, 3.0)):
@@ -209,14 +221,3 @@ def test_bound_ratio_sweep_zero_field():
     assert rep.sup_ratio == 0.0
     with pytest.raises(InvalidInputError):
         kn.bound_ratio_sweep(fieldk, env, [])
-
-
-def test_spec_level_wrappers(small_pot, strong_terms, cutoff):
-    x, y = np.array([3.0, 0.0, 0.0]), np.array([0.0, 5.0, 0.0])
-    kp = kn._kp_for(small_pot, cutoff)
-    assert kn.eval_KP_direct(x, y, small_pot, cutoff) == kp.direct(x, y)
-    lead, env = kn.eval_KP_leading(x, y, small_pot, cutoff)
-    assert (lead, env) == kp.leading(x, y)
-    k3 = kn.K3Evaluator(strong_terms, cutoff, n_lambda=6)
-    v = kn.eval_K3(x, y, k3)
-    assert np.isfinite(v.real) and np.isfinite(v.imag)

@@ -3,7 +3,7 @@ import pytest
 
 from waveop_lab.errors import (DegenerateInputError, HypothesisViolationWarning,
                                InvalidInputError)
-from waveop_lab.potential import PotentialSpec, build_potential, project, weight_G
+from waveop_lab.potential import PotentialSpec, build_potential
 
 
 def test_norm_against_simpson_oracle(small_pot):
@@ -37,42 +37,46 @@ def test_decay_shape_warning():
 
 
 def test_projection_algebra(small_pot, rng):
+    proj = small_pot.projections
     f = rng.standard_normal(small_pot.grid.size)
-    Pf = project(small_pot, "P", f)
-    Qf = project(small_pot, "Q", f)
-    assert np.allclose(project(small_pot, "P", Pf), Pf, atol=1e-12)
-    assert np.allclose(project(small_pot, "Q", Qf), Qf, atol=1e-12)
-    assert np.allclose(project(small_pot, "P", Qf), 0.0, atol=1e-12)
+    Pf = proj.apply("P", f)
+    Qf = proj.apply("Q", f)
+    assert np.allclose(proj.apply("P", Pf), Pf, atol=1e-12)
+    assert np.allclose(proj.apply("Q", Qf), Qf, atol=1e-12)
+    assert np.allclose(proj.apply("P", Qf), 0.0, atol=1e-12)
     assert np.allclose(Pf + Qf, f, atol=1e-14)
 
 
 def test_projection_on_v(small_pot):
+    proj = small_pot.projections
     v = small_pot.v
-    assert np.allclose(project(small_pot, "P", v), v, atol=1e-12)
-    assert np.max(np.abs(project(small_pot, "Q", v))) < 1e-12
-    pt = project(small_pot, "Ptilde", v)
+    assert np.allclose(proj.apply("P", v), v, atol=1e-12)
+    assert np.max(np.abs(proj.apply("Q", v))) < 1e-12
+    pt = proj.apply("Ptilde", v)
     scalar = 8 * np.pi / ((1 + 1j) * small_pot.normV_grid)
     assert np.allclose(pt, scalar * v, atol=1e-12)
 
 
 def test_q_cancellation(small_pot, rng):
+    proj = small_pot.projections
     w = small_pot.grid.weights
     for _ in range(5):
         f = rng.standard_normal(small_pot.grid.size)
-        qf = project(small_pot, "Q", f)
+        qf = proj.apply("Q", f)
         assert abs(np.sum(w * qf * small_pot.v)) < 1e-12
 
 
 def test_projection_grid_mismatch(small_pot):
+    proj = small_pot.projections
     with pytest.raises(InvalidInputError):
-        project(small_pot, "P", np.ones(7))
+        proj.apply("P", np.ones(7))
     with pytest.raises(InvalidInputError):
-        project(small_pot, "R", np.ones(small_pot.grid.size))
+        proj.apply("R", np.ones(small_pot.grid.size))
 
 
 def test_weight_G(small_pot):
-    assert weight_G(small_pot, np.zeros(3)) == 0.0
-    far = weight_G(small_pot, np.array([100.0, 0.0, 0.0]))
+    assert small_pot.weight_G_radial(0.0) == 0.0
+    far = small_pot.weight_G_radial(100.0)
     assert far == pytest.approx(1.0, rel=0.02)
     # G(x) <= |x|/<x> * C uniformly (here C = 1 exactly outside the support)
     s = np.geomspace(1e-3, 1e3, 200)

