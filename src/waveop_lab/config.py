@@ -93,7 +93,7 @@ def _merge(cfg: Config, data: dict) -> Config:
                 raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
             cur.update(val)
         elif key == "grid" or key == "rep_grid":
-            setattr(cfg, key, tuple(int(v) for v in val))
+            setattr(cfg, key, val)             # checked and converted in validate
         else:
             setattr(cfg, key, type(cur)(val) if cur is not None else val)
     return cfg
@@ -121,8 +121,10 @@ def validate(cfg: Config) -> None:
         raise ConfigError("lambda0 must be positive")
     for name in ("grid", "rep_grid"):
         grid = getattr(cfg, name)
-        if len(grid) != 3 or min(grid) < 2:
-            raise ConfigError(f"{name} must be three counts >= 2")
+        if (not isinstance(grid, (list, tuple)) or len(grid) != 3
+                or not all(_is_number(n) and float(n).is_integer() and n >= 2 for n in grid)):
+            raise ConfigError(f"{name} must be three integer counts >= 2")
+        setattr(cfg, name, tuple(int(n) for n in grid))
     if cfg.lambda_window["min"] <= 0 or cfg.lambda_window["max"] <= cfg.lambda_window["min"]:
         raise ConfigError("lambda window must satisfy 0 < min < max")
     if cfg.lambda_window["count"] < 6:

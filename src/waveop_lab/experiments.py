@@ -488,6 +488,9 @@ def check_projection_gain(ctx: SuiteContext) -> CheckResult:
                    header=("lambda", "norm_plain", "norm_projected"), rows=rows)
 
 
+_PAIR_HEADER = ("kernel", "x1", "x2", "x3", "y1", "y2", "y3", "re", "im", "envelope", "ratio")
+
+
 def _sweep_rows(name, samples, values, env):
     rows = []
     for (x, y), v in zip(samples, values):
@@ -507,7 +510,6 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
     failures = []
     measured = {}
     rows = []
-    header = ("kernel", "x1", "x2", "x3", "y1", "y2", "y3", "re", "im", "envelope", "ratio")
 
     for branch, sign in ((Branch.plus, +1), (Branch.minus, -1)):
         pairs = sample_three_regime_pairs(rng, int(sw["g11_pairs"]) // 2,
@@ -563,7 +565,7 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
             failures.append(f"{key} sup not finite")
     return _result("kernel-bounds", 5,
                    f"sup ratios finite and refinement-stable (<{stab_tol:.0%})",
-                   measured, failures, t0, header=header, rows=rows)
+                   measured, failures, t0, header=_PAIR_HEADER, rows=rows)
 
 
 def check_kp_compare(ctx: SuiteContext) -> CheckResult:
@@ -580,9 +582,8 @@ def check_kp_compare(ctx: SuiteContext) -> CheckResult:
                                       sw["radius_min"], sw["kp_radius_max"])
 
     def diff_field(x, y, refine=0):
-        d = kp.direct(x, y, refine=refine)
-        lead, _ = kp.leading(x, y)
-        return d - lead
+        sx, sy = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+        return kp.direct_radial(sx, sy, refine) - kp.leading_radial(sx, sy)[0]
 
     fieldk = kn.KernelField("KP_direct_minus_leading", evaluator=diff_field)
     repb = kn.bound_ratio_sweep(fieldk, env, pairs)
@@ -599,9 +600,7 @@ def check_kp_compare(ctx: SuiteContext) -> CheckResult:
                                   float(np.linalg.norm(repb.arg_max[1]))]}
     return _result("kp-compare", 6,
                    "|KP_direct - leading| / base envelope bounded and stable",
-                   measured, failures, t0,
-                   header=("kernel", "x1", "x2", "x3", "y1", "y2", "y3",
-                           "re", "im", "envelope", "ratio"), rows=rows)
+                   measured, failures, t0, header=_PAIR_HEADER, rows=rows)
 
 
 def check_k3_bound(ctx: SuiteContext) -> CheckResult:
@@ -640,9 +639,7 @@ def check_k3_bound(ctx: SuiteContext) -> CheckResult:
             for p, v, rr in zip(pairs, vals, ratios)]
     return _result("k3-bound", 7,
                    "|K3| / <x>^-1<y>^-1<|x|-|y|>^-5/2 bounded; integrand slope 4+-0.3",
-                   measured, failures, t0,
-                   header=("kernel", "x1", "x2", "x3", "y1", "y2", "y3",
-                           "re", "im", "envelope", "ratio"), rows=rows)
+                   measured, failures, t0, header=_PAIR_HEADER, rows=rows)
 
 
 def check_weak11(ctx: SuiteContext) -> CheckResult:

@@ -177,25 +177,32 @@ def psi2_radial(sz: float, sw: float, cutoff: Cutoff, refine: int = 0) -> comple
 
     Vanishes off the gate ||z|-|w|| >= 1.  On the gate it equals
     KtildeP + 4i sz / (sz^4 - sw^4), but is computed as an integral
-    against chi' so the two nearly-cancelling parts never meet.
+    against chi' so the two nearly-cancelling parts never meet.  Its
+    four exponentials (see ``psi_gate_batch`` in the tests) cancel to
+    O(sz sw) when either radius is small, so they are summed in pairs:
+    with L = lambda, z = sz, w = sw, b = -2z sin(Lw) A + 2iw cos(Lw) C,
+    A = e^{iLz}/(z^2-w^2) + i e^{-Lz}/(z^2+w^2) and
+    C = (e^{iLz} - e^{-Lz})/(z^2+w^2) - 2z^2 e^{iLz}/(z^4-w^4) (by expm1).
     """
     if abs(sz - sw) < 1.0:
         return 0.0 + 0.0j
     rel, floor = _g_tols(refine)
     lo, hi = cutoff.transition_band
-    szc = max(sz, 1e-12)
-    swc = max(sw, 1e-12)
+    z, w = max(sz, 1e-12), max(sw, 1e-12)
+    zz, dm = z * z + w * w, (z - w) * (z + w)
 
     def integrand(lam):
-        b = (-np.exp(1j * lam * (szc + swc)) / (1j * (szc + swc))
-             + np.exp(1j * lam * (szc - swc)) / (1j * (szc - swc))
-             + np.exp(-lam * (szc + 1j * swc)) / (szc + 1j * swc)
-             - np.exp(-lam * (szc - 1j * swc)) / (szc - 1j * swc))
+        tz = lam * z
+        ez = np.cos(tz) + 1j * np.sin(tz)
+        a = ez / dm + 1j * np.exp(-tz) / zz
+        c = ((-2.0 * np.sin(0.5 * tz) ** 2 - np.expm1(-tz) + 1j * np.sin(tz)) / zz
+             - 2.0 * z * z * ez / (dm * zz))
+        b = -2.0 * z * np.sin(lam * w) * a + 2j * w * np.cos(lam * w) * c
         return cutoff(lam, 1) * b
 
     val, _ = integrate_adaptive(integrand, lo, hi, rel_tol=rel, abs_tol=floor,
                                 freq=(sz + sw) * (1 + refine))
-    return val / (szc * swc)
+    return val / (z * w)
 
 
 def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
@@ -208,15 +215,13 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
     ``transpose`` the returned callable evaluates Psi(rho_array, s)
     instead (the kernel is not symmetric).
 
-    On the gate the four exponentials of ``psi2_radial`` have exponents
-    that are sums of a rho term and an s term, and their denominators
-    depend on rho only.  So each is a (rho, lambda) table times a
-    lambda-only factor.  One phase table E = exp(i rho lambda) is
-    contracted against the lambda-only weight columns in one matmul;
-    its conjugate enters as conj(E) @ m = conj(E @ conj(m)).  The
-    transposed kernel also contracts the real decay table
-    exp(-rho lambda) against the real and imaginary parts of its
-    weights.  The denominators are applied to the contracted vectors.
+    On the gate the four exponentials of Psi2 are e^{iL(Z+-W)} and
+    e^{-L(Z+-iW)} over denominators in rho only, so every (rho, lambda)
+    table is E = exp(i rho L), conj(E) (conj(E) @ m = conj(E @ conj(m)))
+    or the real exp(-rho L), times a lambda-only weight column.  The
+    nodes sit on equal-width panels, L = c_p + d_j, so each table is a
+    (rho, panel) table times a (rho, node) table; ``contract`` applies
+    that product to the weight columns without building it.
     """
     from .quadrature import _leggauss
     x, wgl = _leggauss(n_gl)
@@ -228,7 +233,13 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
         half = 0.5 * np.diff(sub)
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         wts = (half[:, None] * wgl[None, :]).ravel()
-        return nodes, wts
+        return nodes, wts, mid, 0.5 * (b - a) / n_pan * x
+
+    def contract(panel, node, cols):
+        """(panel[r, p] node[r, j]) @ cols[(p, j), k], summed over p and j."""
+        n_pan = panel.shape[1]
+        m = cols.reshape(n_pan, n_gl, -1).transpose(1, 0, 2).reshape(n_gl, -1)
+        return np.einsum("rp,rpk->rk", panel, (node @ m).reshape(len(node), n_pan, -1))
 
     lo, hi = cutoff.transition_band
 
@@ -240,7 +251,7 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
         near = ~gate
         if near.any():
             rn = rho[near]
-            lam, w = panel_rule(0.0, cutoff.lambda0, s + rn.max())
+            lam, w, _, _ = panel_rule(0.0, cutoff.lambda0, s + rn.max())
             base = w * cutoff(lam) * lam ** 2
             if transpose:
                 # KtildeP(rho, s): F carries rho, the sine factor carries s
@@ -252,27 +263,23 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
         if gate.any():
             rg = np.maximum(rho[gate], 1e-12)
             sc = max(s, 1e-12)
-            lam, w = panel_rule(lo, hi, s + rg.max())
+            lam, w, mid, d = panel_rule(lo, hi, s + rg.max())
             wchi = w * cutoff(lam, 1)
-            phase = np.outer(rg, lam)
-            # cos and sin into one buffer: no complex temporary, cheaper than exp(1j*x)
-            E = np.empty(phase.shape, dtype=complex)
-            np.cos(phase, out=E.real)
-            np.sin(phase, out=E.imag)
+            E = (np.exp(1j * np.outer(rg, mid)), np.exp(1j * np.outer(rg, d)))
             ws = wchi * np.exp(1j * lam * sc)
             if transpose:
                 # Z = rho, W = s: e^{iL(rho+-s)} = E e^{+-iLs}, e^{-L(rho+-is)} = D e^{-+iLs}
-                ep, em = (E @ np.stack([ws, ws.conj()], axis=1)).T
-                D = np.exp(-phase, out=phase)
-                dr, di = (D @ np.stack([ws.real, ws.imag], axis=1)).T
+                ep, em = contract(*E, np.stack([ws, ws.conj()], axis=1)).T
+                D = (np.exp(-np.outer(rg, mid)), np.exp(-np.outer(rg, d)))
+                dr, di = contract(*D, np.stack([ws.real, ws.imag], axis=1)).T
                 dp, dm = dr + 1j * di, dr - 1j * di
                 b = (-ep / (1j * (rg + sc)) + em / (1j * (rg - sc))
                      + dm / (rg + 1j * sc) - dp / (rg - 1j * sc))
             else:
                 # Z = s, W = rho: e^{iL(s+-rho)} = e^{iLs} (E or conj E),
                 # e^{-L(s+-i rho)} = e^{-Ls} (conj E or E)
-                ep, ed, ec = (E @ np.stack([ws, wchi * np.exp(-lam * sc), ws.conj()],
-                                           axis=1)).T
+                ep, ed, ec = contract(*E, np.stack([ws, wchi * np.exp(-lam * sc),
+                                                    ws.conj()], axis=1)).T
                 b = (-ep / (1j * (sc + rg)) + ec.conj() / (1j * (sc - rg))
                      + ed.conj() / (sc + 1j * rg) - ed / (sc - 1j * rg))
             out[gate] = b / (sc * rg)
@@ -285,20 +292,24 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
 # K_P: direct quadrature and closed-form leading term
 # ----------------------------------------------------------------------
 
-def _sinhc(z):
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    out = np.where(small, 1.0 + z * z / 6.0, np.sinh(zs) / np.where(small, 1.0, zs))
-    return out
+def _by_t(fn, t):
+    """fn(t)/t for fn = sin, sinh and t >= 0: both keep full relative
+    precision as t -> 0, so only t = 0 needs the clamp."""
+    t = np.maximum(t, 1e-300)
+    return fn(t) / t
 
 
 class KPDirect:
     """Evaluator for the projection kernel K_P of a radial potential.
 
     The two inner potential integrals factorize through the radial
-    profile; each reduces to a 1D Gauss rule against an exactly
-    integrated exponential over the chord range [| |x|-r |, |x|+r].
+    profile; each is a 1D Gauss rule over r against the exactly
+    integrated e^{mu t} on the chord range [| |x|-r |, |x|+r] (midpoint
+    m, half-width h): 2h e^{mu m} sinhc(mu h).  For mu = +-i lambda and
+    -lambda all else is real, so the -i lambda shell is the conjugate
+    of the +i lambda one, sinhc(i lambda h) = sin(lambda h)/(lambda h)
+    and the -lambda shell is real: the integrand needs only real cos,
+    sin, exp and sinh tables, on chords built once per pair.
     """
 
     def __init__(self, pot: Potential, cutoff: Cutoff, n_r: int = 40):
@@ -309,40 +320,35 @@ class KPDirect:
         self.core = rule.weights * self.rn * pot.v2_profile(self.rn)
         self.prefactor = 1.0 / (8.0 * np.pi * (1.0 + 1j) * pot.normV_L1 ** 2)
 
-    def _shell(self, lam, s, mu_sign):
-        """integral of v^2(u) e^{mu |x-u|} / |x-u| du for |x| = s.
-
-        mu_sign: +1 -> e^{i lam t}, -1 -> e^{-i lam t}, 0 -> e^{-lam t}.
-        lam may be an array; returns the matching array.
-        """
-        lam = np.asarray(lam, dtype=float)
+    def _chords(self, s):
+        """Midpoints m = max(s, r), half-widths h = min(s, r) and weights
+        (2 pi/s) 2h core of the chord ranges [|s - r|, s + r] at |x| = s."""
         s = max(float(s), 1e-12)
-        a = np.abs(s - self.rn)
-        b = s + self.rn
-        m = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        mu = (1j * mu_sign * lam if mu_sign else -lam).astype(complex)
-        args_m = mu[..., None] * m
-        args_h = mu[..., None] * h
-        chord = 2.0 * h * np.exp(args_m) * _sinhc(args_h)
-        return (2.0 * np.pi / s) * (chord * self.core).sum(axis=-1)
+        h = np.minimum(s, self.rn)
+        return np.maximum(s, self.rn), h, (4.0 * np.pi / s) * h * self.core
 
-    def direct(self, x, y, refine: int = 0, rel_tol: float = 1e-8):
-        """K_P(x, y) by adaptive lambda-quadrature of the factorized integrand."""
-        sx = float(np.linalg.norm(x))
-        sy = float(np.linalg.norm(y))
-        return self.direct_radial(sx, sy, refine, rel_tol)
+    def _integrand(self, sx: float, sy: float):
+        """The lambda-integrand of K_P / prefactor at radii (|x|, |y|)."""
+        mx, hx, gx = self._chords(sx)
+        my, hy, gy = self._chords(sy)
+
+        def integrand(lam):
+            # shell(x, +i) - shell(x, -1) = cre + i cim; shell(y, +i) - shell(y, -i) = i dy
+            col = lam[:, None]
+            sinc = _by_t(np.sin, col * hx)
+            tx = col * mx
+            cre = (sinc * np.cos(tx) - np.exp(-tx) * _by_t(np.sinh, col * hx)) @ gx
+            cim = (sinc * np.sin(tx)) @ gx
+            dy = 2.0 * (_by_t(np.sin, col * hy) * np.sin(col * my)) @ gy
+            return self.cutoff(lam) * dy * (-cim + 1j * cre)
+
+        return integrand
 
     def direct_radial(self, sx: float, sy: float, refine: int = 0,
                       rel_tol: float = 1e-8) -> complex:
+        """K_P at radii (|x|, |y|) by adaptive lambda-quadrature."""
         rel = rel_tol / 100.0 ** refine
-
-        def integrand(lam):
-            cx = self._shell(lam, sx, +1) - self._shell(lam, sx, 0)
-            dy = self._shell(lam, sy, +1) - self._shell(lam, sy, -1)
-            return self.cutoff(lam) * cx * dy
-
-        val, _ = integrate_adaptive(integrand, 0.0, self.cutoff.lambda0,
+        val, _ = integrate_adaptive(self._integrand(sx, sy), 0.0, self.cutoff.lambda0,
                                     rel_tol=rel, abs_tol=1e-19,
                                     freq=(sx + sy + 2 * self.pot.radius) * (1 + refine),
                                     breakpoints=(self.cutoff.lambda0 / 2.0,))
@@ -357,9 +363,6 @@ class KPDirect:
         gy = self.pot.weight_G_radial(sy)
         lead = -(1.0 + 1j) / (4.0 * np.pi) * gx * (sx / (sx ** 4 - sy ** 4)) * gy
         return complex(lead), float(env)
-
-    def leading(self, x, y):
-        return self.leading_radial(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
 
 
 # ----------------------------------------------------------------------

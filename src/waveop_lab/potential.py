@@ -44,8 +44,14 @@ class PotentialSpec:
     def __post_init__(self):
         if self.shape not in ("smooth_bump_compact", "polynomial_decay"):
             raise InvalidInputError(f"unknown potential shape {self.shape!r}")
+        for name, val in (("amplitude", self.amplitude), ("R0", self.R0), ("mu", self.mu)):
+            if isinstance(val, bool) or not isinstance(val, (int, float)) or not np.isfinite(val):
+                raise InvalidInputError(f"{name} must be a finite number")
         if self.R0 <= 0:
             raise InvalidInputError("R0 must be positive")
+        if self.shape == "polynomial_decay" and not self.mu > 3.0:
+            # build_potential's truncation error divides by mu - 3
+            raise InvalidInputError("polynomial_decay needs mu > 3")
 
 
 class Potential:

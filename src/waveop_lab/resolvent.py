@@ -416,40 +416,46 @@ def representation_check(pot: Potential, lam: float, f, branch: Branch = Branch.
 
     The representation integrates <x, w(y - theta x)> F'(lambda|y - theta x|)
     over theta in [0, 1] with panels graded toward the closest-approach
-    parameter of the segment, then applies Q(v * integral).
+    parameter of the segment, then applies Q(v * integral).  When f is
+    constant along phi, a rotation about the axis maps the grid and f to
+    themselves, so the rows at one (r, theta) are equal: only the phi = 0
+    rows are computed, and tiled.
     """
     f = np.asarray(f, dtype=complex)
     direct = pot.projections.apply("Q", vr0_apply(pot, lam, f, branch))
+    fr = f.reshape(-1, pot.grid.n_phi)
+    step = pot.grid.n_phi if np.all(fr == fr[:, :1]) else 1
+    out = _representation_rows(pot, lam, f, np.arange(0, f.size, step), branch, levels,
+                               n_gl, chunk)
+    rep = pot.projections.apply("Q", -pot.v * np.repeat(out, step) / (8.0 * np.pi))
+    return float(_weighted_norm(pot, direct - rep) / _weighted_norm(pot, direct))
 
+
+def _representation_rows(pot: Potential, lam: float, f, rows, branch: Branch,
+                         levels: int, n_gl: int, chunk: int) -> np.ndarray:
+    """The theta-integrals of representation_check at the grid nodes ``rows``.
+
+    |y - theta x|^2 = |y - t* x|^2 + e (2c + e |x|^2) with e = t* - theta and
+    c = <x, y - t* x>: no cancellation near t*, where the panels crowd."""
     nodes_u, weights_u = _graded_theta_nodes(levels, n_gl)
-    n_nodes = nodes_u.size
     x = pot.grid.nodes
-    w = pot.grid.weights
-    n = x.shape[0]
-    y2 = np.sum(x ** 2, axis=1)
-    out = np.empty(n, dtype=complex)
-    wf = w * f
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        xi = x[i0:i1]
+    out = np.empty(len(rows), dtype=complex)
+    wf = pot.grid.weights * f
+    for i0 in range(0, len(rows), chunk):
+        xi = x[rows[i0:i0 + chunk]]
         x2 = np.sum(xi ** 2, axis=1)[:, None]
         xdot = xi @ x.T
         tstar = np.clip(xdot / np.maximum(x2, 1e-300), 0.0, 1.0)
-        # left side: theta = tstar * (1 - u); right side: theta = tstar + (1 - tstar) * u
-        acc = np.zeros((i1 - i0, n), dtype=complex)
-        for side in (0, 1):
-            if side == 0:
-                theta = tstar[..., None] * (1.0 - nodes_u)
-                pw = tstar[..., None] * weights_u
-            else:
-                theta = tstar[..., None] + (1.0 - tstar[..., None]) * nodes_u
-                pw = (1.0 - tstar[..., None]) * weights_u
-            u2 = y2[None, :, None] - 2.0 * theta * xdot[..., None] + theta ** 2 * x2[..., None]
-            unorm = np.sqrt(np.maximum(u2, 0.0))
-            dot = xdot[..., None] - theta * x2[..., None]
+        d2 = np.sum((x[None, :, :] - tstar[..., None] * xi[:, None, :]) ** 2, axis=-1)
+        c = (xdot - tstar * x2)[..., None]
+        acc = np.zeros(xdot.shape, dtype=complex)
+        # left side: theta = tstar (1 - u); right side: theta = tstar + (1 - tstar) u
+        for span in (tstar[..., None], tstar[..., None] - 1.0):
+            e = span * nodes_u
+            unorm = np.sqrt(np.maximum(d2[..., None] + e * (2.0 * c + e * x2[..., None]), 0.0))
+            dot = c + e * x2[..., None]
             fp = eval_F(branch, lam * unorm, 1)
             integ = np.where(unorm > 1e-14, dot / np.where(unorm > 0, unorm, 1.0), 0.0) * fp
-            acc += (integ * pw).sum(axis=-1)
-        out[i0:i1] = acc @ wf
-    rep = pot.projections.apply("Q", -pot.v * out / (8.0 * np.pi))
-    return float(_weighted_norm(pot, direct - rep) / _weighted_norm(pot, direct))
+            acc += (integ * (np.abs(span) * weights_u)).sum(axis=-1)
+        out[i0:i0 + chunk] = acc @ wf
+    return out

@@ -10,7 +10,10 @@ four exponentials on the full (rho, lambda) table, and
 ``tg_abs_far_batch`` sums the far-field Phi over every (d, rho) node;
 the package uses separable phase tables and a moment series instead.
 ``psi_radial`` assembles Psi from the scalar adaptive routes,
-``kp_pieces`` integrates the four exponential pieces of K_P one by one,
+``kp_shell`` evaluates the K_P shell integrals in complex arithmetic
+(``kp_integrand`` is the direct K_P integrand built from four of them,
+``kp_pieces`` integrates the four exponential pieces of K_P one by one),
+``hormander_quadrature`` is the Hormander modulus by adaptive quadrature,
 ``kp_smeared_reference`` smears KtildeP over a coarse potential grid,
 and ``phi_lower_bound_chain`` is the analytic lower bound for Phi.
 
@@ -238,6 +241,36 @@ def psi_radial(sz: float, sw: float, cutoff) -> complex:
     return ktilde_radial(sz, sw, cutoff)
 
 
+def _sinhc(z):
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 0.0, z)
+    return np.where(small, 1.0 + z * z / 6.0, np.sinh(zs) / np.where(small, 1.0, zs))
+
+
+def kp_shell(kp, lam, s, mu_sign):
+    """integral of v^2(u) e^{mu |x-u|} / |x-u| du for |x| = s, in complex
+    arithmetic.
+
+    mu_sign: +1 -> e^{i lam t}, -1 -> e^{-i lam t}, 0 -> e^{-lam t}.
+    lam may be an array; returns the matching array.
+    """
+    lam = np.asarray(lam, dtype=float)
+    s = max(float(s), 1e-12)
+    m, h = np.maximum(s, kp.rn), np.minimum(s, kp.rn)    # chord range [|s - r|, s + r]
+    mu = (1j * mu_sign * lam if mu_sign else -lam).astype(complex)
+    chord = 2.0 * h * np.exp(mu[..., None] * m) * _sinhc(mu[..., None] * h)
+    return (2.0 * np.pi / s) * (chord * kp.core).sum(axis=-1)
+
+
+def kp_integrand(kp, lam, sx: float, sy: float):
+    """The K_P lambda-integrand of KPDirect.direct_radial from four
+    complex shells."""
+    cx = kp_shell(kp, lam, sx, +1) - kp_shell(kp, lam, sx, 0)
+    dy = kp_shell(kp, lam, sy, +1) - kp_shell(kp, lam, sy, -1)
+    return kp.cutoff(lam) * cx * dy
+
+
 def kp_pieces(kp, x, y):
     """The four exponential pieces (K1, K2, K3, K4) of K_P before combination;
     K_P = kp.prefactor * (K1 - K2 - K3 + K4)."""
@@ -246,13 +279,32 @@ def kp_pieces(kp, x, y):
     out = []
     for mx, my in ((+1, +1), (+1, -1), (0, +1), (0, -1)):
         def integrand(lam, mx=mx, my=my):
-            return kp.cutoff(lam) * kp._shell(lam, sx, mx) * kp._shell(lam, sy, my)
+            return kp.cutoff(lam) * kp_shell(kp, lam, sx, mx) * kp_shell(kp, lam, sy, my)
         val, _ = integrate_adaptive(integrand, 0.0, kp.cutoff.lambda0,
                                     rel_tol=1e-8, abs_tol=1e-19,
                                     freq=sx + sy + 2 * kp.pot.radius,
                                     breakpoints=(kp.cutoff.lambda0 / 2.0,))
         out.append(val)
     return tuple(out)
+
+
+def hormander_quadrature(r: float, r_bar: float, delta: float, rel_tol: float = 1e-8) -> float:
+    """singular.hormander_check by adaptive quadrature of |K(s,r) - K(s,r_bar)|
+    on the same truncated window, split at the gate edges."""
+    width = max(1e4, 1e5 * delta)
+
+    def integrand(s):
+        t1 = np.where(np.abs(s - r) >= 1.0, 1.0 / (s - r), 0.0)
+        t2 = np.where(np.abs(s - r_bar) >= 1.0, 1.0 / (s - r_bar), 0.0)
+        return np.abs(t1 - t2)
+
+    brk = [r - 1.0, r + 1.0, r_bar - 1.0, r_bar + 1.0]
+    total = 0.0
+    for a, b in ((r - width, r - 2.0 * delta), (r + 2.0 * delta, r + width)):
+        val, _ = integrate_adaptive(integrand, a, b, rel_tol=rel_tol, abs_tol=1e-13,
+                                    breakpoints=[p for p in brk if a < p < b])
+        total += float(val.real)
+    return total
 
 
 def kp_smeared_reference(pot, cutoff, coarse_grid, x, y, n_lambda: int = 320) -> complex:

@@ -44,7 +44,7 @@ def test_criterion_03_resolvent_expansion(ctx):
 
 
 def test_criterion_04_projection_gain(ctx):
-    _finish(xp.check_projection_gain(ctx), 120.0)
+    _finish(xp.check_projection_gain(ctx), 18.0)
 
 
 def test_criterion_05_kernel_envelopes(ctx):
@@ -52,7 +52,7 @@ def test_criterion_05_kernel_envelopes(ctx):
 
 
 def test_criterion_06_kp_leading_agreement(ctx):
-    _finish(xp.check_kp_compare(ctx), 600.0)
+    _finish(xp.check_kp_compare(ctx), 2.0)
 
 
 def test_criterion_07_k3_envelope(ctx):
@@ -64,7 +64,7 @@ def test_criterion_08a_weak11(ctx):
 
 
 def test_criterion_08b_hormander(ctx):
-    _finish(xp.check_hormander(ctx), 120.0)
+    _finish(xp.check_hormander(ctx), 1.0)
 
 
 @pytest.fixture(scope="module")

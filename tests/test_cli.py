@@ -49,8 +49,16 @@ def test_bad_schur_config(tmp_path, capsys, schur):
     {"expansion_potential": {"amplitude": 0.0}},
     {"rep_grid": [1, 4, 4]},
     {"rep_grid": [8, 6]},
+    {"grid": 5},
+    {"grid": ["a", 2, 2]},
+    {"rep_grid": [8, 6.5, 10]},
+    {"potential": {"shape": "polynomial_decay", "mu": 3.0}},
+    {"potential": {"mu": "12"}},
+    {"expansion_potential": {"amplitude": "-4"}},
 ], ids=["negative-R0", "unknown-shape", "string-R0", "expansion-R0",
-        "expansion-amplitude", "rep-grid-count", "rep-grid-axes"])
+        "expansion-amplitude", "rep-grid-count", "rep-grid-axes", "scalar-grid",
+        "string-grid", "fractional-rep-grid", "decay-mu-3", "string-mu",
+        "string-amplitude"])
 def test_bad_config_at_load(tmp_path, capsys, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))

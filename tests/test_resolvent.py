@@ -153,3 +153,21 @@ def test_projection_gain_slopes(strong_pot):
     assert abs(rep.fit_plain.slope + 1.0) <= 0.1
     assert abs(rep.fit_projected.slope) <= 0.15
     assert rep.representation_errors[0.05] <= 1e-6
+
+
+def test_representation_axisymmetric_rows(strong_pot):
+    """f = 1 takes the phi = 0 rows only; the full-row computation agrees,
+    and so does the gap built from it."""
+    pot, lam, n = strong_pot, 0.05, strong_pot.grid.size
+    f = np.ones(n, dtype=complex)
+    full = rs._representation_rows(pot, lam, f, np.arange(n), Branch.plus, 6, 4, 24)
+    phi0 = rs._representation_rows(pot, lam, f, np.arange(0, n, pot.grid.n_phi),
+                                   Branch.plus, 6, 4, 24)
+    assert np.max(np.abs(np.repeat(phi0, pot.grid.n_phi) - full)) <= 1e-12 * np.max(np.abs(full))
+    direct = pot.projections.apply("Q", rs.vr0_apply(pot, lam, f))
+    rep = pot.projections.apply("Q", -pot.v * full / (8.0 * np.pi))
+    gap = rs._weighted_norm(pot, direct - rep) / rs._weighted_norm(pot, direct)
+    assert rs.representation_check(pot, lam, f, levels=6, n_gl=4) == pytest.approx(gap, rel=1e-6)
+    # a phi-dependent f takes the full-row route
+    g = f * (1.0 + 0.1 * np.cos(np.arange(n) % pot.grid.n_phi))
+    assert rs.representation_check(pot, lam, g, levels=6, n_gl=4) <= 1e-6
