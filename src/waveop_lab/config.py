@@ -95,7 +95,10 @@ def _merge(cfg: Config, data: dict) -> Config:
         elif key == "grid" or key == "rep_grid":
             setattr(cfg, key, val)             # checked and converted in validate
         else:
-            setattr(cfg, key, type(cur)(val) if cur is not None else val)
+            try:
+                setattr(cfg, key, type(cur)(val))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
     return cfg
 
 
@@ -141,17 +144,31 @@ def validate(cfg: Config) -> None:
             PotentialSpec(**pot)
         except (InvalidInputError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    # check_schur compares the last two domain radii
-    radii = cfg.schur["radii"]
-    if (not isinstance(radii, (list, tuple)) or len(radii) < 2
-            or not all(_is_number(r) and r > 0 for r in radii)
-            or any(b <= a for a, b in zip(radii, radii[1:]))):
-        raise ConfigError("schur radii must be at least two positive, "
-                          "strictly increasing numbers")
-    n_samples = cfg.schur["n_samples"]
-    if not (_is_number(n_samples) and n_samples == int(n_samples) and n_samples >= 1):
-        raise ConfigError("schur n_samples must be an integer >= 1")
+    # check_schur compares the last two domain radii, and the L-infinity
+    # counterexample fits a slope through its radii
+    for name, radii in (("schur radii", cfg.schur["radii"]),
+                        ("counterexample R_list", cfg.counterexample["R_list"])):
+        if not _positive_numbers(radii, 2, increasing=True):
+            raise ConfigError(f"{name} must be at least two positive, "
+                              "strictly increasing numbers")
+    for name in ("centers", "widths"):
+        if not _positive_numbers(cfg.weak11[name], 1):
+            raise ConfigError(f"weak11 {name} must be a list of positive numbers")
+    if not (_is_number(cfg.weak11["decades"]) and cfg.weak11["decades"] > 0):
+        raise ConfigError("weak11 decades must be positive")
+    for name, val in (("schur n_samples", cfg.schur["n_samples"]),
+                      ("weak11 n_thresholds", cfg.weak11["n_thresholds"]),
+                      ("counterexample mc_samples", cfg.counterexample["mc_samples"])):
+        if not (_is_number(val) and float(val).is_integer() and val >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1")
 
 
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _positive_numbers(val, min_len: int, increasing: bool = False) -> bool:
+    """A list of at least min_len positive numbers, strictly increasing if asked."""
+    return (isinstance(val, (list, tuple)) and len(val) >= min_len
+            and all(_is_number(v) and v > 0 for v in val)
+            and not (increasing and any(b <= a for a, b in zip(val, val[1:]))))

@@ -1,16 +1,20 @@
 """Integration infrastructure.
 
 Provides the adaptive 1D integrator used for every oscillatory lambda
-integral in the package, Gauss-Legendre product grids on balls in R^3,
-and the closed-form sphere/ball intersection area used to reduce shifted
-ball integrals to one dimension.
+integral and every gated radial integral in the package, Gauss-Legendre
+product grids on balls in R^3, and the closed-form sphere/ball
+intersection area used to reduce shifted ball integrals to one
+dimension.
 
 The adaptive integrator is a nested Gauss-Kronrod (G7, K15) panel
-scheme with bisection.  Oscillatory integrands are handled by seeding
-the panel list with roughly one panel per 2*pi of phase, which the
-caller communicates through the ``freq`` hint; no Filon-type machinery
-is needed at the phase ranges that occur here (<= a few hundred
-radians).
+scheme with bisection (QUADPACK's pair).  It has one refinement loop,
+``integrate_batch``, whose panels each carry a problem index: many
+integrals run through it at once, each refined and stopped under its
+own tolerance, and ``integrate_adaptive`` is its one-problem call.
+Oscillatory integrands are handled by seeding the panel list with
+roughly one panel per 2*pi of phase, which the caller communicates
+through the ``freq`` hint; no Filon-type machinery is needed at the
+phase ranges that occur here (<= a few hundred radians).
 """
 
 from __future__ import annotations
@@ -77,104 +81,118 @@ _WG = np.array([
 _ABS_FLOOR = 1e-15
 
 
-def _panel_eval(f, lo, hi):
-    """Evaluate f on the GK15 nodes of many panels at once.
-
-    lo, hi : arrays of panel endpoints, shape (m,).
-    Returns (k15, err) arrays of shape (m,).
-    """
+def _panel_eval(f, pid, lo, hi):
+    """K15 values and |K15 - G7| errors of the panels [lo, hi] of problems pid."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    vals = np.asarray(f(np.repeat(pid, _XGK.size), nodes.ravel())).reshape(nodes.shape)
     k15 = (vals * _WGK[None, :]).sum(axis=1) * half
     g7 = (vals[:, 1::2] * _WG[None, :]).sum(axis=1) * half
-    err = np.abs(k15 - g7)
-    return k15, err
+    return k15, np.abs(k15 - g7)
+
+
+def _seed_panels(a, b, freq, brk, max_panels):
+    """Initial panels (problem, lo, hi): each [a, b] cut at its breakpoints,
+    each piece into about one panel per 2*pi of phase, spaced as
+    np.linspace spaces them."""
+    # breakpoints outside (a, b), and repeats, leave empty pieces
+    brk = np.where((brk > a[:, None]) & (brk < b[:, None]), brk, b[:, None])
+    edges = np.sort(np.column_stack([a, brk, b]), axis=1)
+    owner = np.repeat(np.arange(a.size), edges.shape[1] - 1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    piece = hi > lo
+    owner, lo, hi = owner[piece], lo[piece], hi[piece]
+    n_osc = np.clip(np.rint(np.abs(freq) * (b - a) / (2.0 * np.pi)), 1, max_panels // 2)
+    m = np.maximum(1, np.rint(n_osc[owner] * (hi - lo) / (b - a)[owner])).astype(int)
+    k = np.repeat(np.arange(m.size), m)                  # piece of each panel
+    j = np.arange(k.size) - (np.cumsum(m) - m)[k]        # its place in the piece
+    step = ((hi - lo) / m)[k]
+    return owner[k], lo[k] + j * step, np.where(j + 1 == m[k], hi[k], lo[k] + (j + 1) * step)
+
+
+def integrate_batch(f: Callable, a, b, rel_tol: float = 1e-10, abs_tol: float = _ABS_FLOOR,
+                    freq=0.0, breakpoints=None, max_panels: int = 16384):
+    """Adaptively integrate problem k of ``f`` over [a[k], b[k]], for every k.
+
+    ``f(k, x)`` maps arrays of problem indices and abscissae to (possibly
+    complex) values.  Problem k seeds its panels at its row of
+    ``breakpoints`` (shape (n, m); entries outside (a[k], b[k]) are
+    ignored) and at about one per 2*pi of phase, ``freq`` (scalar or per
+    problem) bounding |d(phase)/dx|.  Each round sums K15 and |K15 - G7|
+    over each problem's panels.  A problem is done, and leaves the loop,
+    once its error sum is within max(rel_tol*|total|, abs_tol,
+    250*eps*sum|K15|); abs_tol is the floor below which refinement is
+    pointless.  Otherwise it bisects every panel whose error is at least
+    max(tol/(2*n_panels), max error/4).
+
+    Returns arrays (values, err_ests).  Raises AccuracyError, naming the
+    problem and carrying its best estimate, if a problem is still above
+    tolerance at ``max_panels`` panels.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    n = a.size
+    empty = np.flatnonzero(~(b > a))
+    if empty.size:
+        k = empty[0]
+        raise InvalidInputError(f"empty interval [{a[k]}, {b[k]}] (problem {k})")
+    brk = np.empty((n, 0)) if breakpoints is None else np.asarray(breakpoints, dtype=float)
+    pid, lo, hi = _seed_panels(a, b, freq, brk, max_panels)
+    vals, errs = _panel_eval(f, pid, lo, hi)
+    values, err_ests = np.zeros(n, dtype=vals.dtype), np.zeros(n)
+
+    eps = np.finfo(float).eps
+    while True:
+        count = np.bincount(pid, minlength=n)
+        total = np.zeros(n, dtype=vals.dtype)
+        np.add.at(total, pid, vals)
+        err_total = np.bincount(pid, errs, n)
+        # the |K15 - G7| estimate saturates at roundoff of the absolute mass
+        noise_floor = 250.0 * eps * np.bincount(pid, np.abs(vals), n)
+        tol = np.maximum(np.maximum(rel_tol * np.abs(total), abs_tol), noise_floor)
+        done = err_total <= tol
+        fin = done & (count > 0)
+        values[fin], err_ests[fin] = total[fin], err_total[fin]
+        stalled = np.flatnonzero(~done & (count >= max_panels))
+        if stalled.size:
+            k = stalled[0]
+            raise AccuracyError(
+                f"quadrature stalled at {count[k]} panels in problem {k} "
+                f"(err {err_total[k]:.3e} > tol {tol[k]:.3e})",
+                best=total[k], err_est=float(err_total[k]))
+        refine = ~done[pid]
+        if not refine.any():
+            return values, err_ests
+        # split every panel whose error keeps its problem above tolerance
+        # (a NaN error splits too, so every open problem refines)
+        err_max = np.zeros(n)
+        np.maximum.at(err_max, pid, errs)
+        split = refine & ~(errs < np.maximum(tol[pid] / (2.0 * count[pid]), err_max[pid] * 0.25))
+        keep = refine & ~split
+        n_keep = np.count_nonzero(keep)
+        mid = 0.5 * (lo[split] + hi[split])
+        pid = np.concatenate([pid[keep], pid[split], pid[split]])
+        lo, hi = (np.concatenate([lo[keep], lo[split], mid]),
+                  np.concatenate([hi[keep], mid, hi[split]]))
+        new_vals, new_errs = _panel_eval(f, pid[n_keep:], lo[n_keep:], hi[n_keep:])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
 
 
 def integrate_adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
                        abs_tol: float = _ABS_FLOOR, freq: float = 0.0,
                        breakpoints: Sequence[float] = (),
                        max_panels: int = 16384):
-    """Adaptively integrate ``f`` over [a, b].
+    """Adaptively integrate the vectorized ``f(x)`` over [a, b], a < b.
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand; must map an ndarray of abscissae to an
-        ndarray of (possibly complex) values.
-    a, b : float
-        Integration limits, a < b.
-    rel_tol : float
-        Relative tolerance on the returned value.
-    abs_tol : float
-        Absolute floor below which further refinement is pointless.
-    freq : float
-        Bound on the phase derivative |d(phase)/ds| of the integrand.
-        Used to seed roughly one panel per 2*pi of phase.
-    breakpoints : sequence of float
-        Interior points where the integrand is non-smooth; the initial
-        panel set is split there.
-
-    Returns
-    -------
-    (value, err_est) : (complex, float)
-
-    Raises
-    ------
-    AccuracyError
-        If the error estimate is still above tolerance after
-        ``max_panels`` panels.  The best estimate is attached.
+    The one-problem ``integrate_batch``, with its tolerances, phase hint
+    ``freq``, interior ``breakpoints`` and panel cap.  Returns
+    (value, err_est); the value may be complex.
     """
-    if not b > a:
-        raise InvalidInputError(f"empty interval [{a}, {b}]")
-
-    edges = [a]
-    for p in sorted(set(float(t) for t in breakpoints)):
-        if a < p < b:
-            edges.append(p)
-    edges.append(b)
-
-    n_osc = int(min(max_panels // 2, max(1, round(abs(freq) * (b - a) / (2.0 * np.pi)))))
-    lo_list, hi_list = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(1, int(round(n_osc * (hi - lo) / (b - a))))
-        sub = np.linspace(lo, hi, m + 1)
-        lo_list.append(sub[:-1])
-        hi_list.append(sub[1:])
-    lo_arr = np.concatenate(lo_list)
-    hi_arr = np.concatenate(hi_list)
-
-    vals, errs = _panel_eval(f, lo_arr, hi_arr)
-
-    eps = np.finfo(float).eps
-    while True:
-        total = vals.sum()
-        err_total = errs.sum()
-        # the |K15 - G7| estimate saturates at roundoff of the absolute mass
-        noise_floor = 250.0 * eps * np.abs(vals).sum()
-        tol = max(rel_tol * abs(total), abs_tol, noise_floor)
-        if err_total <= tol:
-            return total, float(err_total)
-        if lo_arr.size >= max_panels:
-            raise AccuracyError(
-                f"quadrature stalled at {lo_arr.size} panels (err {err_total:.3e} > tol {tol:.3e})",
-                best=total, err_est=float(err_total))
-        # split every panel whose error keeps the total above tolerance
-        cut = max(tol / (2.0 * lo_arr.size), errs.max() * 0.25)
-        split = errs >= cut
-        if not split.any():
-            split[np.argmax(errs)] = True
-        keep = ~split
-        mid = 0.5 * (lo_arr[split] + hi_arr[split])
-        new_lo = np.concatenate([lo_arr[keep], lo_arr[split], mid])
-        new_hi = np.concatenate([hi_arr[keep], mid, hi_arr[split]])
-        new_vals, new_errs = _panel_eval(f, np.concatenate([lo_arr[split], mid]),
-                                         np.concatenate([mid, hi_arr[split]]))
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        lo_arr, hi_arr = new_lo, new_hi
+    vals, errs = integrate_batch(lambda _, x: f(x), [a], [b], rel_tol, abs_tol, freq,
+                                 [list(breakpoints)], max_panels)
+    return vals[0], float(errs[0])
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +205,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple
 
 
 @lru_cache(maxsize=128)
@@ -200,7 +217,7 @@ def gauss_rule(n: int, a: float, b: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [a, b]."""
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w, interval=(a, b))
+    return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w)
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +239,6 @@ class BallGrid:
     n_phi: int
     nodes: np.ndarray = field(repr=False)        # (n, 3)
     weights: np.ndarray = field(repr=False)      # (n,)
-    r_nodes: np.ndarray = field(repr=False)
-    r_weights: np.ndarray = field(repr=False)    # plain GL weights on [0, R]
-    mu_nodes: np.ndarray = field(repr=False)
-    mu_weights: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -255,8 +268,7 @@ def ball_grid(radius: float, n_r: int, n_theta: int, n_phi: int) -> BallGrid:
     W = (wr * r ** 2)[:, None, None] * wmu[None, :, None] * np.full(n_phi, wphi)
     weights = W.reshape(-1)
     return BallGrid(radius=float(radius), n_r=n_r, n_theta=n_theta, n_phi=n_phi,
-                    nodes=nodes, weights=weights, r_nodes=r, r_weights=wr,
-                    mu_nodes=mu, mu_weights=wmu)
+                    nodes=nodes, weights=weights)
 
 
 # ----------------------------------------------------------------------

@@ -20,13 +20,13 @@ radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
-from .quadrature import _leggauss, integrate_adaptive
+from .quadrature import _leggauss, integrate_adaptive, integrate_batch
 
 # ----------------------------------------------------------------------
 # Exact kernel decompositions
@@ -113,24 +113,34 @@ def smooth_bump_profile(center: float, width: float, normalize: bool = True) -> 
 # The 1D operator W and weak-(1,1) profiles
 # ----------------------------------------------------------------------
 
+def gated_integrals(f: Callable, c, lo, hi, breakpoints=None, **tols) -> np.ndarray:
+    """For every k, the integral of f(k, x) over [lo[k], hi[k]] outside the
+    gate window (c[k] - 1, c[k] + 1), in one batched quadrature.
+
+    ``breakpoints`` has one row per k.  The piece below c - 1 is added
+    before the piece above c + 1, as a loop over k would add them.
+    """
+    c, lo, hi = np.broadcast_arrays(c, lo, hi)
+    owner = np.tile(np.arange(c.size), 2)
+    a = np.concatenate([lo, np.maximum(lo, c + 1.0)])
+    b = np.concatenate([np.minimum(hi, c - 1.0), hi])
+    live = b > a
+    owner = owner[live]
+    vals, _ = integrate_batch(lambda k, x: f(owner[k], x), a[live], b[live],
+                              breakpoints=None if breakpoints is None else breakpoints[owner],
+                              **tols)
+    return np.bincount(owner, vals.real, c.size)
+
+
 def apply_W(profile: RadialProfile, s_values, rel_tol: float = 1e-10):
     """W(g0)(s): the gated 1D singular integral against r^2 dr."""
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
+    s = np.atleast_1d(np.asarray(s_values, dtype=float))
+    if np.any(s <= 0.0):
+        raise InvalidInputError("W is probed on s > 0")
     lo, hi = profile.support
-    out = np.zeros(s_values.shape)
-    for i, s in enumerate(s_values):
-        if s <= 0.0:
-            raise InvalidInputError("W is probed on s > 0")
-        total = 0.0
-        segments = [(lo, min(hi, s - 1.0)), (max(lo, s + 1.0), hi)]
-        for a, b in segments:
-            if b > a:
-                val, _ = integrate_adaptive(
-                    lambda r: profile.fn(r) * r ** 2 / (4.0 * s ** 2 * (s - r)),
-                    a, b, rel_tol=rel_tol, abs_tol=1e-16)
-                total += float(val.real)
-        out[i] = total
-    return out if out.size > 1 else float(out[0])
+    out = gated_integrals(lambda k, r: profile.fn(r) * r ** 2 / (4.0 * s[k] ** 2 * (s[k] - r)),
+                          s, lo, hi, rel_tol=rel_tol, abs_tol=1e-16)
+    return float(out[0]) if out.size == 1 else out
 
 
 @dataclass
@@ -158,34 +168,31 @@ def _cell_measures(edges: np.ndarray, measure: str) -> np.ndarray:
 
 
 def level_set_masses(op_abs: Callable, thresholds, s_min: float, s_max: float,
-                     n_cells: int = 4096, measure: str = "omega",
-                     refine_boundary: bool = True) -> np.ndarray:
+                     n_cells: int = 4096, measure: str = "omega") -> np.ndarray:
     """measure{s : |T|(s) > lambda} for each threshold.
 
     Cell-counting on a log grid with one refinement level at the cells
-    where the indicator switches.
+    where the indicator switches.  A sub-cell's value does not depend on
+    the threshold, so ``op_abs`` runs once on the sub-cells of every
+    threshold's switching cells.
     """
     edges = np.geomspace(s_min, s_max, n_cells + 1)
     mids = np.sqrt(edges[:-1] * edges[1:])
     vals = np.abs(op_abs(mids))
     cellm = _cell_measures(edges, measure)
     thresholds = np.asarray(thresholds, dtype=float)
-    masses = np.empty(thresholds.size)
-    for k, lam in enumerate(thresholds):
-        above = vals > lam
-        m = float(cellm[above].sum())
-        if refine_boundary:
-            switch = np.nonzero(above[:-1] != above[1:])[0]
-            cells = np.unique(np.concatenate([switch, switch + 1]))
-            for c in cells:
-                sub = np.geomspace(edges[c], edges[c + 1], 9)
-                subm = np.sqrt(sub[:-1] * sub[1:])
-                subv = np.abs(op_abs(subm)) > lam
-                m += float(_cell_measures(sub, measure)[subv].sum())
-                if above[c]:
-                    m -= float(cellm[c])
-        masses[k] = m
-    return masses
+    above = vals[None, :] > thresholds[:, None]                  # (threshold, cell)
+    switch = above[:, :-1] != above[:, 1:]
+    refine = np.zeros_like(above)
+    refine[:, :-1] |= switch
+    refine[:, 1:] |= switch
+    cells = np.flatnonzero(refine.any(axis=0))
+    sub = np.geomspace(edges[cells], edges[cells + 1], 9, axis=1)  # (cell, 9)
+    subv = np.abs(op_abs(np.sqrt(sub[:, :-1] * sub[:, 1:]).ravel())).reshape(-1, 8)
+    subm = _cell_measures(sub.T, measure).T
+    sub_mass = ((subv[None] > thresholds[:, None, None]) * subm[None]).sum(axis=2)
+    coarse = np.where(above & ~refine, cellm, 0.0).sum(axis=1)
+    return coarse + np.where(refine[:, cells], sub_mass, 0.0).sum(axis=1)
 
 
 def weak11_profile(op_abs: Callable, input_mass: float, s_max: float,
@@ -253,9 +260,6 @@ class SchurReport:
     domain_radius: float
     row_sup: float
     col_sup: float
-    row_samples: np.ndarray = field(repr=False, default=None)
-    col_samples: np.ndarray = field(repr=False, default=None)
-    s_samples: np.ndarray = field(repr=False, default=None)
 
 
 def _radial_l1(batch_eval: Callable, s: float, R: float, breakpoints=(),
@@ -297,8 +301,7 @@ def schur_admissibility(row_eval: Callable, R_dom: float, n_samples: int = 16,
         rows[i] = _radial_l1(row_eval, s, R_dom, breakpoints=brk)
         cols[i] = _radial_l1(col_eval, s, R_dom, breakpoints=brk)
     return SchurReport(domain_radius=R_dom, row_sup=float(rows.max()),
-                       col_sup=float(cols.max()), row_samples=rows,
-                       col_samples=cols, s_samples=s_samples)
+                       col_sup=float(cols.max()))
 
 
 def schur_growth(row_eval: Callable, R_list, n_samples: int = 16,

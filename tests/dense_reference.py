@@ -5,6 +5,11 @@ ball grid, assembled from all pairwise node distances, with the
 expansion algebra run on those matrices.  The package works on
 per-mode blocks instead; the tests compare the two on small grids.
 
+Batched adaptive quadrature: ``apply_W``, ``phi_radial``, ``tg_abs`` and
+``level_set_masses`` are the per-point routes, one scalar adaptive call
+per s, per (a0, d) and per cell piece, and one level-set pass per
+threshold; the package runs each as one batched call.
+
 Kernel integrals: ``psi_gate_batch`` evaluates the gated Psi with all
 four exponentials on the full (rho, lambda) table, and
 ``tg_abs_far_batch`` sums the far-field Phi over every (d, rho) node;
@@ -32,6 +37,7 @@ import numpy as np
 from waveop_lab.kernels import ktilde_radial, psi2_radial
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
 from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
+from waveop_lab.singular import _cell_measures
 from waveop_lab.specfun import Branch, SmoothStep, eval_F, eval_F_diff
 
 
@@ -232,6 +238,70 @@ def tg_abs_far_batch(op, s_values, R: float, n_rho: int = 48) -> np.ndarray:
         phi = (capw * core).sum(axis=-1)
         out[i] = ((phi @ op.w2) * op.w1).sum()
     return out / (2.0 * np.sqrt(2.0) * np.pi * op.pot.normV_L1 ** 2)
+
+
+def apply_W(profile, s_values, rel_tol: float = 1e-10) -> np.ndarray:
+    """singular.apply_W with one scalar adaptive call per s and piece."""
+    lo, hi = profile.support
+    out = np.zeros(len(s_values))
+    for i, s in enumerate(s_values):
+        for a, b in ((lo, min(hi, s - 1.0)), (max(lo, s + 1.0), hi)):
+            if b > a:
+                val, _ = integrate_adaptive(
+                    lambda r: profile.fn(r) * r ** 2 / (4.0 * s ** 2 * (s - r)),
+                    a, b, rel_tol=rel_tol, abs_tol=1e-16)
+                out[i] += float(val.real)
+    return out
+
+
+def phi_radial(a0: float, d: float, R: float, rel_tol: float = 1e-9) -> float:
+    """experiments.phi_radial at one (a0, d), one scalar adaptive call per
+    piece of the gate."""
+    top = R + d
+
+    def integrand(rho):
+        return (cap_area(rho, d, R) * a0 /
+                ((a0 - rho) * (a0 + rho) * (a0 ** 2 + rho ** 2)))
+
+    total = 0.0
+    for a, b in ((0.0, min(top, a0 - 1.0)), (a0 + 1.0, top)):
+        if b > a:
+            brk = [p for p in (abs(R - d), R, R + d) if a < p < b]
+            val, _ = integrate_adaptive(integrand, a, b, rel_tol=rel_tol,
+                                        abs_tol=1e-15, breakpoints=brk)
+            total += float(val.real)
+    return total
+
+
+def tg_abs(op, s: float, R: float, rel_tol: float = 1e-8) -> float:
+    """CounterexampleOperator.tg_abs with Phi taken one (a0, d) at a time."""
+    a0 = op.a0_grid(s)
+    phi = np.empty_like(a0)
+    for (i, j), a in np.ndenumerate(a0):
+        vals = [phi_radial(float(a), float(dk), R, rel_tol) for dk in op.d]
+        phi[i, j] = float(np.dot(op.w2, vals))
+    return float((op.w1 * phi).sum()) / (2.0 * np.sqrt(2.0) * np.pi * op.pot.normV_L1 ** 2)
+
+
+def level_set_masses(op_abs, thresholds, s_min: float, s_max: float,
+                     n_cells: int = 4096, measure: str = "omega") -> np.ndarray:
+    """singular.level_set_masses one threshold, and one switching cell, at a time."""
+    edges = np.geomspace(s_min, s_max, n_cells + 1)
+    vals = np.abs(op_abs(np.sqrt(edges[:-1] * edges[1:])))
+    cellm = _cell_measures(edges, measure)
+    masses = np.empty(len(thresholds))
+    for k, lam in enumerate(thresholds):
+        above = vals > lam
+        m = float(cellm[above].sum())
+        switch = np.nonzero(above[:-1] != above[1:])[0]
+        for c in np.unique(np.concatenate([switch, switch + 1])):
+            sub = np.geomspace(edges[c], edges[c + 1], 9)
+            subv = np.abs(op_abs(np.sqrt(sub[:-1] * sub[1:]))) > lam
+            m += float(_cell_measures(sub, measure)[subv].sum())
+            if above[c]:
+                m -= float(cellm[c])
+        masses[k] = m
+    return masses
 
 
 def psi_radial(sz: float, sw: float, cutoff) -> complex:

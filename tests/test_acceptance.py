@@ -48,7 +48,7 @@ def test_criterion_04_projection_gain(ctx):
 
 
 def test_criterion_05_kernel_envelopes(ctx):
-    _finish(xp.check_kernel_bounds(ctx), 600.0)
+    _finish(xp.check_kernel_bounds(ctx), 4.0)
 
 
 def test_criterion_06_kp_leading_agreement(ctx):
@@ -60,7 +60,7 @@ def test_criterion_07_k3_envelope(ctx):
 
 
 def test_criterion_08a_weak11(ctx):
-    _finish(xp.check_weak11(ctx), 120.0)
+    _finish(xp.check_weak11(ctx), 6.0)
 
 
 def test_criterion_08b_hormander(ctx):
@@ -73,7 +73,7 @@ def linf_result(ctx):
 
 
 def test_criterion_09_counterexample_linf(linf_result):
-    _finish(linf_result, 180.0)
+    _finish(linf_result, 5.0)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -55,10 +55,23 @@ def test_bad_schur_config(tmp_path, capsys, schur):
     {"potential": {"shape": "polynomial_decay", "mu": 3.0}},
     {"potential": {"mu": "12"}},
     {"expansion_potential": {"amplitude": "-4"}},
+    {"lambda0": "abc"},
+    {"seed": "x"},
+    {"weak11": {"centers": [2.0], "widths": [0.0]}},
+    {"weak11": {"centers": []}},
+    {"weak11": {"n_thresholds": 0}},
+    {"weak11": {"n_thresholds": 2.5}},
+    {"weak11": {"decades": 0.0}},
+    {"counterexample": {"R_list": [10.0]}},
+    {"counterexample": {"R_list": [30.0, 10.0]}},
+    {"counterexample": {"R_list": [-10.0, 30.0]}},
+    {"counterexample": {"mc_samples": 0}},
 ], ids=["negative-R0", "unknown-shape", "string-R0", "expansion-R0",
         "expansion-amplitude", "rep-grid-count", "rep-grid-axes", "scalar-grid",
         "string-grid", "fractional-rep-grid", "decay-mu-3", "string-mu",
-        "string-amplitude"])
+        "string-amplitude", "string-lambda0", "string-seed", "zero-width",
+        "no-centers", "no-thresholds", "fractional-thresholds", "zero-decades",
+        "one-radius", "decreasing-radii", "negative-radius", "no-mc-samples"])
 def test_bad_config_at_load(tmp_path, capsys, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))

@@ -19,6 +19,30 @@ def test_phi_closed_form_oracle():
     assert xp.phi_radial(a0, 0.0, R) == pytest.approx(exact, rel=1e-8)
 
 
+@pytest.mark.parametrize("R", [10.0, 30.0])
+def test_phi_batch_matches_per_point(R):
+    d = np.array([0.0, 1e-14, 1e-9, 0.3, 0.8, 1.0])
+    # a0 <= 1; a0 +- 1 on the breakpoints R - d, R and R + d (the gate
+    # edges at d = 0.3, 0.8, 1); a0 - 1 inside the cap piece [R - d, R + d]
+    # (R + 0.3 at d = 0.8); the x* band midpoint R + 2 R0 + 1.5 + R0
+    edges = np.array([0.0, 0.2, 0.7, 1.0, 1.3, 1.8, 2.0])
+    a0 = np.concatenate([[0.5, 1.0, R + 0.3, R + 4.5], R - edges[1:], R + edges])
+    got = xp.phi_radial(a0[:, None], d[None, :], R)
+    want = np.array([[dense.phi_radial(a, dd, R) for dd in d] for a in a0])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # R broadcasts with a0 and d
+    both = xp.phi_radial(R + 4.5, 0.8, np.array([R, 2.0 * R]))
+    assert both[0] == pytest.approx(dense.phi_radial(R + 4.5, 0.8, R), rel=1e-12)
+
+
+def test_tg_abs_batch_matches_per_point(small_pot):
+    op = xp.CounterexampleOperator(small_pot, n_r1=5, n_mu=6)
+    for R in (10.0, 30.0):
+        s = R + 2.0 * small_pot.radius + 1.5
+        assert op.tg_abs(s, R) == pytest.approx(dense.tg_abs(op, s, R), rel=1e-12)
+
+
 def test_phi_dominates_chain_bound():
     R, R0 = 100.0, 1.0
     for a0 in (103.0, 103.5, 104.5):

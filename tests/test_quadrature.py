@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from waveop_lab.errors import AccuracyError, InvalidInputError
-from waveop_lab.quadrature import ball_grid, cap_area, gauss_rule, integrate_adaptive
+from waveop_lab.quadrature import (ball_grid, cap_area, gauss_rule, integrate_adaptive,
+                                   integrate_batch)
 from waveop_lab.singular import _cell_measures
 
 
@@ -38,9 +39,78 @@ def test_accuracy_error_carries_best_estimate():
     assert exc.value.err_est > 0
 
 
+# (integrand, a, b, breakpoints): scales from 1e-6 to 1e6, so one
+# tolerance shared by all problems would under-resolve the small ones
+PROBLEMS = [
+    (lambda x: 1e6 * np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, (0.3,)),
+    (lambda x: 1e-3 * np.abs(x - 0.7) ** 1.5, 0.0, 1.0, (0.7, 0.7)),
+    (lambda x: 1e-6 * x ** 3, 0.0, 2.0, ()),
+    (lambda x: np.exp(-x) * np.cos(5.0 * x), 0.0, 30.0, (4.0, 40.0)),
+    (lambda x: np.log(np.abs(x - 1.5)), 1.0, 3.0, (1.5, 2.5)),
+]
+
+
+def _batched(fns, calls=None):
+    def f(k, x):
+        if calls is not None:
+            calls.append(set(np.unique(k).tolist()))
+        out = np.empty(x.shape, dtype=np.result_type(*(g(x[:1]) for g in fns)))
+        for j, g in enumerate(fns):
+            out[k == j] = g(x[k == j])
+        return out
+    return f
+
+
+def _padded(brks):
+    width = max(len(b) for b in brks)
+    return np.array([list(b) + [np.nan] * (width - len(b)) for b in brks])
+
+
+def test_batch_matches_one_problem_calls():
+    fns, a, b, brks = zip(*PROBLEMS)
+    calls = []
+    vals, errs = integrate_batch(_batched(fns, calls), a, b, breakpoints=_padded(brks))
+    for j, (g, lo, hi, brk) in enumerate(PROBLEMS):
+        val, err = integrate_adaptive(g, lo, hi, breakpoints=brk)
+        assert abs(vals[j] - val) <= 1e-12 * abs(val)
+        assert errs[j] == pytest.approx(err, rel=1e-9)
+    # the problems converge in different rounds, and a converged one is
+    # not evaluated again
+    rounds = [sum(j in ks for ks in calls) for j in range(len(fns))]
+    assert len(set(rounds)) > 2
+    for j, n in enumerate(rounds):
+        assert all(j in ks for ks in calls[:n])
+
+
+def test_batch_oscillatory_with_freq():
+    omega = np.array([50.0, 200.0, 1000.0])
+    fns = [lambda x, w=w: np.exp(1j * w * x) for w in omega]
+    vals, _ = integrate_batch(_batched(fns), np.zeros(3), np.full(3, 10.0),
+                              rel_tol=1e-11, freq=omega)
+    for j, w in enumerate(omega):
+        val, _ = integrate_adaptive(fns[j], 0.0, 10.0, rel_tol=1e-11, freq=w)
+        assert abs(vals[j] - val) <= 1e-12 * abs(val)
+        assert abs(vals[j] - (np.exp(10j * w) - 1.0) / (1j * w)) <= 1e-9
+
+
+def test_batch_accuracy_error_names_stalled_problem():
+    slow = lambda s: np.exp(1j * 5e4 * s)
+    fns = [lambda s: np.exp(-s) + 0j, slow, lambda s: s + 0j]
+    with pytest.raises(AccuracyError) as exc:
+        integrate_batch(_batched(fns), [0.0, 0.0, 0.0], [1.0, 10.0, 1.0],
+                        rel_tol=1e-12, max_panels=8)
+    with pytest.raises(AccuracyError) as one:
+        integrate_adaptive(slow, 0.0, 10.0, rel_tol=1e-12, max_panels=8)
+    assert "problem 1" in str(exc.value)
+    assert exc.value.best == pytest.approx(one.value.best, rel=1e-12)
+    assert exc.value.err_est == pytest.approx(one.value.err_est, rel=1e-12)
+
+
 def test_empty_interval_rejected():
     with pytest.raises(InvalidInputError):
         integrate_adaptive(lambda s: s, 1.0, 1.0)
+    with pytest.raises(InvalidInputError, match="problem 1"):
+        integrate_batch(lambda k, s: s, [0.0, 1.0], [1.0, 1.0])
 
 
 def test_gauss_rule_unit_density():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from waveop_lab import singular as sg
 from waveop_lab.errors import InvalidInputError, SingularityError
 from waveop_lab.quadrature import ball_grid, cap_area, integrate_adaptive
@@ -124,6 +125,37 @@ def test_apply_w_indicator_far_field():
     fit = fit_loglog(svals, w)
     assert abs(fit.slope + 3.0) < 0.06
     assert w[-1] * 4 * svals[-1] ** 3 == pytest.approx(7.0 / 3.0, rel=0.01)
+
+
+@pytest.mark.parametrize("center,width", [(2.0, 1.0), (5.0, 0.25), (10.0, 0.0625)])
+def test_apply_w_batch_matches_per_s(center, width):
+    prof = sg.smooth_bump_profile(center, width)
+    lo, hi = prof.support
+    # s < 1; s around each support edge, where one piece or both are
+    # empty; the center; far out
+    s = np.concatenate([[0.05, 0.5, 0.99], lo + np.array([-1.0, -0.3, 0.0, 0.4, 1.0]),
+                        hi + np.array([-1.0, -0.4, 0.0, 0.3, 1.0]),
+                        [center, center + 1.5, 3.0 * center + 40.0]])
+    s = s[s > 0]
+    got = sg.apply_W(prof, s)
+    want = dense.apply_W(prof, s)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert sg.apply_W(prof, s[-1]) == pytest.approx(want[-1], rel=1e-12)
+    with pytest.raises(InvalidInputError):
+        sg.apply_W(prof, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("measure", ["omega", "lebesgue3d"])
+def test_level_set_masses_match_per_threshold(measure):
+    prof = sg.smooth_bump_profile(3.5, 0.5)
+    ops = [lambda s: np.abs(sg.apply_W(prof, s)),
+           lambda s: np.abs(np.sin(3.0 * s)) / (1.0 + s)]
+    for op in ops:
+        vmax = np.max(op(np.geomspace(1e-3, 40.0, 512)))
+        lam = np.geomspace(0.95 * vmax, 1e-4 * vmax, 12)
+        got = sg.level_set_masses(op, lam, 1e-3, 40.0, n_cells=256, measure=measure)
+        want = dense.level_set_masses(op, lam, 1e-3, 40.0, n_cells=256, measure=measure)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 def test_w_matches_3d_model_operator(cutoff):
