@@ -12,8 +12,13 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, InvalidInputError
 from .potential import PotentialSpec
+
+# smallest |x| and |y| that k3-bound samples
+K3_RADIUS_MIN = 0.3
 
 
 @dataclass
@@ -161,6 +166,26 @@ def validate(cfg: Config) -> None:
                       ("counterexample mc_samples", cfg.counterexample["mc_samples"])):
         if not (_is_number(val) and float(val).is_integer() and val >= 1):
             raise ConfigError(f"{name} must be an integer >= 1")
+    _validate_k3(cfg)
+
+
+def _validate_k3(cfg: Config) -> None:
+    """k3-bound integrates on n_lambda log-spaced nodes from lambda_min to
+    lambda0 and fits each spot integrand on the nodes lambda <= lambda0/2."""
+    k3 = cfg.k3
+    for name, low in (("n_lambda", 2), ("n_pairs", 1), ("n_spot", 1)):
+        val = k3[name]
+        if not (_is_number(val) and float(val).is_integer() and val >= low):
+            raise ConfigError(f"k3 {name} must be an integer >= {low}")
+    lam_min = k3["lambda_min"]
+    if not (_is_number(lam_min) and 0 < lam_min < cfg.lambda0 / 2):
+        raise ConfigError("k3 lambda_min must satisfy 0 < lambda_min < lambda0/2")
+    nodes = np.exp(np.linspace(np.log(lam_min), np.log(cfg.lambda0), int(k3["n_lambda"])))
+    if np.count_nonzero(nodes <= cfg.lambda0 / 2) < 2:
+        raise ConfigError("k3 needs two lambda nodes at or below lambda0/2 for the slope fit")
+    for name in ("radius_max", "spot_radius"):
+        if not (_is_number(k3[name]) and k3[name] > K3_RADIUS_MIN):
+            raise ConfigError(f"k3 {name} must exceed the sampler's lower radius {K3_RADIUS_MIN}")
 
 
 def _is_number(val) -> bool:

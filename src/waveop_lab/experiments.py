@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels as kn
 from . import resolvent as rs
 from . import singular as sg
-from .config import Config
+from .config import K3_RADIUS_MIN, Config
 from .errors import InvalidInputError
 from .potential import Potential, PotentialSpec, build_potential
 from .quadrature import _leggauss, cap_area
@@ -598,12 +598,12 @@ def check_k3_bound(ctx: SuiteContext) -> CheckResult:
     k3 = kn.K3Evaluator(terms, ctx.cutoff, n_lambda=int(k3cfg["n_lambda"]),
                         lam_min=k3cfg["lambda_min"])
     n_pairs = int(k3cfg["n_pairs"])
-    pairs3 = sample_three_regime_pairs(rng, n_pairs, 0.3, k3cfg["radius_max"])
+    pairs3 = sample_three_regime_pairs(rng, n_pairs, K3_RADIUS_MIN, k3cfg["radius_max"])
     pairs = np.array([np.stack(p) for p in pairs3])
     spots = []
     for _ in range(int(k3cfg["n_spot"])):
-        sx = rng.uniform(0.3, k3cfg["spot_radius"])
-        sy = rng.uniform(0.3, k3cfg["spot_radius"])
+        sx = rng.uniform(K3_RADIUS_MIN, k3cfg["spot_radius"])
+        sy = rng.uniform(K3_RADIUS_MIN, k3cfg["spot_radius"])
         spots.append(np.stack([sx * _unit_vectors(rng, 1)[0], sy * _unit_vectors(rng, 1)[0]]))
     # one call for pairs and spots: each lambda node builds M(lambda)^-1 once
     all_vals, all_profs = k3.eval_pairs(

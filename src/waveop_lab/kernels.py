@@ -31,7 +31,7 @@ from .errors import InvalidInputError
 from .potential import Potential
 from .quadrature import gauss_rule, integrate_adaptive
 from .reports import BoundReport, SlopeFit, fit_loglog
-from .resolvent import ExpansionTerms, r0_diff_r, r0_kernel_r
+from .resolvent import ExpansionTerms, full_mode_index, r0_diff_r, r0_kernel_r
 from .specfun import Branch, Cutoff, eval_F, eval_F_diff
 
 # ----------------------------------------------------------------------
@@ -397,15 +397,17 @@ class K3Evaluator:
         pairs: array-like of shape (p, 2, 3).
         Returns (values (p,), profiles (p, n_lambda)).
 
-        Gamma3 comes as mode blocks, so the row and column vectors of
-        each pair are taken to azimuthal modes too (ifft for the rows,
-        fft for the columns) and contracted mode by mode.
+        Gamma3 comes as its distinct mode blocks, so the row and column
+        vectors of each pair are taken to azimuthal modes too (ifft for
+        the rows, fft for the columns) and contracted mode by mode, mode
+        m with block min(m, n_phi - m).
         """
         pairs = np.asarray(pairs, dtype=float)
         grid = self.pot.grid
         nodes = grid.nodes
         v = self.pot.v
         shape = (len(pairs), grid.size // grid.n_phi, grid.n_phi)
+        modes = full_mode_index(grid.n_phi)
         rx = np.linalg.norm(pairs[:, 0, None, :] - nodes[None, :, :], axis=-1)
         ry = np.linalg.norm(pairs[:, 1, None, :] - nodes[None, :, :], axis=-1)
 
@@ -414,7 +416,7 @@ class K3Evaluator:
             rows = r0_kernel_r(Branch.plus, lam, rx) * (grid.weights * v)[None, :]
             cols = r0_diff_r(lam, ry) * v[None, :]
             contr = np.einsum("pam,mab,pbm->p", np.fft.ifft(rows.reshape(shape), axis=-1),
-                              gamma, np.fft.fft(cols.reshape(shape), axis=-1),
+                              gamma[modes], np.fft.fft(cols.reshape(shape), axis=-1),
                               optimize=True)
             return lam ** 3 * self.cutoff(lam) * contr
 

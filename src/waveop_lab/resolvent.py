@@ -25,12 +25,27 @@ Matrix conventions: the algebra runs in the similarity-transformed
 are symmetric and the weighted L^2 norm is the plain Euclidean one.
 V is radial and the ball grid is uniform in phi, so every operator here
 commutes with the rotations of the grid about the z axis: it is
-block-circulant in the phi index.  It is stored as its mode stack, an
-array (n_phi, nb, nb) with nb = n_r * n_theta holding one block per
-azimuthal Fourier mode (``mode_stack``).  Sums, products and inverses
-act block by block, so ``@`` and ``np.linalg.inv`` work on the stacks
-as they would on the N x N matrices; the operator norm is the largest
-block norm and the Frobenius norm squared is the sum over blocks.
+block-circulant in the phi index, with one block per azimuthal Fourier
+mode m and nb = n_r * n_theta.  The grid is also symmetric under
+phi -> -phi, so the blocks of modes m and n_phi - m are equal.  An
+operator is stored as its half spectrum (``mode_stack``): the array
+(n_phi//2 + 1, nb, nb) of the distinct blocks, m = 0 ... n_phi//2.  The
+kernel is evaluated at the row azimuths j = 0 ... n_phi//2 only, and
+mode m is the real cosine sum
+
+    sum_j w_j cos(2 pi m j / n_phi) K[:, j, :],
+
+with w_j = 1 at j = 0 and, for even n_phi, at j = n_phi/2, and w_j = 2
+otherwise; these are also the multiplicities of the blocks in the full
+spectrum.  A real kernel gives real blocks: U, T, G1, P, Q, D0 and the
+QTQ blocks are real, so the expansion algebra runs in real arithmetic
+and the complex constants a, a1 enter only its final combinations.
+Sums, products and inverses act block by block, so ``@`` and
+``np.linalg.inv`` work on the stacks as they would on the N x N
+matrices; the operator norm is the largest block norm, and the
+Frobenius norm squared is the sum over blocks weighted by their
+multiplicities.  Consumers that need every mode (``mode_apply``,
+``K3Evaluator.eval_pairs``) read mode m from block min(m, n_phi - m).
 """
 
 from __future__ import annotations
@@ -68,25 +83,48 @@ def r0_diff_r(lam: float, r):
 # Azimuthal mode stacks
 # ----------------------------------------------------------------------
 
+def mode_multiplicity(n_phi: int) -> np.ndarray:
+    """How often each block of a half spectrum occurs in the full one:
+    1 for m = 0 and, for even n_phi, for m = n_phi/2; 2 otherwise."""
+    mult = np.full(n_phi // 2 + 1, 2.0)
+    mult[0] = 1.0
+    if n_phi % 2 == 0:
+        mult[-1] = 1.0
+    return mult
+
+
 def mode_stack(grid: BallGrid, kernel) -> np.ndarray:
-    """Mode blocks (n_phi, nb, nb) of the operator with entries kernel(|x_i - x_j|).
+    """Distinct mode blocks (n_phi//2 + 1, nb, nb) of the operator with
+    entries kernel(|x_i - x_j|).
 
     The operator is block-circulant in the azimuth index, so its
-    columns at the phi = 0 nodes (an N x nb distance array) determine
-    it; an FFT over the row azimuth turns them into one block per mode.
+    columns at the phi = 0 nodes determine it, and the reflection
+    phi -> -phi makes the columns at row azimuths j and n_phi - j
+    equal.  So only the rows j = 0 ... n_phi//2 are evaluated, and a
+    real cosine table weighted by the multiplicities turns them into
+    the blocks of modes 0 ... n_phi//2.
     """
-    x = grid.nodes
-    nb = x.shape[0] // grid.n_phi
-    r = np.linalg.norm(x[:, None, :] - x[None, ::grid.n_phi, :], axis=-1)
-    cols = kernel(r).reshape(nb, grid.n_phi, nb)
-    return np.fft.fft(cols, axis=1).transpose(1, 0, 2)
+    n_phi = grid.n_phi
+    half = n_phi // 2 + 1
+    x = grid.nodes.reshape(-1, n_phi, 3)
+    r = np.linalg.norm(x[:, :half, None, :] - x[None, None, :, 0, :], axis=-1)
+    j = np.arange(half)
+    table = mode_multiplicity(n_phi) * np.cos(2.0 * np.pi * (np.outer(j, j) % n_phi) / n_phi)
+    return np.tensordot(table, kernel(r), axes=([1], [1]))
+
+
+def full_mode_index(n_phi: int) -> np.ndarray:
+    """Half-spectrum block index of every mode m = 0 ... n_phi - 1."""
+    m = np.arange(n_phi)
+    return np.minimum(m, n_phi - m)
 
 
 def mode_apply(stack: np.ndarray, f) -> np.ndarray:
     """The block-circulant operator of ``stack`` applied to grid values f."""
-    n_phi, nb, _ = stack.shape
-    fh = np.fft.fft(np.asarray(f).reshape(nb, n_phi), axis=1)
-    return np.fft.ifft(np.einsum("mbc,cm->bm", stack, fh), axis=1).reshape(-1)
+    nb = stack.shape[1]
+    fh = np.fft.fft(np.asarray(f).reshape(nb, -1), axis=1)
+    full = stack[full_mode_index(fh.shape[1])]
+    return np.fft.ifft(np.einsum("mbc,cm->bm", full, fh), axis=1).reshape(-1)
 
 
 def operator_norm(stack: np.ndarray) -> float:
@@ -113,7 +151,7 @@ def _vkv(pot: Potential, kernel) -> np.ndarray:
 
 def _u_diag(pot: Potential) -> np.ndarray:
     """U as a multiplication operator: the same diagonal block in every mode."""
-    return np.diag(_per_block(pot, pot.U).astype(complex))
+    return np.diag(_per_block(pot, pot.U))
 
 
 def m_tilde(pot: Potential, lam: float) -> np.ndarray:
@@ -153,7 +191,7 @@ class QSplit:
         H = np.eye(u.size) - 2.0 * np.outer(h, h)
         self.u = u
         self.basis = H[:, 1:]          # (nb, nb-1), columns orthonormal, span u-perp
-        self.P = np.zeros((pot.grid.n_phi, u.size, u.size))
+        self.P = np.zeros((pot.grid.n_phi // 2 + 1, u.size, u.size))
         self.P[0] = np.outer(u, u)
         self.Q = np.eye(u.size) - self.P
 
@@ -177,11 +215,13 @@ class RegularityReport:
 
 
 def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
+                          T: np.ndarray | None = None,
                           cond_limit: float = 1e12) -> RegularityReport:
     """Conditioning of QTQ on the Q-subspace (regular-point test), from
-    the exact singular values of its mode blocks."""
+    the exact singular values of its mode blocks.  ``T`` is the stack of
+    ``t_tilde(pot)`` when the caller has built it already."""
     qs = qsplit or QSplit(pot)
-    head, tail = qs.restrict(t_tilde(pot))
+    head, tail = qs.restrict(t_tilde(pot) if T is None else T)
     sv = np.concatenate([np.linalg.svd(head, compute_uv=False),
                          np.linalg.svd(tail, compute_uv=False).ravel()])
     smax, smin = sv.max(), sv.min()
@@ -239,12 +279,12 @@ class ExpansionTerms:
 def expansion_terms(pot: Potential, regularity: RegularityReport | None = None) -> ExpansionTerms:
     """Materialize D0, C1 (= QA10 + A01Q + Ptilde/a) and A2 on the grid."""
     qs = QSplit(pot)
-    reg = regularity or zero_regularity_check(pot, qs)
+    T = t_tilde(pot)
+    reg = regularity or zero_regularity_check(pot, qs, T)
     if not reg.invertible:
         raise RegularityError(
             f"QTQ is numerically singular (cond ~ {reg.condition_number:.3e}); "
             "zero is not a regular point on this grid")
-    T = t_tilde(pot)
     G1 = vg1v_tilde(pot)
     sigma = pot.normV_grid
     a = (1.0 + 1j) * sigma / (8.0 * np.pi)
@@ -268,7 +308,7 @@ def expansion_terms(pot: Potential, regularity: RegularityReport | None = None) 
 
     qa10 = (qs.Q - D0T + D0T2D0) / a - a1 * D0GD0
     a01q = -TD0 / a
-    ptilde = qs.P.astype(complex) / a
+    ptilde = qs.P / a
     C1 = qa10 + a01q + ptilde
 
     W1 = (c * c * (D0GD0 @ GD0)
@@ -331,7 +371,7 @@ def feshbach_consistency(terms: ExpansionTerms, lam: float) -> float:
 
     Inverts Mtime = (lambda/a) M(lambda) via E = (Mtime + Q)^{-1} and the
     Q-subspace operator Q - Q E Q, then compares with a direct inverse
-    (Frobenius, relative).
+    (Frobenius, relative; each block counted with its multiplicity).
     """
     qs = terms.qsplit
     mt = (lam / terms.a) * m_tilde(terms.pot, lam)
@@ -341,7 +381,12 @@ def feshbach_consistency(terms: ExpansionTerms, lam: float) -> float:
                           np.linalg.inv(np.eye(tail.shape[-1]) - tail))
     route = E + E @ inv_small @ E
     direct = np.linalg.inv(mt)
-    return float(np.linalg.norm(route - direct) / np.linalg.norm(direct))
+    mult = mode_multiplicity(terms.pot.grid.n_phi)
+
+    def frobenius(stack):
+        return np.sqrt(mult @ np.sum(np.abs(stack) ** 2, axis=(-2, -1)))
+
+    return float(frobenius(route - direct) / frobenius(direct))
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Resolvent layer: every operator here is the whole N x N matrix on the
 ball grid, assembled from all pairwise node distances, with the
-expansion algebra run on those matrices.  The package works on
-per-mode blocks instead; the tests compare the two on small grids.
+expansion algebra run on those matrices.  The package works on the
+distinct per-mode blocks instead, built by a cosine table over half the
+azimuths; ``full_mode_stack`` is the FFT over all of them that gives
+every mode.  The tests compare the routes on small grids.
 
 Batched adaptive quadrature: ``apply_W``, ``phi_radial``, ``tg_abs`` and
 ``level_set_masses`` are the per-point routes, one scalar adaptive call
@@ -41,17 +43,30 @@ from waveop_lab.singular import _cell_measures
 from waveop_lab.specfun import Branch, SmoothStep, eval_F, eval_F_diff
 
 
-def to_dense(stack: np.ndarray) -> np.ndarray:
-    """The N x N matrix of a block-circulant operator given by its mode blocks.
+def full_mode_stack(grid, kernel) -> np.ndarray:
+    """All n_phi mode blocks (n_phi, nb, nb) of the operator with entries
+    kernel(|x_i - x_j|): an FFT over the row azimuth of its columns at
+    the phi = 0 nodes, with no use of the phi -> -phi symmetry."""
+    x = grid.nodes
+    nb = x.shape[0] // grid.n_phi
+    r = np.linalg.norm(x[:, None, :] - x[None, ::grid.n_phi, :], axis=-1)
+    cols = kernel(r).reshape(nb, grid.n_phi, nb)
+    return np.fft.fft(cols, axis=1).transpose(1, 0, 2)
+
+
+def to_dense(stack: np.ndarray, n_phi: int) -> np.ndarray:
+    """The N x N matrix of a block-circulant operator given by its
+    distinct mode blocks (n_phi//2 + 1, nb, nb).
 
     Node order is ((i_r, i_theta), i_phi) flattened, so the phi index
     runs fastest.
     """
-    n_phi, nb, _ = stack.shape
-    a = np.fft.ifft(stack, axis=0)              # a[d][b, c] = A[(b, d), (c, 0)]
-    j = np.arange(n_phi)
-    full = a[(j[:, None] - j[None, :]) % n_phi]  # [j, k, b, c]
-    return full.transpose(2, 0, 3, 1).reshape(n_phi * nb, n_phi * nb)
+    m = np.arange(n_phi)
+    full = stack[np.minimum(m, n_phi - m)]
+    nb = stack.shape[1]
+    a = np.fft.ifft(full, axis=0)               # a[d][b, c] = A[(b, d), (c, 0)]
+    blocks = a[(m[:, None] - m[None, :]) % n_phi]  # [j, k, b, c]
+    return blocks.transpose(2, 0, 3, 1).reshape(n_phi * nb, n_phi * nb)
 
 
 def pair_distances(grid) -> np.ndarray:

@@ -40,11 +40,11 @@ def test_criterion_02_specfun_envelopes(ctx):
 
 
 def test_criterion_03_resolvent_expansion(ctx):
-    _finish(xp.check_resolvent_expansion(ctx), 15.0)
+    _finish(xp.check_resolvent_expansion(ctx), 1.5)
 
 
 def test_criterion_04_projection_gain(ctx):
-    _finish(xp.check_projection_gain(ctx), 18.0)
+    _finish(xp.check_projection_gain(ctx), 6.5)
 
 
 def test_criterion_05_kernel_envelopes(ctx):
@@ -56,7 +56,7 @@ def test_criterion_06_kp_leading_agreement(ctx):
 
 
 def test_criterion_07_k3_envelope(ctx):
-    _finish(xp.check_k3_bound(ctx), 12.0)
+    _finish(xp.check_k3_bound(ctx), 2.0)
 
 
 def test_criterion_08a_weak11(ctx):

@@ -66,12 +66,25 @@ def test_bad_schur_config(tmp_path, capsys, schur):
     {"counterexample": {"R_list": [30.0, 10.0]}},
     {"counterexample": {"R_list": [-10.0, 30.0]}},
     {"counterexample": {"mc_samples": 0}},
+    {"k3": {"n_lambda": 1}},
+    {"k3": {"n_lambda": 2}},
+    {"k3": {"n_lambda": 12.5}},
+    {"k3": {"n_pairs": 0}},
+    {"k3": {"n_spot": 0}},
+    {"k3": {"lambda_min": 0.5}},
+    {"k3": {"lambda_min": 0.05}},
+    {"k3": {"lambda_min": 0.0}},
+    {"k3": {"radius_max": 0.3}},
+    {"k3": {"spot_radius": 0.2}},
 ], ids=["negative-R0", "unknown-shape", "string-R0", "expansion-R0",
         "expansion-amplitude", "rep-grid-count", "rep-grid-axes", "scalar-grid",
         "string-grid", "fractional-rep-grid", "decay-mu-3", "string-mu",
         "string-amplitude", "string-lambda0", "string-seed", "zero-width",
         "no-centers", "no-thresholds", "fractional-thresholds", "zero-decades",
-        "one-radius", "decreasing-radii", "negative-radius", "no-mc-samples"])
+        "one-radius", "decreasing-radii", "negative-radius", "no-mc-samples",
+        "k3-one-lambda", "k3-one-plateau-node", "k3-fractional-lambdas", "k3-no-pairs",
+        "k3-no-spots", "k3-lambda-min-above-plateau", "k3-lambda-min-at-plateau-edge",
+        "k3-zero-lambda-min", "k3-radius-max-at-sampler-floor", "k3-spot-radius-below-floor"])
 def test_bad_config_at_load(tmp_path, capsys, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))

@@ -178,7 +178,7 @@ def test_kp_leading_agreement_sweep(small_pot, cutoff, rng):
 
 def test_k3_zero_gamma_gives_zero(strong_terms, cutoff):
     k3 = kn.K3Evaluator(strong_terms, cutoff, n_lambda=6)
-    shape = strong_terms.D0.shape           # (n_phi, nb, nb) mode blocks
+    shape = strong_terms.D0.shape           # (n_phi//2 + 1, nb, nb) mode blocks
 
     class ZeroTerms:
         pot = strong_terms.pot

@@ -2,8 +2,12 @@
 
 The grids are small enough for whole N x N matrices; (6, 4, 7) has an
 odd number of azimuth nodes, where a reversed or shifted mode index
-would no longer cancel by symmetry.
+would no longer cancel by symmetry, and no self-paired mode n_phi/2.
 """
+
+import copy
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,12 +16,16 @@ import dense_reference as dense
 from waveop_lab import kernels as kn
 from waveop_lab import resolvent as rs
 from waveop_lab.potential import PotentialSpec, build_potential
+from waveop_lab.specfun import Branch
 
 TOL = 1e-10
 
 
 def _rel(stack_or_vec, ref):
-    got = dense.to_dense(stack_or_vec) if stack_or_vec.ndim == 3 else stack_or_vec
+    if stack_or_vec.ndim == 3:      # distinct blocks of size nb against N x N, N = nb * n_phi
+        got = dense.to_dense(stack_or_vec, ref.shape[0] // stack_or_vec.shape[1])
+    else:
+        got = stack_or_vec
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
@@ -25,6 +33,34 @@ def _rel(stack_or_vec, ref):
 def both(request):
     pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=request.param)
     return rs.expansion_terms(pot), dense.expansion_terms(pot)
+
+
+KERNELS = {"G0": lambda r: -r / (8.0 * np.pi),
+           "R0+": lambda r: rs.r0_kernel_r(Branch.plus, 0.05, r)}
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_half_stack_matches_full_spectrum(both, kernel):
+    grid = both[0].pot.grid
+    half = rs.mode_stack(grid, KERNELS[kernel])
+    full = dense.full_mode_stack(grid, KERNELS[kernel])
+    n_half = grid.n_phi // 2 + 1
+    assert half.shape == (n_half,) + full.shape[1:]
+    assert np.max(np.abs(half - full[:n_half])) <= TOL * np.max(np.abs(full))
+    # the reflection phi -> -phi: modes m and n_phi - m are the same block
+    m = np.arange(1, grid.n_phi)
+    assert np.max(np.abs(full[m] - full[grid.n_phi - m])) <= 1e-14 * np.max(np.abs(full))
+
+
+def test_real_kernels_give_real_blocks(both):
+    terms = both[0]
+    n_half = terms.pot.grid.n_phi // 2 + 1
+    for stack in (terms.T, terms.G1, terms.D0, terms.qsplit.Q):
+        assert stack.dtype == np.float64
+        assert stack.shape[0] == n_half
+    for blocks in terms.qsplit.restrict(terms.T):          # QTQ: mode-0 head, other modes
+        assert blocks.dtype == np.float64
+    assert np.iscomplexobj(rs.m_tilde(terms.pot, 0.05))
 
 
 @pytest.mark.parametrize("name", ["T", "G1", "D0", "C1", "A2", "qa10", "a01q", "ptilde"])
@@ -64,6 +100,24 @@ def test_feshbach_matches_dense(both):
     want = dense.feshbach_consistency(ref, 0.05)
     assert abs(got - want) <= TOL
     assert got < 1e-12
+
+
+def test_feshbach_counts_block_multiplicities(both):
+    """A Q that disagrees with its restriction in mode 1 (and so n_phi - 1)
+    puts a real gap between the block-inversion route and the direct
+    inverse; the relative Frobenius gap matches the dense one only when
+    every stored block counts as often as it occurs."""
+    terms, ref = both
+    bump = np.zeros_like(terms.qsplit.Q)
+    bump[1] = 0.1 * np.eye(bump.shape[-1])
+    qs = copy.copy(terms.qsplit)
+    qs.Q = terms.qsplit.Q + bump
+    ref_qs = copy.copy(ref.qsplit)
+    ref_qs.Q = ref.qsplit.Q + dense.to_dense(bump, terms.pot.grid.n_phi)
+    got = rs.feshbach_consistency(dataclasses.replace(terms, qsplit=qs), 0.05)
+    want = dense.feshbach_consistency(SimpleNamespace(**{**vars(ref), "qsplit": ref_qs}), 0.05)
+    assert want > 1e-3
+    assert abs(got - want) <= TOL * want
 
 
 def test_k3_values_match_dense(both, cutoff):

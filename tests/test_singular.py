@@ -65,13 +65,16 @@ def quartic_gate_transform(prof, sigma):
 
 def model_operator_abs(prof):
     """|T f|(s) for the gated model kernel s/(s^4 - r^4) and radial f:
-    4 pi times the r-integral of the kernel against f r^2."""
+    4 pi times the r-integral of the kernel against f r^2, for all s in
+    one batched quadrature."""
+    lo, hi = prof.support
 
     def op(s_values):
-        out = np.array([abs(4.0 * np.pi * outside(
-            lambda r: prof.fn(r) * r ** 2 * s / ((s - r) * (s + r) * (s ** 2 + r ** 2)),
-            prof.support, s - 1.0, s + 1.0, abs_tol=1e-16))
-            for s in np.atleast_1d(np.asarray(s_values, dtype=float))])
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        out = np.abs(4.0 * np.pi * sg.gated_integrals(
+            lambda k, r: prof.fn(r) * r ** 2 * s[k] / ((s[k] - r) * (s[k] + r)
+                                                       * (s[k] ** 2 + r ** 2)),
+            s, lo, hi, rel_tol=1e-9, abs_tol=1e-16))
         return out if out.size > 1 else float(out[0])
 
     return op
