@@ -6,7 +6,7 @@
 where <check> is one of the named checks or ``all``.  Each check maps
 to exactly one acceptance criterion and names it in its output line.
 Exit status: 0 when every executed check passes, 1 when a check fails
-(reports are still written), 2 on usage or configuration errors.
+or raises (reports are still written), 2 on usage or configuration errors.
 """
 
 from __future__ import annotations

@@ -159,13 +159,40 @@ def validate(cfg: Config) -> None:
     for name in ("centers", "widths"):
         if not _positive_numbers(cfg.weak11[name], 1):
             raise ConfigError(f"weak11 {name} must be a list of positive numbers")
-    if not (_is_number(cfg.weak11["decades"]) and cfg.weak11["decades"] > 0):
-        raise ConfigError("weak11 decades must be positive")
-    for name, val in (("schur n_samples", cfg.schur["n_samples"]),
-                      ("weak11 n_thresholds", cfg.weak11["n_thresholds"]),
-                      ("counterexample mc_samples", cfg.counterexample["mc_samples"])):
-        if not (_is_number(val) and float(val).is_integer() and val >= 1):
-            raise ConfigError(f"{name} must be an integer >= 1")
+    sw, hc, ce, k3 = cfg.sweeps, cfg.hormander, cfg.counterexample, cfg.k3
+    # kernel-bounds splits g11_pairs between the two branches; k3-bound
+    # fits a slope through its lambda nodes
+    for name, val, low in (("schur n_samples", cfg.schur["n_samples"], 1),
+                           ("weak11 n_thresholds", cfg.weak11["n_thresholds"], 1),
+                           ("counterexample mc_samples", ce["mc_samples"], 1),
+                           ("sweeps g11_pairs", sw["g11_pairs"], 2),
+                           ("sweeps ktp_pairs", sw["ktp_pairs"], 1),
+                           ("sweeps psi2_pairs", sw["psi2_pairs"], 1),
+                           ("sweeps kp_pairs", sw["kp_pairs"], 1),
+                           ("hormander n_triples", hc["n_triples"], 1),
+                           ("k3 n_lambda", k3["n_lambda"], 2), ("k3 n_pairs", k3["n_pairs"], 1),
+                           ("k3 n_spot", k3["n_spot"], 1)):
+        if not (_is_number(val) and float(val).is_integer() and val >= low):
+            raise ConfigError(f"{name} must be an integer >= {low}")
+    for name, val in (("weak11 decades", cfg.weak11["decades"]),
+                      ("weak11 quasi_bound", cfg.weak11["quasi_bound"]),
+                      ("hormander bound", hc["bound"])):
+        if not (_is_number(val) and val > 0):
+            raise ConfigError(f"{name} must be positive")
+    radii = [sw[k] for k in ("radius_min", "radius_max", "kp_radius_max")]
+    if not (all(map(_is_number, radii)) and 0 < radii[0] < min(radii[1:])):
+        raise ConfigError("sweeps radii must satisfy 0 < radius_min < radius_max, kp_radius_max")
+    for name in ("r_range", "delta_range"):
+        if not (_positive_numbers(hc[name], 2, increasing=True) and len(hc[name]) == 2):
+            raise ConfigError(f"hormander {name} must be two positive, increasing numbers")
+    # counterexample-l1 integrates the shell from 3 R0 + 2 out to l1_R_max
+    shell_start = 3.0 * cfg.potential["R0"] + 2.0
+    if not (_is_number(ce["l1_R_max"]) and ce["l1_R_max"] > shell_start):
+        raise ConfigError(f"counterexample l1_R_max must exceed 3 R0 + 2 = {shell_start:g}")
+    lo_hi = ce["slope_range"]
+    if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
+            and all(map(_is_number, lo_hi)) and lo_hi[0] < lo_hi[1]):
+        raise ConfigError("counterexample slope_range must be two numbers lo < hi")
     _validate_k3(cfg)
 
 
@@ -173,10 +200,6 @@ def _validate_k3(cfg: Config) -> None:
     """k3-bound integrates on n_lambda log-spaced nodes from lambda_min to
     lambda0 and fits each spot integrand on the nodes lambda <= lambda0/2."""
     k3 = cfg.k3
-    for name, low in (("n_lambda", 2), ("n_pairs", 1), ("n_spot", 1)):
-        val = k3[name]
-        if not (_is_number(val) and float(val).is_integer() and val >= low):
-            raise ConfigError(f"k3 {name} must be an integer >= {low}")
     lam_min = k3["lambda_min"]
     if not (_is_number(lam_min) and 0 < lam_min < cfg.lambda0 / 2):
         raise ConfigError("k3 lambda_min must satisfy 0 < lambda_min < lambda0/2")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,8 +342,8 @@ class SuiteContext:
         return np.geomspace(w["min"], w["max"], int(w["count"]))
 
 
-def _result(name, criterion, expected, measured, failures, t0, header=None, rows=None):
-    return CheckResult(name=name, criterion=criterion,
+def _result(name, expected, measured, failures, t0, header=None, rows=None):
+    return CheckResult(name=name, criterion=CRITERIA[name],
                        status="PASS" if not failures else "FAIL",
                        expected=expected, measured=measured, failures=failures,
                        runtime_s=round(time.perf_counter() - t0, 3),
@@ -378,7 +379,7 @@ def check_identities(ctx: SuiteContext) -> CheckResult:
     measured = {"decomposition_rel": rel_decomp, "adjoint_rel": rel_adj,
                 "cancellation_rel": rel_canc, "spot_residual": float(spot),
                 "n_points": n}
-    return _result("identities", 1, f"scale-relative residuals <= {tol:g} at 1e6 points",
+    return _result("identities", f"scale-relative residuals <= {tol:g} at 1e6 points",
                    measured, failures, t0)
 
 
@@ -403,7 +404,7 @@ def check_specfun_envelopes(ctx: SuiteContext) -> CheckResult:
                 failures.append(f"sup for {key} not finite")
             if change > stab_tol:
                 failures.append(f"sup for {key} unstable under doubling: {change:.3%}")
-    return _result("specfun-envelopes", 2,
+    return _result("specfun-envelopes",
                    f"weighted sups finite, stable within {stab_tol:.0%} under grid doubling",
                    measured, failures, t0,
                    header=("kind", "order", "sup", "arg_max", "interior", "doubling_change"),
@@ -439,7 +440,7 @@ def check_resolvent_expansion(ctx: SuiteContext) -> CheckResult:
                 "grid_size": terms.pot.grid.size}
     rows = [(float(l), float(n), float(na), float(np_)) for l, n, na, np_ in
             zip(lams, rep.norms, rep_a2.norms, rep_pt.norms)]
-    return _result("resolvent-expansion", 3,
+    return _result("resolvent-expansion",
                    "Gamma3 slope 3.0+-0.3 (R2>=0.98); ablations 2.0+-0.3 / 1.0+-0.3",
                    measured, failures, t0,
                    header=("lambda", "gamma3_norm", "norm_drop_a2", "norm_drop_ptilde"),
@@ -468,7 +469,7 @@ def check_projection_gain(ctx: SuiteContext) -> CheckResult:
                 "slope_projected": rep.fit_projected.slope,
                 "representation_errors": {f"{k:g}": v for k, v in rep.representation_errors.items()}}
     rows = list(zip(map(float, lams), map(float, rep.norm_plain), map(float, rep.norm_projected)))
-    return _result("projection-gain", 4,
+    return _result("projection-gain",
                    "slopes -1+-0.1 (plain) and 0+-0.15 (projected); representation <= 1e-6",
                    measured, failures, t0,
                    header=("lambda", "norm_plain", "norm_projected"), rows=rows)
@@ -477,13 +478,23 @@ def check_projection_gain(ctx: SuiteContext) -> CheckResult:
 _PAIR_HEADER = ("kernel", "x1", "x2", "x3", "y1", "y2", "y3", "re", "im", "envelope", "ratio")
 
 
-def _sweep_rows(name, samples, values, env):
-    rows = []
-    for (x, y), v in zip(samples, values):
-        e = float(env(x, y))
-        rows.append((name, *np.round(x, 6), *np.round(y, 6),
-                     float(np.real(v)), float(np.imag(v)), e, abs(v) / e))
-    return rows
+def _pair_rows(name, pairs, values, envs, ratios):
+    return [(name, *np.round(x, 6), *np.round(y, 6), float(np.real(v)), float(np.imag(v)), e, r)
+            for (x, y), v, e, r in zip(pairs, values, envs, ratios)]
+
+
+def _sweep(name, kernel, env, pairs, stab_tol):
+    """One bound-ratio sweep: its report, measured entry, CSV rows and failures."""
+    rep = kn.bound_ratio_sweep(name, kernel, env, pairs)
+    d = rep.details
+    stab = d["refine_rel_change_top"]
+    failures = []
+    if not np.isfinite(rep.sup_ratio):
+        failures.append(f"{name} sup not finite")
+    if stab > stab_tol:
+        failures.append(f"{name} unstable under refinement ({stab:.2%})")
+    rows = _pair_rows(name, pairs, d["values"], d["envelopes"], d["ratios"])
+    return rep, {"sup": rep.sup_ratio, "stability": stab}, rows, failures
 
 
 def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
@@ -493,42 +504,18 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
     stab_tol = cfg.tolerances["sweep_stability"]
     rng = cfg.rng_for("kernel-bounds")
     cut = ctx.cutoff
-    failures = []
-    measured = {}
-    rows = []
-
-    for branch, sign in ((Branch.plus, +1), (Branch.minus, -1)):
-        pairs = sample_three_regime_pairs(rng, int(sw["g11_pairs"]) // 2,
-                                          sw["radius_min"], sw["radius_max"])
-        fieldk = kn.KernelField(
-            name=f"G11{'+' if sign > 0 else '-'}",
-            radial=lambda s, t, refine=0, b=branch: kn.g_radial(1, 1, b, s, t, cut, refine))
-        env = kn.EnvelopeSpec("prop22_min", sign=sign)
-        repb = kn.bound_ratio_sweep(fieldk, env, pairs)
-        measured[fieldk.name] = {"sup": repb.sup_ratio,
-                                 "stability": repb.details["refine_rel_change_top"]}
-        rows += _sweep_rows(fieldk.name, pairs, repb.details["values"], env)
-        if not np.isfinite(repb.sup_ratio):
-            failures.append(f"{fieldk.name} sup not finite")
-        if repb.details["refine_rel_change_top"] > stab_tol:
-            failures.append(f"{fieldk.name} unstable under refinement "
-                            f"({repb.details['refine_rel_change_top']:.2%})")
-
+    sweeps = [(f"G11{'+' if sign > 0 else '-'}",
+               lambda s, t, refine, b=branch: kn.g_radial(1, 1, b, s, t, cut, refine),
+               kn.EnvelopeSpec("prop22_min", sign=sign),
+               sample_three_regime_pairs(rng, int(sw["g11_pairs"]) // 2,
+                                         sw["radius_min"], sw["radius_max"]))
+              for branch, sign in ((Branch.plus, +1), (Branch.minus, -1))]
     pairs = sample_three_regime_pairs(rng, int(sw["ktp_pairs"]),
                                       sw["radius_min"], sw["radius_max"])
-    fieldk = kn.KernelField("KtildeP",
-                            radial=lambda s, t, refine=0: kn.ktilde_radial(s, t, cut, refine))
-    env = kn.EnvelopeSpec("ktp_envelope")
-    repb = kn.bound_ratio_sweep(fieldk, env, pairs)
-    measured["KtildeP"] = {"sup": repb.sup_ratio,
-                           "stability": repb.details["refine_rel_change_top"]}
-    rows += _sweep_rows("KtildeP", pairs, repb.details["values"], env)
-    if repb.details["refine_rel_change_top"] > stab_tol:
-        failures.append("KtildeP unstable under refinement")
-
-    n_psi = int(sw["psi2_pairs"])
+    sweeps.append(("KtildeP", lambda s, t, refine: kn.ktilde_radial(s, t, cut, refine),
+                   kn.EnvelopeSpec("ktp_envelope"), pairs))
     psi_pairs = []
-    for i in range(n_psi):
+    for i in range(int(sw["psi2_pairs"])):
         if i % 2 == 0:
             szv = np.exp(rng.uniform(np.log(1.6), np.log(sw["radius_max"])))
             swv = rng.uniform(0.01, 0.5)
@@ -536,20 +523,18 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
             szv = np.exp(rng.uniform(np.log(sw["radius_min"]), np.log(sw["radius_max"])))
             swv = np.exp(rng.uniform(np.log(sw["radius_min"]), np.log(sw["radius_max"])))
         psi_pairs.append((szv * _unit_vectors(rng, 1)[0], swv * _unit_vectors(rng, 1)[0]))
-    fieldk = kn.KernelField("Psi2",
-                            radial=lambda s, t, refine=0: kn.psi2_radial(s, t, cut, refine))
-    env = kn.EnvelopeSpec("psi2_envelope", n=2)
-    repb = kn.bound_ratio_sweep(fieldk, env, psi_pairs)
-    measured["Psi2"] = {"sup": repb.sup_ratio,
-                        "stability": repb.details["refine_rel_change_top"]}
-    rows += _sweep_rows("Psi2", psi_pairs, repb.details["values"], env)
-    if repb.details["refine_rel_change_top"] > stab_tol:
-        failures.append("Psi2 unstable under refinement")
+    sweeps.append(("Psi2", lambda s, t, refine: kn.psi2_radial(s, t, cut, refine),
+                   kn.EnvelopeSpec("psi2_envelope", n=2), psi_pairs))
 
-    for key in measured:
-        if not np.isfinite(measured[key]["sup"]):
-            failures.append(f"{key} sup not finite")
-    return _result("kernel-bounds", 5,
+    failures = []
+    measured = {}
+    rows = []
+    for name, kernel, env, pairs in sweeps:
+        _, measured[name], sweep_rows, sweep_failures = _sweep(name, kernel, env, pairs,
+                                                               stab_tol)
+        rows += sweep_rows
+        failures += sweep_failures
+    return _result("kernel-bounds",
                    f"sup ratios finite and refinement-stable (<{stab_tol:.0%})",
                    measured, failures, t0, header=_PAIR_HEADER, rows=rows)
 
@@ -558,33 +543,15 @@ def check_kp_compare(ctx: SuiteContext) -> CheckResult:
     t0 = time.perf_counter()
     cfg = ctx.cfg
     sw = cfg.sweeps
-    stab_tol = cfg.tolerances["sweep_stability"]
     rng = cfg.rng_for("kp-compare")
-    pot = ctx.potential()
-    cut = ctx.cutoff
-    kp = kn.KPDirect(pot, cut)
-    env = kn.EnvelopeSpec("prop22_base")
+    kp = kn.KPDirect(ctx.potential(), ctx.cutoff)
     pairs = sample_three_regime_pairs(rng, int(sw["kp_pairs"]),
                                       sw["radius_min"], sw["kp_radius_max"])
-
-    def diff_field(x, y, refine=0):
-        sx, sy = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-        return kp.direct_radial(sx, sy, refine) - kp.leading_radial(sx, sy)[0]
-
-    fieldk = kn.KernelField("KP_direct_minus_leading", evaluator=diff_field)
-    repb = kn.bound_ratio_sweep(fieldk, env, pairs)
-    rows = _sweep_rows("KP_diff", pairs, repb.details["values"], env)
-    failures = []
-    if not np.isfinite(repb.sup_ratio):
-        failures.append("sup not finite")
-    if repb.details["refine_rel_change_top"] > stab_tol:
-        failures.append(f"unstable under refinement "
-                        f"({repb.details['refine_rel_change_top']:.2%})")
-    measured = {"sup": repb.sup_ratio,
-                "stability": repb.details["refine_rel_change_top"],
-                "arg_max_radii": [float(np.linalg.norm(repb.arg_max[0])),
-                                  float(np.linalg.norm(repb.arg_max[1]))]}
-    return _result("kp-compare", 6,
+    repb, measured, rows, failures = _sweep(
+        "KP_diff", lambda s, t, refine: kp.direct_radial(s, t, refine) - kp.leading_radial(s, t),
+        kn.EnvelopeSpec("prop22_base"), pairs, cfg.tolerances["sweep_stability"])
+    measured["arg_max_radii"] = [float(np.linalg.norm(v)) for v in repb.arg_max]
+    return _result("kp-compare",
                    "|KP_direct - leading| / base envelope bounded and stable",
                    measured, failures, t0, header=_PAIR_HEADER, rows=rows)
 
@@ -609,8 +576,8 @@ def check_k3_bound(ctx: SuiteContext) -> CheckResult:
     all_vals, all_profs = k3.eval_pairs(
         np.concatenate([pairs, np.reshape(spots, (-1, 2, 3))]))
     vals, spot_profs = all_vals[:n_pairs], all_profs[n_pairs:]
-    env = kn.EnvelopeSpec("k3_envelope")
-    ratios = np.array([abs(v) / float(env(p[0], p[1])) for v, p in zip(vals, pairs)])
+    envs = kn.EnvelopeSpec("k3_envelope")(pairs[:, 0], pairs[:, 1])
+    ratios = np.hypot(vals.real, vals.imag) / envs
     slopes = [k3.integrand_slope(p).slope for p in spot_profs]
     failures = []
     if not np.all(np.isfinite(ratios)):
@@ -620,10 +587,8 @@ def check_k3_bound(ctx: SuiteContext) -> CheckResult:
             failures.append(f"integrand slope {sl:.3f} outside 4.0+-0.3")
     measured = {"sup_ratio": float(ratios.max()), "slopes": slopes,
                 "n_lambda": int(k3cfg["n_lambda"])}
-    rows = [("K3", *np.round(p[0], 6), *np.round(p[1], 6),
-             float(v.real), float(v.imag), float(env(p[0], p[1])), float(rr))
-            for p, v, rr in zip(pairs, vals, ratios)]
-    return _result("k3-bound", 7,
+    rows = _pair_rows("K3", pairs, vals, envs, ratios)
+    return _result("k3-bound",
                    "|K3| / <x>^-1<y>^-1<|x|-|y|>^-5/2 bounded; integrand slope 4+-0.3",
                    measured, failures, t0, header=_PAIR_HEADER, rows=rows)
 
@@ -680,7 +645,7 @@ def check_weak11(ctx: SuiteContext) -> CheckResult:
         rows.append(("bracket_cubed_decay", "<x>^-3", float(lam), float(m), float(lam * m)))
     measured = {"family_sup_ratio": sup_ratio, "homogeneity_gap": hom,
                 "levelset_rel": rel, "n_members": len(ratios)}
-    return _result("weak11", 8,
+    return _result("weak11",
                    f"bump-family quasi-norms bounded; <x>^-3 level sets within {tol:.0%}",
                    measured, failures, t0,
                    header=("operator", "input_id", "lambda", "mass", "lambda_mass"),
@@ -709,7 +674,7 @@ def check_hormander(ctx: SuiteContext) -> CheckResult:
         failures.append(f"spot value {spot:.3f} > 6")
     measured = {"max_over_triples": worst, "spot_10_10.4_0.5": spot,
                 "n_triples": int(hc["n_triples"])}
-    return _result("hormander", 8,
+    return _result("hormander",
                    f"kernel smoothness modulus <= {hc['bound']} over random triples",
                    measured, failures, t0,
                    header=("r", "r_bar", "delta", "value"), rows=rows)
@@ -736,7 +701,7 @@ def check_schur(ctx: SuiteContext) -> CheckResult:
             f"({row_growth:.2%}, {col_growth:.2%})")
     measured = {"row_sups": [r[1] for r in rows], "col_sups": [r[2] for r in rows],
                 "last_doubling_growth": [row_growth, col_growth]}
-    return _result("schur", 10,
+    return _result("schur",
                    f"Psi row/col L1 integrals stabilize in the domain radius "
                    f"(< {sc['stabilization_rel']:.0%} per doubling)",
                    measured, failures, t0,
@@ -776,7 +741,7 @@ def check_counterexample_linf(ctx: SuiteContext) -> CheckResult:
             for R, sr, v, b, ok, reg in zip(run.R_list, run.x_star_radii, run.values,
                                             run.lower_bounds, run.bound_satisfied,
                                             run.asymptotic_regime)]
-    return _result("counterexample-linf", 9,
+    return _result("counterexample-linf",
                    "sup values >= (1/(4 sqrt 2)) log(1+(R-R0)/(2R0+1)) in regime; "
                    f"slope in [{lo}, {hi}]",
                    measured, failures, t0,
@@ -802,10 +767,16 @@ def check_counterexample_l1(ctx: SuiteContext) -> CheckResult:
     measured = {"slope_per_logR": rep.fit.slope, "r2": rep.fit.r_squared,
                 "shell_scaled_range": [rep.shell_scaled_min, rep.shell_scaled_max]}
     rows = list(zip(map(float, rep.R_values), map(float, rep.masses)))
-    return _result("counterexample-l1", 10,
+    return _result("counterexample-l1",
                    "shell mass of T_G f_1 grows linearly in log R (R^2 >= 0.98)",
                    measured, failures, t0, header=("R", "shell_mass"), rows=rows)
 
+
+# the acceptance criterion each check answers
+CRITERIA = {"identities": 1, "specfun-envelopes": 2, "resolvent-expansion": 3,
+            "projection-gain": 4, "kernel-bounds": 5, "kp-compare": 6, "k3-bound": 7,
+            "weak11": 8, "hormander": 8, "schur": 10, "counterexample-linf": 9,
+            "counterexample-l1": 10}
 
 CHECKS = {
     "identities": check_identities,
@@ -839,18 +810,33 @@ def _format_cell(v):
     return str(v)
 
 
+def _open_new(path: str):
+    """Open ``path`` as a new file: ext4 flushes a file truncated for a
+    rewrite when it is closed (auto_da_alloc), and report.json is rewritten."""
+    if os.path.exists(path):
+        os.remove(path)
+    return open(path, "w", newline="")
+
+
 def write_csv(path: str, header, rows) -> None:
     import csv
-    with open(path, "w", newline="") as fh:
+    with _open_new(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in sorted(rows, key=lambda r: tuple(str(x) for x in r)):
             w.writerow([_format_cell(v) for v in row])
 
 
+_REPORT_FIELDS = ("criterion", "status", "expected", "measured", "failures")
+
+
 def run_suite(cfg: Config, names=None, out_dir: str | None = None,
               progress=None) -> SuiteReport:
-    """Execute the named checks (all by default) and write reports."""
+    """Execute the named checks (all by default) and write reports.
+
+    A check that raises is recorded as ERROR and the others still run;
+    report.json is rewritten after each check, so it keeps every result.
+    """
     names = list(names or CHECKS.keys())
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -860,27 +846,24 @@ def run_suite(cfg: Config, names=None, out_dir: str | None = None,
     os.makedirs(out, exist_ok=True)
     results = []
     for name in names:
-        res = CHECKS[name](ctx)
+        t0 = time.perf_counter()
+        try:
+            res = CHECKS[name](ctx)
+        except Exception as exc:  # one crash must not lose the other reports
+            traceback.print_exc()
+            res = CheckResult(name=name, criterion=CRITERIA[name], status="ERROR",
+                              expected="check raised", failures=[f"{type(exc).__name__}: {exc}"],
+                              runtime_s=round(time.perf_counter() - t0, 3))
         results.append(res)
         if progress:
             progress(res)
         if res.csv_rows is not None:
             write_csv(os.path.join(out, f"{name}.csv"), res.csv_header, res.csv_rows)
-    report = {
-        "checks": {
-            r.name: {
-                "criterion": r.criterion,
-                "status": r.status,
-                "expected": r.expected,
-                "measured": r.measured,
-                "failures": r.failures,
-            } for r in results},
-        "all_pass": all(r.passed for r in results),
-        "seed": cfg.seed,
-    }
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
-    with open(os.path.join(out, "run_meta.json"), "w") as fh:
+        report = {"checks": {r.name: {k: getattr(r, k) for k in _REPORT_FIELDS} for r in results},
+                  "all_pass": all(r.passed for r in results), "seed": cfg.seed}
+        with _open_new(os.path.join(out, "report.json")) as fh:
+            json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+    with _open_new(os.path.join(out, "run_meta.json")) as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                    "runtimes": {r.name: r.runtime_s for r in results}}, fh, indent=2)
     return SuiteReport(results=results)

@@ -16,6 +16,10 @@ special functions F, A, B against free-resolvent factors:
 * ``K3Evaluator``    the cubic-remainder kernel K_3, contracted through
                      cached Gamma3(lambda) matrices.
 
+The adaptive kernels (``g_radial``, ``ktilde_radial``, ``psi2_radial``,
+``KPDirect.direct_radial``) take broadcastable arrays of radii and run
+every pair, under its own rule, in one batched Gauss-Kronrod call.
+
 Verification sweeps compare |kernel| against named envelope families
 (``EnvelopeSpec``) and report sup ratios with refinement stability.
 """
@@ -23,13 +27,14 @@ Verification sweeps compare |kernel| against named envelope families
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .potential import Potential
-from .quadrature import gauss_rule, integrate_adaptive
+from .quadrature import gauss_rule, integrate_batch
+# unused here, but perfbench/tracer.py rebinds it in every module that held it
+from .quadrature import integrate_adaptive  # noqa: F401
 from .reports import BoundReport, SlopeFit, fit_loglog
 from .resolvent import ExpansionTerms, full_mode_index, r0_diff_r, r0_kernel_r
 from .specfun import Branch, Cutoff, eval_F, eval_F_diff
@@ -49,7 +54,6 @@ class EnvelopeSpec:
 
     kinds:
       prop22_base   <x>^-1 <y>^-1 <|x|-|y|>^-2
-      prop22_delta  same with exponent 2 + delta
       prop22_min    min of <x>^-1<y>^-1<|x| (sign) |y|>^-2 and <|x| (sign) |y|>^-4
       k3_envelope   <x>^-1 <y>^-1 <|x|-|y|>^-(2 + delta)   (delta = 1/2)
       ktp_envelope  min{1, 1/|x|, 1/|y|, 1/(|x||y|)}
@@ -66,21 +70,14 @@ class EnvelopeSpec:
         t = np.asarray(t, dtype=float)
         if self.kind == "prop22_base":
             return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** 2)
-        if self.kind == "prop22_delta":
-            return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** (2.0 + self.delta))
         if self.kind == "prop22_min":
             u = s + self.sign * t
             return np.minimum(1.0 / (_jb(s) * _jb(t) * _jb(u) ** 2), _jb(u) ** -4.0)
         if self.kind == "k3_envelope":
             return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** (2.0 + self.delta))
         if self.kind == "ktp_envelope":
-            with np.errstate(divide="ignore"):
-                return np.minimum.reduce([
-                    np.ones_like(s * t),
-                    np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 1.0),
-                    np.where(t > 0, 1.0 / np.where(t > 0, t, 1.0), 1.0),
-                    np.where(s * t > 0, 1.0 / np.where(s * t > 0, s * t, 1.0), 1.0),
-                ])
+            # rounding is monotone, so this is the min of the four reciprocals
+            return 1.0 / np.maximum(np.maximum(1.0, s), np.maximum(t, s * t))
         if self.kind == "psi2_envelope":
             gate = np.abs(s - t) >= 1.0
             cases = np.where(gate & (s > 0) & (t > 0),
@@ -97,27 +94,6 @@ class EnvelopeSpec:
         return self.radial(s, t)
 
 
-@dataclass
-class KernelField:
-    """A pointwise kernel evaluator with metadata.
-
-    ``radial`` evaluates at radii (bi-radial kernels); ``evaluator``
-    takes points in R^3.  ``refine`` selects a tightened quadrature for
-    stability checks.
-    """
-
-    name: str
-    radial: Callable = None
-    evaluator: Callable = None
-
-    def at(self, x, y, refine: int = 0):
-        if self.evaluator is not None:
-            return self.evaluator(x, y, refine)
-        s = float(np.linalg.norm(x))
-        t = float(np.linalg.norm(y))
-        return self.radial(s, t, refine)
-
-
 # ----------------------------------------------------------------------
 # G_{alpha beta}
 # ----------------------------------------------------------------------
@@ -126,42 +102,54 @@ def _g_tols(refine):
     return (1e-9 / 100.0 ** refine, 1e-19)
 
 
-def g_radial(alpha: int, beta: int, branch: Branch, sx: float, sy: float,
-             cutoff: Cutoff, refine: int = 0) -> complex:
+def _radii(sx, sy):
+    """Flat float copies of the broadcast radii, and their common shape."""
+    sx, sy = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sy, dtype=float))
+    return sx.ravel(), sy.ravel(), sx.shape
+
+
+def _lambda_integrals(f, cutoff, rel_tol, abs_tol, freq):
+    """Problem k of ``f(k, lambda)`` over [0, lambda0], split at lambda0/2
+    where the cutoff starts to fall, for every phase hint freq[k]."""
+    lam0, n = cutoff.lambda0, freq.size
+    return integrate_batch(f, np.zeros(n), np.full(n, lam0), rel_tol=rel_tol, abs_tol=abs_tol,
+                           freq=freq, breakpoints=np.full((n, 1), lam0 / 2.0))[0]
+
+
+def g_radial(alpha: int, beta: int, branch: Branch, sx, sy, cutoff: Cutoff,
+             refine: int = 0):
     """G_{alpha beta} at radii (|X|, |Y|): cutoff integral of
     lambda^(5-alpha-beta) F^(alpha)(lambda|X|) F^(beta)(lambda|Y|)."""
     if alpha not in (0, 1) or beta not in (0, 1):
         raise InvalidInputError("alpha and beta must be 0 or 1")
     power = 5 - alpha - beta
     rel, floor = _g_tols(refine)
+    sx, sy, shape = _radii(sx, sy)
 
-    def integrand(lam):
+    def integrand(k, lam):
         return (lam ** power * cutoff(lam)
-                * eval_F(Branch.plus, lam * sx, alpha)
-                * eval_F(branch, lam * sy, beta))
+                * eval_F(Branch.plus, lam * sx[k], alpha)
+                * eval_F(branch, lam * sy[k], beta))
 
-    val, _ = integrate_adaptive(integrand, 0.0, cutoff.lambda0, rel_tol=rel,
-                                abs_tol=floor, freq=(sx + sy) * (1 + refine),
-                                breakpoints=(cutoff.lambda0 / 2.0,))
-    return val
+    return _lambda_integrals(integrand, cutoff, rel, floor,
+                             (sx + sy) * (1 + refine)).reshape(shape)[()]
 
 
 # ----------------------------------------------------------------------
 # KtildeP and Psi
 # ----------------------------------------------------------------------
 
-def ktilde_radial(sz: float, sw: float, cutoff: Cutoff, refine: int = 0) -> complex:
+def ktilde_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     """Core kernel: integral of chi(lambda) lambda^2 F(lambda sz) (F+ - F-)(lambda sw)."""
     rel, floor = _g_tols(refine)
+    sz, sw, shape = _radii(sz, sw)
 
-    def integrand(lam):
+    def integrand(k, lam):
         return (cutoff(lam) * lam ** 2
-                * eval_F(Branch.plus, lam * sz) * eval_F_diff(lam * sw))
+                * eval_F(Branch.plus, lam * sz[k]) * eval_F_diff(lam * sw[k]))
 
-    val, _ = integrate_adaptive(integrand, 0.0, cutoff.lambda0, rel_tol=rel,
-                                abs_tol=floor, freq=(sz + sw) * (1 + refine),
-                                breakpoints=(cutoff.lambda0 / 2.0,))
-    return val
+    return _lambda_integrals(integrand, cutoff, rel, floor,
+                             (sz + sw) * (1 + refine)).reshape(shape)[()]
 
 
 def cancellation_identity_lhs(sz, sw):
@@ -172,7 +160,7 @@ def cancellation_identity_lhs(sz, sw):
                                 + 1.0 / (sz + 1j * sw) - 1.0 / (sz - 1j * sw))
 
 
-def psi2_radial(sz: float, sw: float, cutoff: Cutoff, refine: int = 0) -> complex:
+def psi2_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     """Far-field remainder via the cutoff-derivative representation.
 
     Vanishes off the gate ||z|-|w|| >= 1.  On the gate it equals
@@ -183,30 +171,32 @@ def psi2_radial(sz: float, sw: float, cutoff: Cutoff, refine: int = 0) -> comple
     with L = lambda, z = sz, w = sw, b = -2z sin(Lw) A + 2iw cos(Lw) C,
     A = e^{iLz}/(z^2-w^2) + i e^{-Lz}/(z^2+w^2) and
     C = (e^{iLz} - e^{-Lz})/(z^2+w^2) - 2z^2 e^{iLz}/(z^4-w^4) (by expm1).
+    Only the pairs on the gate are integrated.
     """
-    if abs(sz - sw) < 1.0:
-        return 0.0 + 0.0j
+    sz, sw, shape = _radii(sz, sw)
+    out = np.zeros(sz.size, dtype=complex)
+    gate = np.abs(sz - sw) >= 1.0
     rel, floor = _g_tols(refine)
     lo, hi = cutoff.transition_band
-    z, w = max(sz, 1e-12), max(sw, 1e-12)
+    z, w = np.maximum(sz[gate], 1e-12), np.maximum(sw[gate], 1e-12)
     zz, dm = z * z + w * w, (z - w) * (z + w)
 
-    def integrand(lam):
-        tz = lam * z
+    def integrand(k, lam):
+        tz = lam * z[k]
         ez = np.cos(tz) + 1j * np.sin(tz)
-        a = ez / dm + 1j * np.exp(-tz) / zz
-        c = ((-2.0 * np.sin(0.5 * tz) ** 2 - np.expm1(-tz) + 1j * np.sin(tz)) / zz
-             - 2.0 * z * z * ez / (dm * zz))
-        b = -2.0 * z * np.sin(lam * w) * a + 2j * w * np.cos(lam * w) * c
+        a = ez / dm[k] + 1j * np.exp(-tz) / zz[k]
+        c = ((-2.0 * np.sin(0.5 * tz) ** 2 - np.expm1(-tz) + 1j * np.sin(tz)) / zz[k]
+             - 2.0 * z[k] * z[k] * ez / (dm[k] * zz[k]))
+        b = -2.0 * z[k] * np.sin(lam * w[k]) * a + 2j * w[k] * np.cos(lam * w[k]) * c
         return cutoff(lam, 1) * b
 
-    val, _ = integrate_adaptive(integrand, lo, hi, rel_tol=rel, abs_tol=floor,
-                                freq=(sz + sw) * (1 + refine))
-    return val / (z * w)
+    vals, _ = integrate_batch(integrand, np.full(z.size, lo), np.full(z.size, hi),
+                              rel_tol=rel, abs_tol=floor, freq=(sz + sw)[gate] * (1 + refine))
+    out[gate] = vals / (z * w)
+    return out.reshape(shape)[()]
 
 
-def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
-                   transpose: bool = False):
+def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, transpose: bool = False):
     """Vectorized Psi(s, rho_array) on fixed panelized rules.
 
     Used by the Schur row/column integrals, where one radius is fixed
@@ -227,7 +217,7 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, refine: int = 0,
     x, wgl = _leggauss(n_gl)
 
     def panel_rule(a, b, freq):
-        n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0))) * (1 + refine)
+        n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0)))
         sub = np.linspace(a, b, n_pan + 1)
         mid = 0.5 * (sub[:-1] + sub[1:])
         half = 0.5 * np.diff(sub)
@@ -309,7 +299,7 @@ class KPDirect:
     -lambda all else is real, so the -i lambda shell is the conjugate
     of the +i lambda one, sinhc(i lambda h) = sin(lambda h)/(lambda h)
     and the -lambda shell is real: the integrand needs only real cos,
-    sin, exp and sinh tables, on chords built once per pair.
+    sin, exp and sinh tables, on chords built once per call.
     """
 
     def __init__(self, pot: Potential, cutoff: Cutoff, n_r: int = 40):
@@ -322,47 +312,48 @@ class KPDirect:
 
     def _chords(self, s):
         """Midpoints m = max(s, r), half-widths h = min(s, r) and weights
-        (2 pi/s) 2h core of the chord ranges [|s - r|, s + r] at |x| = s."""
-        s = max(float(s), 1e-12)
+        (2 pi/s) 2h core of the chord ranges [|s - r|, s + r] at |x| = s,
+        one row per radius s."""
+        s = np.maximum(np.atleast_1d(np.asarray(s, dtype=float)), 1e-12)[:, None]
         h = np.minimum(s, self.rn)
         return np.maximum(s, self.rn), h, (4.0 * np.pi / s) * h * self.core
 
-    def _integrand(self, sx: float, sy: float):
-        """The lambda-integrand of K_P / prefactor at radii (|x|, |y|)."""
+    def _integrand(self, sx, sy):
+        """The lambda-integrand f(k, lambda) of K_P / prefactor at radii
+        (sx[k], sy[k])."""
         mx, hx, gx = self._chords(sx)
         my, hy, gy = self._chords(sy)
 
-        def integrand(lam):
+        def integrand(k, lam):
             # shell(x, +i) - shell(x, -1) = cre + i cim; shell(y, +i) - shell(y, -i) = i dy
             col = lam[:, None]
-            sinc = _by_t(np.sin, col * hx)
-            tx = col * mx
-            cre = (sinc * np.cos(tx) - np.exp(-tx) * _by_t(np.sinh, col * hx)) @ gx
-            cim = (sinc * np.sin(tx)) @ gx
-            dy = 2.0 * (_by_t(np.sin, col * hy) * np.sin(col * my)) @ gy
+            sinc = _by_t(np.sin, col * hx[k])
+            tx = col * mx[k]
+            cre = ((sinc * np.cos(tx) - np.exp(-tx) * _by_t(np.sinh, col * hx[k]))
+                   * gx[k]).sum(axis=1)
+            cim = (sinc * np.sin(tx) * gx[k]).sum(axis=1)
+            dy = 2.0 * (_by_t(np.sin, col * hy[k]) * np.sin(col * my[k]) * gy[k]).sum(axis=1)
             return self.cutoff(lam) * dy * (-cim + 1j * cre)
 
         return integrand
 
-    def direct_radial(self, sx: float, sy: float, refine: int = 0,
-                      rel_tol: float = 1e-8) -> complex:
+    def direct_radial(self, sx, sy, refine: int = 0):
         """K_P at radii (|x|, |y|) by adaptive lambda-quadrature."""
-        rel = rel_tol / 100.0 ** refine
-        val, _ = integrate_adaptive(self._integrand(sx, sy), 0.0, self.cutoff.lambda0,
-                                    rel_tol=rel, abs_tol=1e-19,
-                                    freq=(sx + sy + 2 * self.pot.radius) * (1 + refine),
-                                    breakpoints=(self.cutoff.lambda0 / 2.0,))
-        return self.prefactor * val
+        sx, sy, shape = _radii(sx, sy)
+        vals = _lambda_integrals(self._integrand(sx, sy), self.cutoff,
+                                 1e-8 / 100.0 ** refine, 1e-19,
+                                 (sx + sy + 2 * self.pot.radius) * (1 + refine))
+        return (self.prefactor * vals).reshape(shape)[()]
 
-    def leading_radial(self, sx: float, sy: float):
-        """Closed-form leading term and the error envelope at (|x|, |y|)."""
-        env = 1.0 / (_jb(sx) * _jb(sy) * _jb(sx - sy) ** 2)
-        if abs(sx - sy) < 1.0:
-            return 0.0 + 0.0j, float(env)
+    def leading_radial(self, sx, sy):
+        """Closed-form leading term at (|x|, |y|), 0 near the diagonal
+        |sx - sy| < 1; its error envelope is EnvelopeSpec("prop22_base")."""
+        sx, sy = np.asarray(sx, dtype=float), np.asarray(sy, dtype=float)
         gx = self.pot.weight_G_radial(sx)
         gy = self.pot.weight_G_radial(sy)
-        lead = -(1.0 + 1j) / (4.0 * np.pi) * gx * (sx / (sx ** 4 - sy ** 4)) * gy
-        return complex(lead), float(env)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lead = -(1.0 + 1j) / (4.0 * np.pi) * gx * (sx / (sx ** 4 - sy ** 4)) * gy
+        return np.where(np.abs(sx - sy) < 1.0, 0.0j, lead)[()]
 
 
 # ----------------------------------------------------------------------
@@ -436,32 +427,32 @@ class K3Evaluator:
 # Ratio sweeps
 # ----------------------------------------------------------------------
 
-def bound_ratio_sweep(fieldk: KernelField, env: EnvelopeSpec, samples,
-                      refine_check: bool = True, name: str = "") -> BoundReport:
-    """sup |K(x,y)| / env(x,y) over sample pairs, with refinement stability."""
+def bound_ratio_sweep(name: str, kernel, env: EnvelopeSpec, samples,
+                      refine_check: bool = True) -> BoundReport:
+    """sup |K(x,y)| / env(x,y) over sample pairs, with refinement stability.
+
+    ``kernel(s, t, refine)`` maps arrays of radii |x|, |y| to kernel
+    values; it is called once for all samples and, with ``refine = 1``,
+    once for the top-ranked ones.
+    """
     samples = list(samples)
     if not samples:
         raise InvalidInputError("empty sample list")
-    ratios = np.empty(len(samples))
-    values = np.empty(len(samples), dtype=complex)
-    for i, (x, y) in enumerate(samples):
-        val = fieldk.at(x, y)
-        values[i] = val
-        ratios[i] = abs(val) / float(env(x, y))
+    x, y = np.array(samples, dtype=float).transpose(1, 0, 2)
+    # one norm per 3-vector: a row-wise norm can differ in the last bit
+    s, t = (np.array([np.linalg.norm(v) for v in u]) for u in (x, y))
+    envs = env(x, y)
+    values = np.asarray(kernel(s, t, 0), dtype=complex)
+    # hypot rounds |v| as abs() of one complex does; numpy's array abs may not
+    ratios = np.hypot(values.real, values.imag) / envs
     k = int(np.argmax(ratios))
-    report = BoundReport(name=name or f"{fieldk.name} vs {env.kind}",
-                         sup_ratio=float(ratios[k]), arg_max=samples[k],
-                         details={"n_samples": len(samples), "values": values,
-                                  "ratios": ratios})
+    report = BoundReport(name=name, sup_ratio=float(ratios[k]), arg_max=samples[k],
+                         details={"values": values, "envelopes": envs, "ratios": ratios})
     if refine_check:
-        # stability of the sweep sup as a whole: re-evaluate the top decile
-        order = np.argsort(ratios)[::-1]
-        top = order[:max(3, len(samples) // 20)]
-        changes = []
-        for i in top:
-            x, y = samples[i]
-            v1 = fieldk.at(x, y, refine=1)
-            r1 = abs(v1) / float(env(x, y))
-            changes.append(abs(r1 - ratios[i]) / max(r1, 1e-300))
-        report.details["refine_rel_change_top"] = float(max(changes))
+        # stability of the sweep sup as a whole: re-evaluate the top ranks
+        top = np.argsort(ratios)[::-1][:max(3, len(samples) // 20)]
+        v1 = kernel(s[top], t[top], 1)
+        r1 = np.hypot(v1.real, v1.imag) / envs[top]
+        report.details["refine_rel_change_top"] = float(
+            np.max(np.abs(r1 - ratios[top]) / np.maximum(r1, 1e-300)))
     return report

@@ -12,11 +12,17 @@ Batched adaptive quadrature: ``apply_W``, ``phi_radial``, ``tg_abs`` and
 per s, per (a0, d) and per cell piece, and one level-set pass per
 threshold; the package runs each as one batched call.
 
+Per-pair lambda integrals: ``g_radial``, ``ktilde_radial``,
+``psi2_radial`` and ``kp_direct_radial`` make one scalar adaptive call
+per radius pair, under the tolerances, phase hint and breakpoint the
+package's batched kernels give that pair (the K_P integrand contracts
+its chord tables by matrix-vector products).
+
 Kernel integrals: ``psi_gate_batch`` evaluates the gated Psi with all
 four exponentials on the full (rho, lambda) table, and
 ``tg_abs_far_batch`` sums the far-field Phi over every (d, rho) node;
 the package uses separable phase tables and a moment series instead.
-``psi_radial`` assembles Psi from the scalar adaptive routes,
+``psi_radial`` assembles Psi from the per-pair routes above,
 ``kp_shell`` evaluates the K_P shell integrals in complex arithmetic
 (``kp_integrand`` is the direct K_P integrand built from four of them,
 ``kp_pieces`` integrates the four exponential pieces of K_P one by one),
@@ -36,7 +42,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from waveop_lab.kernels import ktilde_radial, psi2_radial
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
 from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
 from waveop_lab.singular import _cell_measures
@@ -317,6 +322,77 @@ def level_set_masses(op_abs, thresholds, s_min: float, s_max: float,
                 m -= float(cellm[c])
         masses[k] = m
     return masses
+
+
+def _lambda_integral(integrand, cutoff, rel_tol, abs_tol, freq):
+    val, _ = integrate_adaptive(integrand, 0.0, cutoff.lambda0, rel_tol=rel_tol,
+                                abs_tol=abs_tol, freq=freq,
+                                breakpoints=(cutoff.lambda0 / 2.0,))
+    return val
+
+
+def g_radial(alpha, beta, branch, sx: float, sy: float, cutoff, refine: int = 0) -> complex:
+    """kernels.g_radial at one radius pair."""
+    def integrand(lam):
+        return (lam ** (5 - alpha - beta) * cutoff(lam)
+                * eval_F(Branch.plus, lam * sx, alpha) * eval_F(branch, lam * sy, beta))
+
+    return _lambda_integral(integrand, cutoff, 1e-9 / 100.0 ** refine, 1e-19,
+                            (sx + sy) * (1 + refine))
+
+
+def ktilde_radial(sz: float, sw: float, cutoff, refine: int = 0) -> complex:
+    """kernels.ktilde_radial at one radius pair."""
+    def integrand(lam):
+        return cutoff(lam) * lam ** 2 * eval_F(Branch.plus, lam * sz) * eval_F_diff(lam * sw)
+
+    return _lambda_integral(integrand, cutoff, 1e-9 / 100.0 ** refine, 1e-19,
+                            (sz + sw) * (1 + refine))
+
+
+def psi2_radial(sz: float, sw: float, cutoff, refine: int = 0) -> complex:
+    """kernels.psi2_radial at one radius pair: 0 off the gate."""
+    if abs(sz - sw) < 1.0:
+        return 0.0 + 0.0j
+    lo, hi = cutoff.transition_band
+    z, w = max(sz, 1e-12), max(sw, 1e-12)
+    zz, dm = z * z + w * w, (z - w) * (z + w)
+
+    def integrand(lam):
+        tz = lam * z
+        ez = np.cos(tz) + 1j * np.sin(tz)
+        a = ez / dm + 1j * np.exp(-tz) / zz
+        c = ((-2.0 * np.sin(0.5 * tz) ** 2 - np.expm1(-tz) + 1j * np.sin(tz)) / zz
+             - 2.0 * z * z * ez / (dm * zz))
+        b = -2.0 * z * np.sin(lam * w) * a + 2j * w * np.cos(lam * w) * c
+        return cutoff(lam, 1) * b
+
+    val, _ = integrate_adaptive(integrand, lo, hi, rel_tol=1e-9 / 100.0 ** refine,
+                                abs_tol=1e-19, freq=(sz + sw) * (1 + refine))
+    return val / (z * w)
+
+
+def kp_direct_radial(kp, sx: float, sy: float, refine: int = 0) -> complex:
+    """KPDirect.direct_radial at one radius pair."""
+    def chords(s):
+        s = max(s, 1e-12)
+        h = np.minimum(s, kp.rn)
+        return np.maximum(s, kp.rn), h, (4.0 * np.pi / s) * h * kp.core
+
+    (mx, hx, gx), (my, hy, gy) = chords(sx), chords(sy)
+    by_t = lambda fn, t: fn(np.maximum(t, 1e-300)) / np.maximum(t, 1e-300)
+
+    def integrand(lam):
+        col = lam[:, None]
+        sinc = by_t(np.sin, col * hx)
+        tx = col * mx
+        cre = (sinc * np.cos(tx) - np.exp(-tx) * by_t(np.sinh, col * hx)) @ gx
+        cim = (sinc * np.sin(tx)) @ gx
+        dy = 2.0 * (by_t(np.sin, col * hy) * np.sin(col * my)) @ gy
+        return kp.cutoff(lam) * dy * (-cim + 1j * cre)
+
+    return kp.prefactor * _lambda_integral(integrand, kp.cutoff, 1e-8 / 100.0 ** refine, 1e-19,
+                                           (sx + sy + 2 * kp.pot.radius) * (1 + refine))
 
 
 def psi_radial(sz: float, sw: float, cutoff) -> complex:

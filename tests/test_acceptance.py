@@ -48,11 +48,11 @@ def test_criterion_04_projection_gain(ctx):
 
 
 def test_criterion_05_kernel_envelopes(ctx):
-    _finish(xp.check_kernel_bounds(ctx), 4.0)
+    _finish(xp.check_kernel_bounds(ctx), 0.75)
 
 
 def test_criterion_06_kp_leading_agreement(ctx):
-    _finish(xp.check_kp_compare(ctx), 2.0)
+    _finish(xp.check_kp_compare(ctx), 0.6)
 
 
 def test_criterion_07_k3_envelope(ctx):

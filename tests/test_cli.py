@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from waveop_lab import experiments as xp
 from waveop_lab.cli import main
 
 
@@ -76,6 +77,21 @@ def test_bad_schur_config(tmp_path, capsys, schur):
     {"k3": {"lambda_min": 0.0}},
     {"k3": {"radius_max": 0.3}},
     {"k3": {"spot_radius": 0.2}},
+    {"sweeps": {"g11_pairs": 1}},
+    {"sweeps": {"ktp_pairs": 0}},
+    {"sweeps": {"kp_pairs": 0}},
+    {"sweeps": {"psi2_pairs": 0}},
+    {"sweeps": {"kp_pairs": 2.5}},
+    {"sweeps": {"radius_min": 0}},
+    {"sweeps": {"radius_min": 2000}},
+    {"sweeps": {"kp_radius_max": 0.01}},
+    {"hormander": {"n_triples": 0}},
+    {"hormander": {"r_range": [100.0, 2.0]}},
+    {"hormander": {"delta_range": [0.0, 5.0]}},
+    {"hormander": {"bound": 0}},
+    {"counterexample": {"l1_R_max": 4.0}},
+    {"counterexample": {"slope_range": [0.36, 0.17]}},
+    {"weak11": {"quasi_bound": -1}},
 ], ids=["negative-R0", "unknown-shape", "string-R0", "expansion-R0",
         "expansion-amplitude", "rep-grid-count", "rep-grid-axes", "scalar-grid",
         "string-grid", "fractional-rep-grid", "decay-mu-3", "string-mu",
@@ -84,13 +100,32 @@ def test_bad_schur_config(tmp_path, capsys, schur):
         "one-radius", "decreasing-radii", "negative-radius", "no-mc-samples",
         "k3-one-lambda", "k3-one-plateau-node", "k3-fractional-lambdas", "k3-no-pairs",
         "k3-no-spots", "k3-lambda-min-above-plateau", "k3-lambda-min-at-plateau-edge",
-        "k3-zero-lambda-min", "k3-radius-max-at-sampler-floor", "k3-spot-radius-below-floor"])
+        "k3-zero-lambda-min", "k3-radius-max-at-sampler-floor", "k3-spot-radius-below-floor",
+        "one-g11-pair", "no-ktp-pairs", "no-kp-pairs", "no-psi2-pairs", "fractional-kp-pairs",
+        "zero-radius-min", "radius-min-above-max", "kp-radius-max-below-min", "no-triples",
+        "reversed-r-range", "zero-delta", "zero-hormander-bound", "l1-R-max-inside-shell",
+        "reversed-slope-range", "negative-quasi-bound"])
 def test_bad_config_at_load(tmp_path, capsys, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))
     assert main(["counterexample-l1", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_crashing_check_keeps_other_reports(tmp_path, capsys, monkeypatch):
+    def crash(ctx):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(xp.CHECKS, "identities", crash)
+    rc = main(["all", "--check", "identities", "--check", "hormander",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "ERROR identities" in capsys.readouterr().out
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert checks["hormander"]["status"] == "PASS"
+    assert checks["identities"]["status"] == "ERROR"
+    assert checks["identities"]["failures"] == ["ValueError: boom"]
 
 
 def test_unknown_config_key(tmp_path, capsys):

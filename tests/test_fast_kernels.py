@@ -1,7 +1,7 @@
 """The structured kernel routes against their direct references in
-dense_reference: the factored-phase Psi batch, the moment-sum far
-field, the real-arithmetic K_P shells, the closed-form Hormander
-modulus and the paired Psi2 integrand."""
+dense_reference: the batched lambda integrals, the factored-phase Psi
+batch, the moment-sum far field, the real-arithmetic K_P shells, the
+closed-form Hormander modulus and the paired Psi2 integrand."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,57 @@ from waveop_lab import kernels as kn
 from waveop_lab import singular as sg
 from waveop_lab.errors import InvalidInputError
 from waveop_lab.quadrature import integrate_adaptive
+from waveop_lab.specfun import Branch
+
+# the origin; both sides of the Psi2 gate |sz - sw| >= 1 (and its edge);
+# the cancelling Psi2 pair of test_psi2_at_cancelling_pair; the K_P radii
+# 0 and 1e-7; phase ranges from none to about 140 radians, so the pairs
+# leave the batched refinement loop after very different numbers of rounds
+PAIRS = np.array([
+    (0.0, 0.0), (1e-7, 0.0), (0.0, 1e-7), (0.05, 0.3), (3.0, 2.5), (2.5, 3.5),
+    (9.0, 2.0), (0.3, 1000.0), (0.08927654572853447, 940.2282516360756),
+    (120.0, 7.0), (700.0, 690.0), (500.0, 900.0)])
+
+
+def test_batched_kernels_match_per_pair_calls(small_pot, cutoff, monkeypatch):
+    """One batched call over mixed pairs against one adaptive call per pair."""
+    rounds = []
+
+    def counted(f, *args, **kwargs):
+        calls = [0]
+
+        def g(lam):
+            calls[0] += 1
+            return f(lam)
+
+        out = integrate_adaptive(g, *args, **kwargs)
+        rounds.append(calls[0])
+        return out
+
+    monkeypatch.setattr(dense, "integrate_adaptive", counted)
+    kp = kn.KPDirect(small_pot, cutoff)
+    sx, sy = PAIRS.T
+    routes = [
+        (lambda s, t, r: kn.g_radial(1, 1, Branch.minus, s, t, cutoff, r),
+         lambda s, t, r: dense.g_radial(1, 1, Branch.minus, s, t, cutoff, r), 1e-13),
+        (lambda s, t, r: kn.g_radial(0, 1, Branch.plus, s, t, cutoff, r),
+         lambda s, t, r: dense.g_radial(0, 1, Branch.plus, s, t, cutoff, r), 1e-13),
+        (lambda s, t, r: kn.ktilde_radial(s, t, cutoff, r),
+         lambda s, t, r: dense.ktilde_radial(s, t, cutoff, r), 1e-13),
+        (lambda s, t, r: kn.psi2_radial(s, t, cutoff, r),
+         lambda s, t, r: dense.psi2_radial(s, t, cutoff, r), 1e-13),
+        (kp.direct_radial, lambda s, t, r: dense.kp_direct_radial(kp, s, t, r), 1e-10),
+    ]
+    for batched, per_pair, bound in routes:
+        for refine in (0, 1):
+            got = batched(sx, sy, refine)
+            want = np.array([per_pair(s, t, refine) for s, t in PAIRS])
+            assert got.shape == want.shape
+            # relative per pair; Psi2 is exactly 0 off the gate
+            assert np.all(np.abs(got - want) <= bound * np.abs(want))
+    assert np.count_nonzero(kn.psi2_radial(sx, sy, cutoff)) == 7
+    assert max(rounds) >= 4 * min(rounds)
+
 
 RHO = np.concatenate([np.linspace(0.01, 6.0, 240), np.geomspace(6.0, 4000.0, 400)])
 
@@ -55,7 +106,7 @@ def test_kp_real_shells_match_complex(small_pot, cutoff, sx):
     shell(+i) - shell(-1), so a per-point relative error says nothing."""
     kp = kn.KPDirect(small_pot, cutoff)
     for sy in (0.0, 1e-6, 0.2, 7.0, 120.0):
-        got = kp._integrand(sx, sy)(KP_LAMBDA)
+        got = kp._integrand(sx, sy)(np.zeros(KP_LAMBDA.size, dtype=int), KP_LAMBDA)
         ref = dense.kp_integrand(kp, KP_LAMBDA, sx, sy)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # same adaptive rule on both integrands: the integrals agree too
