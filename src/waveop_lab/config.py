@@ -133,14 +133,20 @@ def validate(cfg: Config) -> None:
                 or not all(_is_number(n) and float(n).is_integer() and n >= 2 for n in grid)):
             raise ConfigError(f"{name} must be three integer counts >= 2")
         setattr(cfg, name, tuple(int(n) for n in grid))
-    if cfg.lambda_window["min"] <= 0 or cfg.lambda_window["max"] <= cfg.lambda_window["min"]:
+    lw = cfg.lambda_window
+    if not (_is_number(lw["min"]) and _is_number(lw["max"]) and 0 < lw["min"] < lw["max"]):
         raise ConfigError("lambda window must satisfy 0 < min < max")
-    if cfg.lambda_window["count"] < 6:
-        raise ConfigError("lambda window needs at least 6 points")
+    if not _positive_numbers(cfg.projection["rep_lambdas"], 1):
+        raise ConfigError("projection rep_lambdas must be a list of positive numbers")
+    # a slope tolerance is a [target, width] pair, every other one a width
+    pairs = {name for name, val in Config().tolerances.items() if isinstance(val, list)}
     for name, val in cfg.tolerances.items():
-        widths = val[1:] if isinstance(val, (list, tuple)) else [val]
-        if any(not (w > 0) for w in widths):
-            raise ConfigError(f"tolerance {name!r} must be positive")
+        if name in pairs:
+            if not (isinstance(val, (list, tuple)) and len(val) == 2
+                    and all(map(_is_number, val)) and val[1] > 0):
+                raise ConfigError(f"tolerance {name!r} must be a [target, positive width] pair")
+        elif not (_is_number(val) and val > 0):
+            raise ConfigError(f"tolerance {name!r} must be a positive number")
     for name in ("potential", "expansion_potential"):
         pot = getattr(cfg, name)
         if pot.get("amplitude", 0.0) == 0.0:
@@ -162,7 +168,8 @@ def validate(cfg: Config) -> None:
     sw, hc, ce, k3 = cfg.sweeps, cfg.hormander, cfg.counterexample, cfg.k3
     # kernel-bounds splits g11_pairs between the two branches; k3-bound
     # fits a slope through its lambda nodes
-    for name, val, low in (("schur n_samples", cfg.schur["n_samples"], 1),
+    for name, val, low in (("lambda_window count", lw["count"], 6),
+                           ("schur n_samples", cfg.schur["n_samples"], 1),
                            ("weak11 n_thresholds", cfg.weak11["n_thresholds"], 1),
                            ("counterexample mc_samples", ce["mc_samples"], 1),
                            ("sweeps g11_pairs", sw["g11_pairs"], 2),
@@ -176,7 +183,8 @@ def validate(cfg: Config) -> None:
             raise ConfigError(f"{name} must be an integer >= {low}")
     for name, val in (("weak11 decades", cfg.weak11["decades"]),
                       ("weak11 quasi_bound", cfg.weak11["quasi_bound"]),
-                      ("hormander bound", hc["bound"])):
+                      ("hormander bound", hc["bound"]),
+                      ("schur stabilization_rel", cfg.schur["stabilization_rel"])):
         if not (_is_number(val) and val > 0):
             raise ConfigError(f"{name} must be positive")
     radii = [sw[k] for k in ("radius_min", "radius_max", "kp_radius_max")]

@@ -38,7 +38,17 @@ from .quadrature import _leggauss, cap_area
 # unused here, but perfbench/tracer.py rebinds it in every module that held it
 from .quadrature import integrate_adaptive  # noqa: F401
 from .reports import fit_linear_in_logx
-from .specfun import Branch, Cutoff, CutoffSpec, envelope_report
+from .specfun import Branch, Cutoff, envelope_report
+
+# Gauss-Legendre nodes of the radial |u1| = |u2| rule and of the polar
+# rule of u1 in T_G, and of the far-field rho rule per |u2|
+_N_R1 = 20
+_N_MU = 24
+_N_RHO = 48
+# relative tolerance of Phi in |T_G f_R|
+_TG_REL_TOL = 1e-8
+# log-spaced panels of the counterexample-l1 shell
+_L1_PANELS = 36
 
 # ----------------------------------------------------------------------
 # Counterexample integrals
@@ -72,15 +82,15 @@ def phi_log_bound(R: float, R0: float) -> float:
 class CounterexampleOperator:
     """T_G applied to ball indicators f_R, for a radial compact potential."""
 
-    def __init__(self, pot: Potential, n_r1: int = 20, n_mu: int = 24):
+    def __init__(self, pot: Potential):
         if pot.spec.shape != "smooth_bump_compact":
             raise InvalidInputError("counterexamples need a compactly supported potential")
         self.pot = pot
         R0 = pot.radius
-        xr, wr = _leggauss(n_r1)
+        xr, wr = _leggauss(_N_R1)
         self.r1 = 0.5 * R0 * (xr + 1.0)
         w_r1 = 0.5 * R0 * wr
-        self.mu, self.wmu = _leggauss(n_mu)
+        self.mu, self.wmu = _leggauss(_N_MU)
         self.d = self.r1.copy()
         prof = pot.abs_profile(self.r1)
         # weights of the u1 (r, mu) grid and the radial u2 grid, carrying |V|
@@ -90,20 +100,20 @@ class CounterexampleOperator:
     def a0_grid(self, s) -> np.ndarray:
         """|x - u1| over the aligned (r, mu) grid for |x| = s.
 
-        An array of radii gives one grid per radius: shape s.shape + (n_r1, n_mu).
+        An array of radii gives one grid per radius: shape s.shape + (_N_R1, _N_MU).
         """
         s = np.asarray(s, dtype=float)[..., None, None]
         return np.sqrt(np.maximum(
             s ** 2 - 2.0 * s * self.r1[:, None] * self.mu[None, :] + (self.r1 ** 2)[:, None],
             0.0))
 
-    def tg_abs(self, s: float, R: float, rel_tol: float = 1e-8) -> float:
+    def tg_abs(self, s: float, R: float) -> float:
         """|T_G f_R| at |x| = s (the operator output has constant phase)."""
-        phi = phi_radial(self.a0_grid(s)[..., None], self.d, R, rel_tol) @ self.w2
+        phi = phi_radial(self.a0_grid(s)[..., None], self.d, R, _TG_REL_TOL) @ self.w2
         dbl = float((self.w1 * phi).sum())
         return dbl / (2.0 * np.sqrt(2.0) * np.pi * self.pot.normV_L1 ** 2)
 
-    def tg_abs_far_batch(self, s_values: np.ndarray, R: float, n_rho: int = 48) -> np.ndarray:
+    def tg_abs_far_batch(self, s_values: np.ndarray, R: float) -> np.ndarray:
         """Vectorized |T_G f_R| for radii where the gate is inactive
         (a0 >= R + d + 1 over the whole u1 grid), used by the L1 shell integral.
 
@@ -115,12 +125,12 @@ class CounterexampleOperator:
         terms, q^N / (1 - q) < 1e-17: every term is positive, so that
         bounds the relative truncation error.
         """
-        a0 = self.a0_grid(s_values)                      # (n_s, n_r1, n_mu)
+        a0 = self.a0_grid(s_values)                      # (n_s, _N_R1, _N_MU)
         if a0.min() < R + self.d.max() + 1.0:
             raise InvalidInputError(
                 f"far-field radii need |x - u1| >= R + |u2| + 1 = {R + self.d.max() + 1.0:g}; "
                 f"got {a0.min():g}")
-        xr, wrho = _leggauss(n_rho)
+        xr, wrho = _leggauss(_N_RHO)
         # cap-weighted rho rule per d, times the u2 weights: c(d, rho) >= 0
         rho = 0.5 * (R + self.d)[:, None] * (xr[None, :] + 1.0)
         wr = 0.5 * (R + self.d)[:, None] * wrho[None, :]
@@ -192,7 +202,7 @@ class CounterexampleRun:
     asymptotic_regime: np.ndarray
 
 
-def counterexample_linf(pot: Potential, R_list, rel_tol: float = 1e-8) -> CounterexampleRun:
+def counterexample_linf(pot: Potential, R_list) -> CounterexampleRun:
     """|T_G f_R| at x* = (R + 2 R0 + 1.5) e1 against the log lower bound.
 
     The log bound is asymptotic; R values where even the pointwise
@@ -203,7 +213,7 @@ def counterexample_linf(pot: Potential, R_list, rel_tol: float = 1e-8) -> Counte
     R0 = pot.radius
     R_arr = np.asarray(R_list, dtype=float)
     radii = R_arr + 2.0 * R0 + 1.5
-    vals = np.array([op.tg_abs(sr, R, rel_tol) for sr, R in zip(radii, R_arr)])
+    vals = np.array([op.tg_abs(sr, R) for sr, R in zip(radii, R_arr)])
     log_bounds = np.array([phi_log_bound(R, R0) for R in R_arr])
     bounds = log_bounds / (2.0 * np.sqrt(2.0) * np.pi)
     # the uniform band bound needs Phi(midpoint) >= (pi/2) log(...); check
@@ -225,7 +235,7 @@ class L1GrowthReport:
     shell_scaled_max: float
 
 
-def counterexample_l1(pot: Potential, R_max: float = 1e4, n_panels: int = 36) -> L1GrowthReport:
+def counterexample_l1(pot: Potential, R_max: float = 1e4) -> L1GrowthReport:
     """M(R) = integral of |T_G f_1| over the shell 3 R0 + 2 <= |x| <= R.
 
     The integrand is radial; panels are logarithmic in |x| and M(R) is
@@ -234,10 +244,10 @@ def counterexample_l1(pot: Potential, R_max: float = 1e4, n_panels: int = 36) ->
     op = CounterexampleOperator(pot)
     R0 = pot.radius
     s_lo = 3.0 * R0 + 2.0
-    edges = np.geomspace(s_lo, R_max, n_panels + 1)
+    edges = np.geomspace(s_lo, R_max, _L1_PANELS + 1)
     x16, w16 = _leggauss(16)
-    masses = np.zeros(n_panels)
-    for p in range(n_panels):
+    masses = np.zeros(_L1_PANELS)
+    for p in range(_L1_PANELS):
         mid = 0.5 * (edges[p] + edges[p + 1])
         half = 0.5 * (edges[p + 1] - edges[p])
         nodes = mid + half * x16
@@ -309,7 +319,7 @@ class SuiteContext:
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
-        self.cutoff = Cutoff(CutoffSpec(cfg.lambda0))
+        self.cutoff = Cutoff(cfg.lambda0)
         self._cache = {}
 
     def potential(self) -> Potential:
@@ -524,7 +534,7 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
             swv = np.exp(rng.uniform(np.log(sw["radius_min"]), np.log(sw["radius_max"])))
         psi_pairs.append((szv * _unit_vectors(rng, 1)[0], swv * _unit_vectors(rng, 1)[0]))
     sweeps.append(("Psi2", lambda s, t, refine: kn.psi2_radial(s, t, cut, refine),
-                   kn.EnvelopeSpec("psi2_envelope", n=2), psi_pairs))
+                   kn.EnvelopeSpec("psi2_envelope"), psi_pairs))
 
     failures = []
     measured = {}
@@ -687,8 +697,7 @@ def check_schur(ctx: SuiteContext) -> CheckResult:
     cut = ctx.cutoff
     batch = kn.make_psi_batch(cut)
     batch_t = kn.make_psi_batch(cut, transpose=True)
-    reports = sg.schur_growth(batch, sc["radii"], n_samples=int(sc["n_samples"]),
-                              col_eval=batch_t)
+    reports = sg.schur_growth(batch, batch_t, sc["radii"], int(sc["n_samples"]))
     rows = [(r.domain_radius, r.row_sup, r.col_sup) for r in reports]
     row_growth = rows[-1][1] / rows[-2][1] - 1.0
     col_growth = rows[-1][2] / rows[-2][2] - 1.0

@@ -39,6 +39,11 @@ from .reports import BoundReport, SlopeFit, fit_loglog
 from .resolvent import ExpansionTerms, full_mode_index, r0_diff_r, r0_kernel_r
 from .specfun import Branch, Cutoff, eval_F, eval_F_diff
 
+# Gauss-Legendre nodes per panel of the fixed Psi rules
+_PSI_GL = 8
+# nodes of the Gauss-Legendre rule over the potential's radius in K_P
+_KP_RADIAL_NODES = 40
+
 # ----------------------------------------------------------------------
 # Envelopes
 # ----------------------------------------------------------------------
@@ -55,15 +60,13 @@ class EnvelopeSpec:
     kinds:
       prop22_base   <x>^-1 <y>^-1 <|x|-|y|>^-2
       prop22_min    min of <x>^-1<y>^-1<|x| (sign) |y|>^-2 and <|x| (sign) |y|>^-4
-      k3_envelope   <x>^-1 <y>^-1 <|x|-|y|>^-(2 + delta)   (delta = 1/2)
+      k3_envelope   <x>^-1 <y>^-1 <|x|-|y|>^-5/2
       ktp_envelope  min{1, 1/|x|, 1/|y|, 1/(|x||y|)}
-      psi2_envelope min of the applicable far-field cases with decay power n
+      psi2_envelope min of the applicable far-field cases with decay power 2
     """
 
     kind: str
-    delta: float = 0.5
     sign: int = -1
-    n: int = 2
 
     def radial(self, s, t):
         s = np.asarray(s, dtype=float)
@@ -74,17 +77,17 @@ class EnvelopeSpec:
             u = s + self.sign * t
             return np.minimum(1.0 / (_jb(s) * _jb(t) * _jb(u) ** 2), _jb(u) ** -4.0)
         if self.kind == "k3_envelope":
-            return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** (2.0 + self.delta))
+            return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** 2.5)
         if self.kind == "ktp_envelope":
             # rounding is monotone, so this is the min of the four reciprocals
             return 1.0 / np.maximum(np.maximum(1.0, s), np.maximum(t, s * t))
         if self.kind == "psi2_envelope":
             gate = np.abs(s - t) >= 1.0
             cases = np.where(gate & (s > 0) & (t > 0),
-                             1.0 / np.where(s * t > 0, s * t, 1.0) / _jb(s - t) ** self.n,
+                             1.0 / np.where(s * t > 0, s * t, 1.0) / _jb(s - t) ** 2,
                              np.inf)
-            cases = np.minimum(cases, np.where(t <= 0.5, _jb(s) ** -float(self.n), np.inf))
-            cases = np.minimum(cases, np.where(s <= 0.5, _jb(t) ** -float(self.n), np.inf))
+            cases = np.minimum(cases, np.where(t <= 0.5, _jb(s) ** -2.0, np.inf))
+            cases = np.minimum(cases, np.where(s <= 0.5, _jb(t) ** -2.0, np.inf))
             return np.where(np.isfinite(cases), cases, 1.0)
         raise InvalidInputError(f"unknown envelope kind {self.kind!r}")
 
@@ -196,12 +199,13 @@ def psi2_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     return out.reshape(shape)[()]
 
 
-def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, transpose: bool = False):
+def make_psi_batch(cutoff: Cutoff, transpose: bool = False):
     """Vectorized Psi(s, rho_array) on fixed panelized rules.
 
     Used by the Schur row/column integrals, where one radius is fixed
     and the other runs over a quadrature grid.  Panel counts follow the
-    phase range, so accuracy is uniform in the radii.  With
+    phase range, so accuracy is uniform in the radii; each panel has
+    8 Gauss-Legendre nodes.  With
     ``transpose`` the returned callable evaluates Psi(rho_array, s)
     instead (the kernel is not symmetric).
 
@@ -214,7 +218,7 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, transpose: bool = False):
     that product to the weight columns without building it.
     """
     from .quadrature import _leggauss
-    x, wgl = _leggauss(n_gl)
+    x, wgl = _leggauss(_PSI_GL)
 
     def panel_rule(a, b, freq):
         n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0)))
@@ -228,7 +232,7 @@ def make_psi_batch(cutoff: Cutoff, n_gl: int = 8, transpose: bool = False):
     def contract(panel, node, cols):
         """(panel[r, p] node[r, j]) @ cols[(p, j), k], summed over p and j."""
         n_pan = panel.shape[1]
-        m = cols.reshape(n_pan, n_gl, -1).transpose(1, 0, 2).reshape(n_gl, -1)
+        m = cols.reshape(n_pan, _PSI_GL, -1).transpose(1, 0, 2).reshape(_PSI_GL, -1)
         return np.einsum("rp,rpk->rk", panel, (node @ m).reshape(len(node), n_pan, -1))
 
     lo, hi = cutoff.transition_band
@@ -302,12 +306,12 @@ class KPDirect:
     sin, exp and sinh tables, on chords built once per call.
     """
 
-    def __init__(self, pot: Potential, cutoff: Cutoff, n_r: int = 40):
+    def __init__(self, pot: Potential, cutoff: Cutoff):
         self.pot = pot
         self.cutoff = cutoff
-        rule = gauss_rule(n_r, 0.0, pot.radius)
+        rule = gauss_rule(_KP_RADIAL_NODES, 0.0, pot.radius)
         self.rn = rule.nodes
-        self.core = rule.weights * self.rn * pot.v2_profile(self.rn)
+        self.core = rule.weights * self.rn * pot.abs_profile(self.rn)
         self.prefactor = 1.0 / (8.0 * np.pi * (1.0 + 1j) * pot.normV_L1 ** 2)
 
     def _chords(self, s):
@@ -427,8 +431,7 @@ class K3Evaluator:
 # Ratio sweeps
 # ----------------------------------------------------------------------
 
-def bound_ratio_sweep(name: str, kernel, env: EnvelopeSpec, samples,
-                      refine_check: bool = True) -> BoundReport:
+def bound_ratio_sweep(name: str, kernel, env: EnvelopeSpec, samples) -> BoundReport:
     """sup |K(x,y)| / env(x,y) over sample pairs, with refinement stability.
 
     ``kernel(s, t, refine)`` maps arrays of radii |x|, |y| to kernel
@@ -448,11 +451,10 @@ def bound_ratio_sweep(name: str, kernel, env: EnvelopeSpec, samples,
     k = int(np.argmax(ratios))
     report = BoundReport(name=name, sup_ratio=float(ratios[k]), arg_max=samples[k],
                          details={"values": values, "envelopes": envs, "ratios": ratios})
-    if refine_check:
-        # stability of the sweep sup as a whole: re-evaluate the top ranks
-        top = np.argsort(ratios)[::-1][:max(3, len(samples) // 20)]
-        v1 = kernel(s[top], t[top], 1)
-        r1 = np.hypot(v1.real, v1.imag) / envs[top]
-        report.details["refine_rel_change_top"] = float(
-            np.max(np.abs(r1 - ratios[top]) / np.maximum(r1, 1e-300)))
+    # stability of the sweep sup as a whole: re-evaluate the top ranks
+    top = np.argsort(ratios)[::-1][:max(3, len(samples) // 20)]
+    v1 = kernel(s[top], t[top], 1)
+    r1 = np.hypot(v1.real, v1.imag) / envs[top]
+    report.details["refine_rel_change_top"] = float(
+        np.max(np.abs(r1 - ratios[top]) / np.maximum(r1, 1e-300)))
     return report

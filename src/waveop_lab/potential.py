@@ -1,8 +1,8 @@
 """The perturbation V and its derived objects.
 
-Carries v = sqrt|V|, U = sgn V, the L^1 norm of V, the rank-one
-projection P onto span{v} (with Q = I - P and the rescaled Ptilde), and
-the Newtonian-potential weight
+Carries v = sqrt|V|, U = sgn V, the L^1 norm of V, the projection
+Q = I - P off the rank-one projection P onto span{v}, and the
+Newtonian-potential weight
 
     G(x) = |x| / ||V||_1 * integral of |V|(u)/|x-u| du.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,8 +70,8 @@ class Potential:
         self._rule = rule
         self.normV_L1 = float(4.0 * np.pi * np.sum(
             rule.weights * rule.nodes ** 2 * np.abs(self.profile(rule.nodes))))
-        # grid inner product <v, v>, used by the projections so that the
-        # projection algebra P^2 = P holds to machine precision
+        # grid inner product <v, v>: apply_Q divides by it so that Q^2 = Q
+        # holds to machine precision
         self.normV_grid = float(np.sum(grid.weights * self.v ** 2))
 
     def profile(self, r):
@@ -88,15 +87,17 @@ class Potential:
         return s.amplitude * (1.0 + r ** 2) ** (-s.mu / 2.0)
 
     def abs_profile(self, r):
-        return np.abs(self.profile(r))
-
-    def v2_profile(self, r):
         """|V|(r), the square of v's radial profile."""
         return np.abs(self.profile(r))
 
-    @cached_property
-    def projections(self) -> "ProjectionSet":
-        return ProjectionSet(self)
+    def apply_Q(self, f):
+        """Q f = f - P f for a grid function f, where P f = <f, v> v / <v, v>
+        in the weighted grid inner product."""
+        f = np.asarray(f)
+        if f.shape != self.v.shape:
+            raise InvalidInputError("grid function has wrong length for this potential")
+        coef = (f * (self.grid.weights * self.v)).sum() / self.normV_grid
+        return f - coef * self.v
 
     def weight_G_radial(self, s):
         """G(x) = |x|/||V||_1 * int |V|(u)/|x-u| du at radii s = |x|.
@@ -142,32 +143,3 @@ def build_potential(spec: PotentialSpec, grid_shape=(12, 8, 16)) -> Potential:
         radius = spec.R0
     grid = ball_grid(radius, *grid_shape)
     return Potential(spec, grid, hypothesis_ok, trunc_err)
-
-
-class ProjectionSet:
-    """Actions of P, Q = I - P and Ptilde on grid functions.
-
-    P f = <f, v> v / ||V||_1 with the weighted grid inner product;
-    Ptilde = 8 pi / ((1+i) ||V||_1) * P.
-    """
-
-    def __init__(self, pot: Potential):
-        self.pot = pot
-        self.v = pot.v
-        self.w = pot.grid.weights
-        self.norm = pot.normV_grid
-        self.a = (1.0 + 1j) * pot.normV_grid / (8.0 * np.pi)
-
-    def apply(self, kind: str, f):
-        f = np.asarray(f)
-        if f.shape[-1] != self.v.shape[0]:
-            raise InvalidInputError("grid function has wrong length for this potential")
-        coef = (f * (self.w * self.v)).sum(axis=-1) / self.norm
-        pf = np.multiply.outer(coef, self.v) if f.ndim > 1 else coef * self.v
-        if kind == "P":
-            return pf
-        if kind == "Q":
-            return f - pf
-        if kind == "Ptilde":
-            return pf / self.a
-        raise InvalidInputError(f"unknown projection kind {kind!r}")

@@ -60,6 +60,15 @@ from .quadrature import BallGrid
 from .reports import SlopeFit, fit_loglog
 from .specfun import Branch, eval_F
 
+# QTQ counts as invertible below this condition number
+_COND_LIMIT = 1e12
+# the theta rule of representation_check: Gauss-Legendre panels on
+# [2^-(k+1), 2^-k], k < _REP_LEVELS, and [0, 2^-_REP_LEVELS]; grid rows
+# per batch
+_REP_LEVELS = 12
+_REP_GL = 8
+_REP_CHUNK = 24
+
 # ----------------------------------------------------------------------
 # Free resolvent kernels
 # ----------------------------------------------------------------------
@@ -215,11 +224,11 @@ class RegularityReport:
 
 
 def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
-                          T: np.ndarray | None = None,
-                          cond_limit: float = 1e12) -> RegularityReport:
+                          T: np.ndarray | None = None) -> RegularityReport:
     """Conditioning of QTQ on the Q-subspace (regular-point test), from
-    the exact singular values of its mode blocks.  ``T`` is the stack of
-    ``t_tilde(pot)`` when the caller has built it already."""
+    the exact singular values of its mode blocks; invertible means a
+    condition number below 1e12.  ``T`` is the stack of ``t_tilde(pot)``
+    when the caller has built it already."""
     qs = qsplit or QSplit(pot)
     head, tail = qs.restrict(t_tilde(pot) if T is None else T)
     sv = np.concatenate([np.linalg.svd(head, compute_uv=False),
@@ -227,7 +236,7 @@ def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
     smax, smin = sv.max(), sv.min()
     cond = smax / smin if smin > 0 else np.inf
     return RegularityReport(condition_number=float(cond),
-                            invertible=bool(np.isfinite(cond) and cond < cond_limit),
+                            invertible=bool(np.isfinite(cond) and cond < _COND_LIMIT),
                             sigma_max=float(smax), sigma_min=float(smin),
                             grid_size=pot.grid.size)
 
@@ -397,9 +406,9 @@ def _weighted_norm(pot: Potential, f) -> float:
     return float(np.sqrt(np.sum(pot.grid.weights * np.abs(f) ** 2)))
 
 
-def vr0_apply(pot: Potential, lam: float, f, branch: Branch = Branch.plus) -> np.ndarray:
-    """v(x) * (R0(lambda^4) f)(x) on the grid."""
-    K = mode_stack(pot.grid, lambda r: r0_kernel_r(branch, lam, r))
+def vr0_apply(pot: Potential, lam: float, f) -> np.ndarray:
+    """v(x) * (R0+(lambda^4) f)(x) on the grid."""
+    K = mode_stack(pot.grid, lambda r: r0_kernel_r(Branch.plus, lam, r))
     return pot.v * mode_apply(K * _per_block(pot, pot.grid.weights), f)
 
 
@@ -413,39 +422,34 @@ class ProjectionGainReport:
     representation_errors: dict
 
 
-def projection_gain(pot: Potential, lambda_list, f=None, rep_lambdas=(),
-                    rep_pot: Potential | None = None) -> ProjectionGainReport:
-    """Decay of ||v R0 f|| versus ||Q v R0 f|| as lambda -> 0.
+def projection_gain(pot: Potential, lambda_list, rep_pot: Potential,
+                    rep_lambdas) -> ProjectionGainReport:
+    """Decay of ||v R0 f|| versus ||Q v R0 f|| for f = 1 as lambda -> 0.
 
-    Also cross-validates Q v R0 f against its line-integral
-    representation (first-order Taylor form along the segment) by
-    explicit theta-quadrature at the given spot lambdas.
+    Also cross-validates Q v R0 f on ``rep_pot`` against its
+    line-integral representation (first-order Taylor form along the
+    segment) by explicit theta-quadrature at the given spot lambdas.
     """
     lams = np.asarray(lambda_list, dtype=float)
-    if f is None:
-        f = np.ones(pot.grid.size)
+    f = np.ones(pot.grid.size)
     plain = np.empty(lams.size)
     proj = np.empty(lams.size)
     for k, lam in enumerate(lams):
         g = vr0_apply(pot, lam, f)
         plain[k] = _weighted_norm(pot, g)
-        proj[k] = _weighted_norm(pot, pot.projections.apply("Q", g))
-    rep_errors = {}
-    rpot = rep_pot or pot
-    rf = np.ones(rpot.grid.size) if (rep_pot is not None or f is None) else f
-    for lam in rep_lambdas:
-        rep_errors[float(lam)] = representation_check(rpot, float(lam), rf)
+        proj[k] = _weighted_norm(pot, pot.apply_Q(g))
+    rep_errors = {float(lam): representation_check(rep_pot, float(lam)) for lam in rep_lambdas}
     return ProjectionGainReport(lambdas=lams, norm_plain=plain, norm_projected=proj,
                                 fit_plain=fit_loglog(lams, plain),
                                 fit_projected=fit_loglog(lams, proj),
                                 representation_errors=rep_errors)
 
 
-def _graded_theta_nodes(levels: int, n_gl: int):
+def _graded_theta_nodes():
     """Unit-interval panel pattern graded geometrically toward 0."""
     from .quadrature import _leggauss
-    breaks = np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1, dtype=float)])
-    x, w = _leggauss(n_gl)
+    breaks = np.concatenate([[0.0], 2.0 ** np.arange(-_REP_LEVELS, 1, dtype=float)])
+    x, w = _leggauss(_REP_GL)
     lo = breaks[:-1]
     hi = breaks[1:]
     mid = 0.5 * (lo + hi)
@@ -455,39 +459,35 @@ def _graded_theta_nodes(levels: int, n_gl: int):
     return nodes.ravel(), weights.ravel()
 
 
-def representation_check(pot: Potential, lam: float, f, branch: Branch = Branch.plus,
-                         levels: int = 12, n_gl: int = 8, chunk: int = 24) -> float:
-    """Relative gap between Q v R0 f and its theta-quadrature representation.
+def representation_check(pot: Potential, lam: float) -> float:
+    """Relative gap between Q v R0+ f and its theta-quadrature
+    representation, for f = 1.
 
     The representation integrates <x, w(y - theta x)> F'(lambda|y - theta x|)
     over theta in [0, 1] with panels graded toward the closest-approach
-    parameter of the segment, then applies Q(v * integral).  When f is
-    constant along phi, a rotation about the axis maps the grid and f to
-    themselves, so the rows at one (r, theta) are equal: only the phi = 0
-    rows are computed, and tiled.
+    parameter of the segment, then applies Q(v * integral).  f = 1 is
+    constant along phi, so a rotation about the axis maps the grid and f
+    to themselves, and the rows at one (r, theta) are equal: only the
+    phi = 0 rows are computed, and tiled.
     """
-    f = np.asarray(f, dtype=complex)
-    direct = pot.projections.apply("Q", vr0_apply(pot, lam, f, branch))
-    fr = f.reshape(-1, pot.grid.n_phi)
-    step = pot.grid.n_phi if np.all(fr == fr[:, :1]) else 1
-    out = _representation_rows(pot, lam, f, np.arange(0, f.size, step), branch, levels,
-                               n_gl, chunk)
-    rep = pot.projections.apply("Q", -pot.v * np.repeat(out, step) / (8.0 * np.pi))
+    n_phi = pot.grid.n_phi
+    direct = pot.apply_Q(vr0_apply(pot, lam, np.ones(pot.grid.size)))
+    out = _representation_rows(pot, lam, np.arange(0, pot.grid.size, n_phi))
+    rep = pot.apply_Q(-pot.v * np.repeat(out, n_phi) / (8.0 * np.pi))
     return float(_weighted_norm(pot, direct - rep) / _weighted_norm(pot, direct))
 
 
-def _representation_rows(pot: Potential, lam: float, f, rows, branch: Branch,
-                         levels: int, n_gl: int, chunk: int) -> np.ndarray:
+def _representation_rows(pot: Potential, lam: float, rows) -> np.ndarray:
     """The theta-integrals of representation_check at the grid nodes ``rows``.
 
     |y - theta x|^2 = |y - t* x|^2 + e (2c + e |x|^2) with e = t* - theta and
     c = <x, y - t* x>: no cancellation near t*, where the panels crowd."""
-    nodes_u, weights_u = _graded_theta_nodes(levels, n_gl)
+    nodes_u, weights_u = _graded_theta_nodes()
     x = pot.grid.nodes
     out = np.empty(len(rows), dtype=complex)
-    wf = pot.grid.weights * f
-    for i0 in range(0, len(rows), chunk):
-        xi = x[rows[i0:i0 + chunk]]
+    w = pot.grid.weights
+    for i0 in range(0, len(rows), _REP_CHUNK):
+        xi = x[rows[i0:i0 + _REP_CHUNK]]
         x2 = np.sum(xi ** 2, axis=1)[:, None]
         xdot = xi @ x.T
         tstar = np.clip(xdot / np.maximum(x2, 1e-300), 0.0, 1.0)
@@ -499,8 +499,8 @@ def _representation_rows(pot: Potential, lam: float, f, rows, branch: Branch,
             e = span * nodes_u
             unorm = np.sqrt(np.maximum(d2[..., None] + e * (2.0 * c + e * x2[..., None]), 0.0))
             dot = c + e * x2[..., None]
-            fp = eval_F(branch, lam * unorm, 1)
+            fp = eval_F(Branch.plus, lam * unorm, 1)
             integ = np.where(unorm > 1e-14, dot / np.where(unorm > 0, unorm, 1.0), 0.0) * fp
             acc += (integ * (np.abs(span) * weights_u)).sum(axis=-1)
-        out[i0:i0 + chunk] = acc @ wf
+        out[i0:i0 + _REP_CHUNK] = acc @ w
     return out

@@ -28,6 +28,10 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError
 from .quadrature import _leggauss, integrate_adaptive, integrate_batch
 
+# weak11_profile counts level sets on this many log cells from this radius
+_WEAK11_S_MIN = 1e-3
+_WEAK11_CELLS = 4096
+
 # ----------------------------------------------------------------------
 # Exact kernel decompositions
 # ----------------------------------------------------------------------
@@ -91,8 +95,8 @@ class RadialProfile:
         return float(val.real)
 
 
-def smooth_bump_profile(center: float, width: float, normalize: bool = True) -> RadialProfile:
-    """C-infinity bump at the given center/width, unit omega-mass by default."""
+def smooth_bump_profile(center: float, width: float) -> RadialProfile:
+    """C-infinity bump at the given center/width, of unit omega-mass."""
 
     def raw(r):
         t = (np.asarray(r, dtype=float) - center) / width
@@ -100,13 +104,9 @@ def smooth_bump_profile(center: float, width: float, normalize: bool = True) -> 
         tt = np.where(inside, t, 0.0)
         return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - tt ** 2)), 0.0)
 
-    prof = RadialProfile(raw, (max(center - width, 0.0), center + width),
-                         label=f"bump(c={center},h={width})")
-    if normalize:
-        m = prof.mass_omega()
-        prof = RadialProfile(lambda r, m=m: raw(r) / m, prof.support,
-                             label=prof.label + "/mass")
-    return prof
+    support = (max(center - width, 0.0), center + width)
+    m = RadialProfile(raw, support).mass_omega()
+    return RadialProfile(lambda r: raw(r) / m, support, label=f"bump(c={center},h={width})/mass")
 
 
 # ----------------------------------------------------------------------
@@ -132,14 +132,14 @@ def gated_integrals(f: Callable, c, lo, hi, breakpoints=None, **tols) -> np.ndar
     return np.bincount(owner, vals.real, c.size)
 
 
-def apply_W(profile: RadialProfile, s_values, rel_tol: float = 1e-10):
+def apply_W(profile: RadialProfile, s_values):
     """W(g0)(s): the gated 1D singular integral against r^2 dr."""
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     if np.any(s <= 0.0):
         raise InvalidInputError("W is probed on s > 0")
     lo, hi = profile.support
     out = gated_integrals(lambda k, r: profile.fn(r) * r ** 2 / (4.0 * s[k] ** 2 * (s[k] - r)),
-                          s, lo, hi, rel_tol=rel_tol, abs_tol=1e-16)
+                          s, lo, hi, rel_tol=1e-10, abs_tol=1e-16)
     return float(out[0]) if out.size == 1 else out
 
 
@@ -197,19 +197,20 @@ def level_set_masses(op_abs: Callable, thresholds, s_min: float, s_max: float,
 
 def weak11_profile(op_abs: Callable, input_mass: float, s_max: float,
                    measure: str = "omega", n_thresholds: int = 24,
-                   decades: float = 4.0, s_min: float = 1e-3,
-                   n_cells: int = 4096, label: str = "") -> DistributionProfile:
-    """Distribution profile of |T|(s) with automatic threshold ladder.
+                   decades: float = 4.0, label: str = "") -> DistributionProfile:
+    """Distribution profile of |T|(s) on [1e-3, s_max] with automatic
+    threshold ladder.
 
-    Thresholds span the requested number of decades below the observed
-    maximum; the quasi-norm is sup lambda * measure{|T| > lambda}.
+    Thresholds span the requested number of decades below the maximum
+    over 2048 probes; the level sets are counted on 4096 log cells, and
+    the quasi-norm is sup lambda * measure{|T| > lambda}.
     """
-    probe = np.geomspace(s_min, s_max, 2048)
+    probe = np.geomspace(_WEAK11_S_MIN, s_max, 2048)
     vmax = float(np.max(np.abs(op_abs(probe))))
     if vmax <= 0.0:
         return DistributionProfile(np.array([]), np.array([]), 0.0, input_mass, label)
     thresholds = np.geomspace(vmax * 0.95, vmax * 10.0 ** (-decades), n_thresholds)
-    masses = level_set_masses(op_abs, thresholds, s_min, s_max, n_cells, measure)
+    masses = level_set_masses(op_abs, thresholds, _WEAK11_S_MIN, s_max, _WEAK11_CELLS, measure)
     quasi = float(np.max(thresholds * masses))
     return DistributionProfile(thresholds, masses, quasi, input_mass, label)
 
@@ -262,14 +263,15 @@ class SchurReport:
     col_sup: float
 
 
-def _radial_l1(batch_eval: Callable, s: float, R: float, breakpoints=(),
-               max_width: float = 8.0, n_gl: int = 16) -> float:
-    """4 pi * integral of |K(s, rho)| rho^2 d rho over (0, R), composite GL."""
-    edges = [0.0] + [b for b in sorted(breakpoints) if 0.0 < b < R] + [R]
-    x, w = _leggauss(n_gl)
+def _radial_l1(batch_eval: Callable, s: float, R: float) -> float:
+    """4 pi * integral of |K(s, rho)| rho^2 d rho over (0, R): composite
+    16-point Gauss-Legendre on panels at most 8 wide, cut at the gate
+    edges s - 1 and s + 1."""
+    edges = [0.0] + [b for b in (s - 1.0, s + 1.0) if 0.0 < b < R] + [R]
+    x, w = _leggauss(16)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        n_pan = max(2, int(np.ceil((b - a) / max_width)))
+        n_pan = max(2, int(np.ceil((b - a) / 8.0)))
         sub = np.linspace(a, b, n_pan + 1)
         mid = 0.5 * (sub[:-1] + sub[1:])
         half = 0.5 * np.diff(sub)
@@ -280,39 +282,21 @@ def _radial_l1(batch_eval: Callable, s: float, R: float, breakpoints=(),
     return 4.0 * np.pi * total
 
 
-def schur_admissibility(row_eval: Callable, R_dom: float, n_samples: int = 16,
-                        s_min: float = 0.05, gate_breaks: bool = True,
-                        col_eval: Callable | None = None,
-                        s_samples=None) -> SchurReport:
-    """Row and column L1 sups of a bi-radial kernel over the ball |.| <= R_dom.
+def schur_growth(row_eval: Callable, col_eval: Callable, R_list, n_samples: int) -> list:
+    """Row and column L1 sups of a bi-radial kernel over the balls
+    |.| <= R, one SchurReport per R in R_list (stabilization diagnostic).
 
-    row_eval(s, rho_array) returns K(s, rho) for a fixed first radius;
-    col_eval(s, rho_array) returns K(rho, s) (defaults to row_eval for
-    symmetric kernels).
-    """
-    col_eval = col_eval or row_eval
-    if s_samples is None:
-        s_samples = np.geomspace(s_min, R_dom * 0.98, n_samples)
-    s_samples = np.asarray(s_samples, dtype=float)
-    rows = np.empty(s_samples.size)
-    cols = np.empty(s_samples.size)
-    for i, s in enumerate(s_samples):
-        brk = (s - 1.0, s + 1.0) if gate_breaks else ()
-        rows[i] = _radial_l1(row_eval, s, R_dom, breakpoints=brk)
-        cols[i] = _radial_l1(col_eval, s, R_dom, breakpoints=brk)
-    return SchurReport(domain_radius=R_dom, row_sup=float(rows.max()),
-                       col_sup=float(cols.max()))
-
-
-def schur_growth(row_eval: Callable, R_list, n_samples: int = 16,
-                 col_eval: Callable | None = None) -> list:
-    """Schur reports across growing domain radii (stabilization diagnostic).
-
-    The outer-radius sample set is shared across domain radii so the
-    sups are directly comparable.
+    row_eval(s, rho_array) returns K(s, rho) for a fixed first radius,
+    and col_eval(s, rho_array) returns K(rho, s).  The sups run over
+    n_samples outer radii from 0.05 to 0.98 max(R_list), shared across
+    the domain radii so that the sups are directly comparable.
     """
     R_list = [float(R) for R in R_list]
     s_samples = np.geomspace(0.05, max(R_list) * 0.98, n_samples)
-    return [schur_admissibility(row_eval, R, n_samples, col_eval=col_eval,
-                                s_samples=s_samples)
-            for R in R_list]
+    reports = []
+    for R in R_list:
+        rows = [_radial_l1(row_eval, s, R) for s in s_samples]
+        cols = [_radial_l1(col_eval, s, R) for s in s_samples]
+        reports.append(SchurReport(domain_radius=R, row_sup=float(np.max(rows)),
+                                   col_sup=float(np.max(cols))))
+    return reports

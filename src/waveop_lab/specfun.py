@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,10 +29,7 @@ from .reports import BoundReport
 _SERIES_CROSSOVER = 0.5
 _N_SERIES = 36
 
-__all__ = [
-    "Branch", "eval_F", "eval_AB", "envelope_report",
-    "CutoffSpec", "Cutoff",
-]
+__all__ = ["Branch", "eval_F", "eval_AB", "envelope_report", "Cutoff"]
 
 
 class Branch(enum.Enum):
@@ -265,41 +261,32 @@ class SmoothStep:
         x = np.asarray(x, dtype=float)
         t = np.atleast_1d((x - self.t0) / self._h)
         if order == 0:
+            # 0 below the transition and 1 above it; the partial bump
+            # integral is needed only inside
+            out = np.where(t >= 1.0, 1.0, 0.0)
+            inside = (t > 0.0) & (t < 1.0)
+            ti = t[inside]
             edges, cum, x16, w16 = _bump_cumulative()
-            tc = np.clip(t, 0.0, 1.0)
-            k = np.clip(np.searchsorted(edges, tc, side="right") - 1, 0, 255)
+            k = np.clip(np.searchsorted(edges, ti, side="right") - 1, 0, 255)
             lo = edges[k]
-            half = 0.5 * (tc - lo)
-            nodes = (lo + half)[..., None] + half[..., None] * x16
+            half = 0.5 * (ti - lo)
+            nodes = (lo + half)[:, None] + half[:, None] * x16
             part = (_bump_hat(nodes) * w16).sum(axis=-1) * half
-            out = (cum[k] + part) / _bump_norm()
-            out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))
+            out[inside] = (cum[k] + part) / _bump_norm()
         else:
             out = _bump_hat(t, order - 1) / (_bump_norm() * self._h ** order)
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Low-energy cutoff: identically 1 on [0, lambda0/2], 0 beyond lambda0."""
-
-    lambda0: float = 0.1
-    transition: str = "exp_bump"
-
-    def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise InvalidInputError("lambda0 must be positive")
-        if self.transition != "exp_bump":
-            raise InvalidInputError(f"unknown transition {self.transition!r}")
-
-
 class Cutoff:
-    """Evaluator for the cutoff chi and its derivatives (order <= 4)."""
+    """The cutoff chi, identically 1 on [0, lambda0/2] and 0 beyond lambda0
+    with an exp-bump transition, and its derivatives (order <= 4)."""
 
-    def __init__(self, spec: CutoffSpec):
-        self.spec = spec
-        self.lambda0 = spec.lambda0
-        self._step = SmoothStep(spec.lambda0 / 2.0, spec.lambda0)
+    def __init__(self, lambda0: float):
+        if not lambda0 > 0:
+            raise InvalidInputError("lambda0 must be positive")
+        self.lambda0 = lambda0
+        self._step = SmoothStep(lambda0 / 2.0, lambda0)
 
     @property
     def transition_band(self):

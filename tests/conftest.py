@@ -3,12 +3,12 @@ import pytest
 
 from waveop_lab.potential import PotentialSpec, build_potential
 from waveop_lab.resolvent import expansion_terms
-from waveop_lab.specfun import Cutoff, CutoffSpec
+from waveop_lab.specfun import Cutoff
 
 
 @pytest.fixture(scope="session")
 def cutoff():
-    return Cutoff(CutoffSpec(0.1))
+    return Cutoff(0.1)
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,10 @@ the package uses separable phase tables and a moment series instead.
 ``kp_smeared_reference`` smears KtildeP over a coarse potential grid,
 and ``phi_lower_bound_chain`` is the analytic lower bound for Phi.
 
+Cutoff: ``smooth_step_everywhere`` evaluates the smooth step's partial
+bump integral at every abscissa and writes the plateaus over it; the
+package evaluates it only inside the transition.
+
 Paper objects with no check of their own: ``dyadic_phi`` is the
 homogeneous dyadic partition of unity behind the band estimates.
 
@@ -45,7 +49,8 @@ import numpy as np
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
 from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
 from waveop_lab.singular import _cell_measures
-from waveop_lab.specfun import Branch, SmoothStep, eval_F, eval_F_diff
+from waveop_lab.specfun import (Branch, SmoothStep, _bump_cumulative, _bump_hat,
+                               _bump_norm, eval_F, eval_F_diff)
 
 
 def full_mode_stack(grid, kernel) -> np.ndarray:
@@ -500,3 +505,18 @@ def dyadic_phi(N: int, lam):
     N telescopes to 1."""
     lam = np.asarray(lam, dtype=float)
     return _THETA(2.0 ** -N * lam) - _THETA(2.0 ** -(N + 1) * lam)
+
+
+def smooth_step_everywhere(step: SmoothStep, x) -> np.ndarray:
+    """SmoothStep.__call__ at order 0 with the partial bump integral taken
+    at every abscissa, clipped to [0, 1], and then overwritten by 0 below
+    the transition and 1 above it."""
+    t = np.atleast_1d((np.asarray(x, dtype=float) - step.t0) / step._h)
+    edges, cum, x16, w16 = _bump_cumulative()
+    tc = np.clip(t, 0.0, 1.0)
+    k = np.clip(np.searchsorted(edges, tc, side="right") - 1, 0, 255)
+    lo = edges[k]
+    half = 0.5 * (tc - lo)
+    nodes = (lo + half)[..., None] + half[..., None] * x16
+    out = (cum[k] + (_bump_hat(nodes) * w16).sum(axis=-1) * half) / _bump_norm()
+    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))

@@ -92,6 +92,12 @@ def test_bad_schur_config(tmp_path, capsys, schur):
     {"counterexample": {"l1_R_max": 4.0}},
     {"counterexample": {"slope_range": [0.36, 0.17]}},
     {"weak11": {"quasi_bound": -1}},
+    {"lambda_window": {"min": "a"}},
+    {"tolerances": {"identity_rel": "x"}},
+    {"lambda_window": {"count": 7.5}},
+    {"projection": {"rep_lambdas": [0.05, -1]}},
+    {"schur": {"stabilization_rel": "x"}},
+    {"tolerances": {"expansion_slope": ["a", 0.3]}},
 ], ids=["negative-R0", "unknown-shape", "string-R0", "expansion-R0",
         "expansion-amplitude", "rep-grid-count", "rep-grid-axes", "scalar-grid",
         "string-grid", "fractional-rep-grid", "decay-mu-3", "string-mu",
@@ -104,7 +110,9 @@ def test_bad_schur_config(tmp_path, capsys, schur):
         "one-g11-pair", "no-ktp-pairs", "no-kp-pairs", "no-psi2-pairs", "fractional-kp-pairs",
         "zero-radius-min", "radius-min-above-max", "kp-radius-max-below-min", "no-triples",
         "reversed-r-range", "zero-delta", "zero-hormander-bound", "l1-R-max-inside-shell",
-        "reversed-slope-range", "negative-quasi-bound"])
+        "reversed-slope-range", "negative-quasi-bound", "string-lambda-min",
+        "string-tolerance", "fractional-lambda-count", "negative-rep-lambda",
+        "string-stabilization", "string-slope-target"])
 def test_bad_config_at_load(tmp_path, capsys, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))

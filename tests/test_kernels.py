@@ -90,7 +90,7 @@ def test_ktilde_bound(cutoff):
 
 
 def test_psi2_cases(cutoff):
-    env = kn.EnvelopeSpec("psi2_envelope", n=2)
+    env = kn.EnvelopeSpec("psi2_envelope")
     # far field with |w| <= 1/2: decay at least like <z>^-2
     for sz in (10.0, 100.0, 1000.0):
         v = abs(kn.psi2_radial(sz, 0.3, cutoff))
@@ -219,8 +219,8 @@ def test_bound_ratio_sweep_zero_field():
         return np.zeros_like(s)
 
     env = kn.EnvelopeSpec("prop22_base")
-    rep = kn.bound_ratio_sweep("zero", zero, env, [(np.ones(3), np.zeros(3))],
-                               refine_check=False)
+    rep = kn.bound_ratio_sweep("zero", zero, env, [(np.ones(3), np.zeros(3))])
     assert rep.sup_ratio == 0.0
+    assert rep.details["refine_rel_change_top"] == 0.0
     with pytest.raises(InvalidInputError):
         kn.bound_ratio_sweep("zero", zero, env, [])

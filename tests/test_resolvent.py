@@ -149,25 +149,21 @@ def test_gamma0_grid_refinement_stability():
 
 
 def test_projection_gain_slopes(strong_pot):
-    rep = rs.projection_gain(strong_pot, LAMS, rep_lambdas=(0.05,))
+    rep = rs.projection_gain(strong_pot, LAMS, strong_pot, (0.05,))
     assert abs(rep.fit_plain.slope + 1.0) <= 0.1
     assert abs(rep.fit_projected.slope) <= 0.15
     assert rep.representation_errors[0.05] <= 1e-6
 
 
 def test_representation_axisymmetric_rows(strong_pot):
-    """f = 1 takes the phi = 0 rows only; the full-row computation agrees,
-    and so does the gap built from it."""
-    pot, lam, n = strong_pot, 0.05, strong_pot.grid.size
-    f = np.ones(n, dtype=complex)
-    full = rs._representation_rows(pot, lam, f, np.arange(n), Branch.plus, 6, 4, 24)
-    phi0 = rs._representation_rows(pot, lam, f, np.arange(0, n, pot.grid.n_phi),
-                                   Branch.plus, 6, 4, 24)
-    assert np.max(np.abs(np.repeat(phi0, pot.grid.n_phi) - full)) <= 1e-12 * np.max(np.abs(full))
-    direct = pot.projections.apply("Q", rs.vr0_apply(pot, lam, f))
-    rep = pot.projections.apply("Q", -pot.v * full / (8.0 * np.pi))
+    """f = 1 is constant along phi, so the rows at another azimuth equal
+    the phi = 0 rows, which representation_check computes and tiles."""
+    pot, lam, n, n_phi = strong_pot, 0.05, strong_pot.grid.size, strong_pot.grid.n_phi
+    phi0 = rs._representation_rows(pot, lam, np.arange(0, n, n_phi))
+    phi3 = rs._representation_rows(pot, lam, np.arange(3, n, n_phi))
+    assert np.max(np.abs(phi3 - phi0)) <= 1e-12 * np.max(np.abs(phi0))
+    direct = pot.apply_Q(rs.vr0_apply(pot, lam, np.ones(n)))
+    rep = pot.apply_Q(-pot.v * np.repeat(phi0, n_phi) / (8.0 * np.pi))
     gap = rs._weighted_norm(pot, direct - rep) / rs._weighted_norm(pot, direct)
-    assert rs.representation_check(pot, lam, f, levels=6, n_gl=4) == pytest.approx(gap, rel=1e-6)
-    # a phi-dependent f takes the full-row route
-    g = f * (1.0 + 0.1 * np.cos(np.arange(n) % pot.grid.n_phi))
-    assert rs.representation_check(pot, lam, g, levels=6, n_gl=4) <= 1e-6
+    assert rs.representation_check(pot, lam) == pytest.approx(gap, rel=1e-12)
+    assert gap <= 1e-6

@@ -217,14 +217,14 @@ def test_hilbert_and_maximal():
     for eps in (2.0 ** -10, 2.0 ** -3, 0.5):
         assert hilbert_truncated(ind11, 2.0, eps) == pytest.approx(np.log(3.0), rel=1e-9)
     # maximal function dominates interval averages
-    prof = sg.smooth_bump_profile(3.0, 1.0, normalize=False)
+    prof = sg.smooth_bump_profile(3.0, 1.0)
     avg, _ = integrate_adaptive(prof.fn, 2.0, 6.0, rel_tol=1e-10)
     assert maximal_fn(prof, 4.0) >= float(avg.real) / 4.0 - 1e-12
     assert maximal_fn(prof, 4.0) >= 0.0
 
 
 def test_domination_by_hilbert_star_plus_maximal():
-    prof = sg.smooth_bump_profile(2.0, 0.7, normalize=False)
+    prof = sg.smooth_bump_profile(2.0, 0.7)
     qp = quartic_profile(prof)
     cs = []
     for sigma in (1.0, 20.0, 120.0, 700.0):
@@ -266,8 +266,7 @@ def test_schur_convolution_kernel():
 def test_schur_model_kernel_gated_vs_ungated():
     # gated model kernel has stable row integrals; removing the gate
     # reintroduces the logarithmic divergence probed above
-    rep = sg.schur_admissibility(model_kernel_batch, 50.0, n_samples=8)
-    rep2 = sg.schur_admissibility(model_kernel_batch, 100.0, n_samples=8)
+    rep, rep2 = sg.schur_growth(model_kernel_batch, model_kernel_batch, [50.0, 100.0], 8)
     assert np.isfinite(rep2.row_sup)
     assert rep2.row_sup < 4.0 * rep.row_sup
 

@@ -4,7 +4,7 @@ import pytest
 import dense_reference as dense
 from waveop_lab import specfun as sf
 from waveop_lab.errors import InvalidInputError, UnsupportedOrderError
-from waveop_lab.specfun import Branch, Cutoff, CutoffSpec, eval_AB, eval_F, envelope_report
+from waveop_lab.specfun import Branch, Cutoff, eval_AB, eval_F, envelope_report
 
 
 def test_F_values():
@@ -95,7 +95,7 @@ def test_envelope_boundedness():
 
 
 def test_cutoff_values():
-    chi = Cutoff(CutoffSpec(0.1))
+    chi = Cutoff(0.1)
     assert chi(0.01) == 1.0
     assert chi(0.2) == 0.0
     mid = chi(0.075)
@@ -107,8 +107,17 @@ def test_cutoff_values():
     assert np.all(vals[lam >= 0.1] == 0.0)
 
 
+def test_cutoff_plateaus_match_full_evaluation():
+    # the bump integral is skipped on the plateaus, with the same bits as
+    # evaluating it everywhere, also at the transition edges
+    chi = Cutoff(0.1)
+    lam = np.concatenate([np.linspace(0.0, 0.12, 1201),
+                          [np.nextafter(0.05, 1.0), np.nextafter(0.1, 0.0)]])
+    assert np.array_equal(chi(lam), 1.0 - dense.smooth_step_everywhere(chi._step, lam))
+
+
 def test_cutoff_derivatives_bounded_and_consistent():
-    chi = Cutoff(CutoffSpec(0.1))
+    chi = Cutoff(0.1)
     lam = np.linspace(0.048, 0.102, 400)
     h = 1e-6
     for order in range(4):
@@ -139,9 +148,7 @@ def test_dyadic_partition():
 
 def test_cutoff_spec_validation():
     with pytest.raises(InvalidInputError):
-        CutoffSpec(0.0)
-    with pytest.raises(InvalidInputError):
-        CutoffSpec(0.1, transition="tanh")
+        Cutoff(0.0)
 
 
 def test_A_series_matches_closed_form_at_zero():
