@@ -43,15 +43,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    overrides = {k: v for k, v in (("seed", args.seed), ("threads", args.threads))
+                 if v is not None}
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    if args.threads is not None:
-        cfg.threads = int(args.threads)
     parallel.set_threads(cfg.threads)
     out_dir = args.out or os.environ.get("WAVEOP_LAB_OUT") or cfg.out_dir
 

@@ -325,21 +325,21 @@ class SuiteContext:
     def potential(self) -> Potential:
         if "pot" not in self._cache:
             self._cache["pot"] = build_potential(PotentialSpec(**self.cfg.potential),
-                                                 grid_shape=tuple(self.cfg.grid))
+                                                 grid_shape=self.cfg.grid)
         return self._cache["pot"]
 
     def expansion_potential(self) -> Potential:
         if "xpot" not in self._cache:
             self._cache["xpot"] = build_potential(
                 PotentialSpec(**self.cfg.expansion_potential),
-                grid_shape=tuple(self.cfg.grid))
+                grid_shape=self.cfg.grid)
         return self._cache["xpot"]
 
     def rep_potential(self) -> Potential:
         if "rpot" not in self._cache:
             self._cache["rpot"] = build_potential(
                 PotentialSpec(**self.cfg.expansion_potential),
-                grid_shape=tuple(self.cfg.rep_grid))
+                grid_shape=self.cfg.rep_grid)
         return self._cache["rpot"]
 
     def expansion_terms(self) -> rs.ExpansionTerms:
@@ -349,7 +349,7 @@ class SuiteContext:
 
     def lambda_window(self) -> np.ndarray:
         w = self.cfg.lambda_window
-        return np.geomspace(w["min"], w["max"], int(w["count"]))
+        return np.geomspace(w["min"], w["max"], w["count"])
 
 
 def _result(name, expected, measured, failures, t0, header=None, rows=None):
@@ -431,10 +431,9 @@ def check_resolvent_expansion(ctx: SuiteContext) -> CheckResult:
                                                 drops=((), ("a2",), ("ptilde",)))
     fesh = rs.feshbach_consistency(terms, 0.05)
     failures = []
-    for label, fit, (target, width) in (
-            ("full", rep.fit, tol["expansion_slope"]),
-            ("drop_a2", rep_a2.fit, tol["ablation_a2_slope"]),
-            ("drop_ptilde", rep_pt.fit, tol["ablation_ptilde_slope"])):
+    bands = [tol[k] for k in ("expansion_slope", "ablation_a2_slope", "ablation_ptilde_slope")]
+    for label, fit, (target, width) in zip(("full", "drop_a2", "drop_ptilde"),
+                                           (rep.fit, rep_a2.fit, rep_pt.fit), bands):
         if not abs(fit.slope - target) <= width:
             failures.append(f"{label} slope {fit.slope:.3f} outside {target}+-{width}")
         if not fit.r_squared >= tol["expansion_r2"]:
@@ -450,8 +449,9 @@ def check_resolvent_expansion(ctx: SuiteContext) -> CheckResult:
                 "grid_size": terms.pot.grid.size}
     rows = [(float(l), float(n), float(na), float(np_)) for l, n, na, np_ in
             zip(lams, rep.norms, rep_a2.norms, rep_pt.norms)]
+    full, a2, pt = (f"{target}+-{width}" for target, width in bands)
     return _result("resolvent-expansion",
-                   "Gamma3 slope 3.0+-0.3 (R2>=0.98); ablations 2.0+-0.3 / 1.0+-0.3",
+                   f"Gamma3 slope {full} (R2>={tol['expansion_r2']}); ablations {a2} / {pt}",
                    measured, failures, t0,
                    header=("lambda", "gamma3_norm", "norm_drop_a2", "norm_drop_ptilde"),
                    rows=rows)
@@ -480,7 +480,8 @@ def check_projection_gain(ctx: SuiteContext) -> CheckResult:
                 "representation_errors": {f"{k:g}": v for k, v in rep.representation_errors.items()}}
     rows = list(zip(map(float, lams), map(float, rep.norm_plain), map(float, rep.norm_projected)))
     return _result("projection-gain",
-                   "slopes -1+-0.1 (plain) and 0+-0.15 (projected); representation <= 1e-6",
+                   f"slopes {tp:g}+-{wp:g} (plain) and {tq:g}+-{wq:g} (projected); "
+                   f"representation <= {tol['representation_rel']:g}",
                    measured, failures, t0,
                    header=("lambda", "norm_plain", "norm_projected"), rows=rows)
 
@@ -517,15 +518,15 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
     sweeps = [(f"G11{'+' if sign > 0 else '-'}",
                lambda s, t, refine, b=branch: kn.g_radial(1, 1, b, s, t, cut, refine),
                kn.EnvelopeSpec("prop22_min", sign=sign),
-               sample_three_regime_pairs(rng, int(sw["g11_pairs"]) // 2,
+               sample_three_regime_pairs(rng, sw["g11_pairs"] // 2,
                                          sw["radius_min"], sw["radius_max"]))
               for branch, sign in ((Branch.plus, +1), (Branch.minus, -1))]
-    pairs = sample_three_regime_pairs(rng, int(sw["ktp_pairs"]),
+    pairs = sample_three_regime_pairs(rng, sw["ktp_pairs"],
                                       sw["radius_min"], sw["radius_max"])
     sweeps.append(("KtildeP", lambda s, t, refine: kn.ktilde_radial(s, t, cut, refine),
                    kn.EnvelopeSpec("ktp_envelope"), pairs))
     psi_pairs = []
-    for i in range(int(sw["psi2_pairs"])):
+    for i in range(sw["psi2_pairs"]):
         if i % 2 == 0:
             szv = np.exp(rng.uniform(np.log(1.6), np.log(sw["radius_max"])))
             swv = rng.uniform(0.01, 0.5)
@@ -555,7 +556,7 @@ def check_kp_compare(ctx: SuiteContext) -> CheckResult:
     sw = cfg.sweeps
     rng = cfg.rng_for("kp-compare")
     kp = kn.KPDirect(ctx.potential(), ctx.cutoff)
-    pairs = sample_three_regime_pairs(rng, int(sw["kp_pairs"]),
+    pairs = sample_three_regime_pairs(rng, sw["kp_pairs"],
                                       sw["radius_min"], sw["kp_radius_max"])
     repb, measured, rows, failures = _sweep(
         "KP_diff", lambda s, t, refine: kp.direct_radial(s, t, refine) - kp.leading_radial(s, t),
@@ -572,13 +573,13 @@ def check_k3_bound(ctx: SuiteContext) -> CheckResult:
     k3cfg = cfg.k3
     rng = cfg.rng_for("k3-bound")
     terms = ctx.expansion_terms()
-    k3 = kn.K3Evaluator(terms, ctx.cutoff, n_lambda=int(k3cfg["n_lambda"]),
+    k3 = kn.K3Evaluator(terms, ctx.cutoff, n_lambda=k3cfg["n_lambda"],
                         lam_min=k3cfg["lambda_min"])
-    n_pairs = int(k3cfg["n_pairs"])
+    n_pairs = k3cfg["n_pairs"]
     pairs3 = sample_three_regime_pairs(rng, n_pairs, K3_RADIUS_MIN, k3cfg["radius_max"])
     pairs = np.array([np.stack(p) for p in pairs3])
     spots = []
-    for _ in range(int(k3cfg["n_spot"])):
+    for _ in range(k3cfg["n_spot"]):
         sx = rng.uniform(K3_RADIUS_MIN, k3cfg["spot_radius"])
         sy = rng.uniform(K3_RADIUS_MIN, k3cfg["spot_radius"])
         spots.append(np.stack([sx * _unit_vectors(rng, 1)[0], sy * _unit_vectors(rng, 1)[0]]))
@@ -596,7 +597,7 @@ def check_k3_bound(ctx: SuiteContext) -> CheckResult:
         if not abs(sl - 4.0) <= 0.3:
             failures.append(f"integrand slope {sl:.3f} outside 4.0+-0.3")
     measured = {"sup_ratio": float(ratios.max()), "slopes": slopes,
-                "n_lambda": int(k3cfg["n_lambda"])}
+                "n_lambda": k3cfg["n_lambda"]}
     rows = _pair_rows("K3", pairs, vals, envs, ratios)
     return _result("k3-bound",
                    "|K3| / <x>^-1<y>^-1<|x|-|y|>^-5/2 bounded; integrand slope 4+-0.3",
@@ -612,12 +613,12 @@ def check_weak11(ctx: SuiteContext) -> CheckResult:
     ratios = []
     for c in wcfg["centers"]:
         for h in wcfg["widths"]:
-            prof = sg.smooth_bump_profile(float(c), float(h))
+            prof = sg.smooth_bump_profile(c, h)
             mass = prof.mass_omega()
             dist = sg.weak11_profile(
                 lambda s, p=prof: np.abs(sg.apply_W(p, s)), input_mass=mass,
                 s_max=max(50.0, 8.0 * c), measure="omega",
-                n_thresholds=int(wcfg["n_thresholds"]), decades=wcfg["decades"],
+                n_thresholds=wcfg["n_thresholds"], decades=wcfg["decades"],
                 label=prof.label)
             ratios.append(dist.ratio)
             for lam, m in zip(dist.thresholds, dist.masses):
@@ -640,7 +641,7 @@ def check_weak11(ctx: SuiteContext) -> CheckResult:
     tol = cfg.tolerances["levelset_rel"]
     op = lambda s: (1.0 + s ** 2) ** -1.5
     dist = sg.weak11_profile(op, input_mass=1.0, s_max=80.0, measure="lebesgue3d",
-                             n_thresholds=int(wcfg["n_thresholds"]),
+                             n_thresholds=wcfg["n_thresholds"],
                              decades=wcfg["decades"])
     analytic = (4.0 * np.pi / 3.0) * np.maximum(
         dist.thresholds ** (-2.0 / 3.0) - 1.0, 0.0) ** 1.5 * dist.thresholds
@@ -669,7 +670,7 @@ def check_hormander(ctx: SuiteContext) -> CheckResult:
     rng = cfg.rng_for("hormander")
     rows = []
     worst = 0.0
-    for _ in range(int(hc["n_triples"])):
+    for _ in range(hc["n_triples"]):
         r = np.exp(rng.uniform(np.log(hc["r_range"][0]), np.log(hc["r_range"][1])))
         delta = np.exp(rng.uniform(np.log(hc["delta_range"][0]), np.log(hc["delta_range"][1])))
         rbar = r + rng.uniform(-1.0, 1.0) * delta * 0.999
@@ -683,7 +684,7 @@ def check_hormander(ctx: SuiteContext) -> CheckResult:
     if spot > 6.0:
         failures.append(f"spot value {spot:.3f} > 6")
     measured = {"max_over_triples": worst, "spot_10_10.4_0.5": spot,
-                "n_triples": int(hc["n_triples"])}
+                "n_triples": hc["n_triples"]}
     return _result("hormander",
                    f"kernel smoothness modulus <= {hc['bound']} over random triples",
                    measured, failures, t0,
@@ -697,7 +698,7 @@ def check_schur(ctx: SuiteContext) -> CheckResult:
     cut = ctx.cutoff
     batch = kn.make_psi_batch(cut)
     batch_t = kn.make_psi_batch(cut, transpose=True)
-    reports = sg.schur_growth(batch, batch_t, sc["radii"], int(sc["n_samples"]))
+    reports = sg.schur_growth(batch, batch_t, sc["radii"], sc["n_samples"])
     rows = [(r.domain_radius, r.row_sup, r.col_sup) for r in reports]
     row_growth = rows[-1][1] / rows[-2][1] - 1.0
     col_growth = rows[-1][2] / rows[-2][2] - 1.0
@@ -738,7 +739,7 @@ def check_counterexample_linf(ctx: SuiteContext) -> CheckResult:
     rng = cfg.rng_for("counterexample-linf")
     mc_rows = []
     for R, srad, quad in zip(run.R_list[:3], run.x_star_radii, run.values):
-        mc, se = op.mc_estimate(srad, R, int(ce["mc_samples"]), rng)
+        mc, se = op.mc_estimate(srad, R, ce["mc_samples"], rng)
         mc_rows.append((R, quad, mc, se))
         if abs(quad - mc) > 3.0 * se + 1e-12:
             failures.append(f"MC mismatch at R={R:g}: quad {quad:.5f} vs mc {mc:.5f} (se {se:.2g})")
@@ -777,7 +778,8 @@ def check_counterexample_l1(ctx: SuiteContext) -> CheckResult:
                 "shell_scaled_range": [rep.shell_scaled_min, rep.shell_scaled_max]}
     rows = list(zip(map(float, rep.R_values), map(float, rep.masses)))
     return _result("counterexample-l1",
-                   "shell mass of T_G f_1 grows linearly in log R (R^2 >= 0.98)",
+                   "shell mass of T_G f_1 grows linearly in log R "
+                   f"(R^2 >= {cfg.tolerances['l1_r2']})",
                    measured, failures, t0, header=("R", "shell_mass"), rows=rows)
 
 

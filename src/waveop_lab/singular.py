@@ -31,6 +31,8 @@ from .quadrature import _leggauss, integrate_adaptive, integrate_batch
 # weak11_profile counts level sets on this many log cells from this radius
 _WEAK11_S_MIN = 1e-3
 _WEAK11_CELLS = 4096
+# smallest outer radius that schur_growth samples
+SCHUR_S_MIN = 0.05
 
 # ----------------------------------------------------------------------
 # Exact kernel decompositions
@@ -287,16 +289,17 @@ def schur_growth(row_eval: Callable, col_eval: Callable, R_list, n_samples: int)
     |.| <= R, one SchurReport per R in R_list (stabilization diagnostic).
 
     row_eval(s, rho_array) returns K(s, rho) for a fixed first radius,
-    and col_eval(s, rho_array) returns K(rho, s).  The sups run over
-    n_samples outer radii from 0.05 to 0.98 max(R_list), shared across
-    the domain radii so that the sups are directly comparable.
+    and col_eval(s, rho_array) returns K(rho, s).  The outer radii are
+    n_samples points from SCHUR_S_MIN to 0.98 max(R_list), shared across
+    the domain radii so that the sups are directly comparable; the sup
+    for R runs over the samples s <= R, inside the ball.
     """
-    R_list = [float(R) for R in R_list]
-    s_samples = np.geomspace(0.05, max(R_list) * 0.98, n_samples)
+    s_samples = np.geomspace(SCHUR_S_MIN, max(R_list) * 0.98, n_samples)
     reports = []
     for R in R_list:
-        rows = [_radial_l1(row_eval, s, R) for s in s_samples]
-        cols = [_radial_l1(col_eval, s, R) for s in s_samples]
+        inside = s_samples[s_samples <= R]
+        rows = [_radial_l1(row_eval, s, R) for s in inside]
+        cols = [_radial_l1(col_eval, s, R) for s in inside]
         reports.append(SchurReport(domain_radius=R, row_sup=float(np.max(rows)),
                                    col_sup=float(np.max(cols))))
     return reports

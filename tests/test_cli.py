@@ -34,7 +34,9 @@ def test_bad_potential_config(tmp_path, capsys):
     {"radii": 500.0},
     {"n_samples": 0},
     {"n_samples": 2.5},
-], ids=["one-radius", "decreasing", "zero-radius", "scalar", "no-samples", "fractional"])
+    {"radii": [0.05, 500.0]},
+], ids=["one-radius", "decreasing", "zero-radius", "scalar", "no-samples", "fractional",
+        "radius-at-smallest-sample"])
 def test_bad_schur_config(tmp_path, capsys, schur):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schur": schur}))
@@ -98,6 +100,13 @@ def test_bad_schur_config(tmp_path, capsys, schur):
     {"projection": {"rep_lambdas": [0.05, -1]}},
     {"schur": {"stabilization_rel": "x"}},
     {"tolerances": {"expansion_slope": ["a", 0.3]}},
+    {"seed": 7.9},
+    {"seed": True},
+    {"seed": -1},
+    {"threads": 1.5},
+    {"threads": -1},
+    {"lambda0": True},
+    {"out_dir": 5},
 ], ids=["negative-R0", "unknown-shape", "string-R0", "expansion-R0",
         "expansion-amplitude", "rep-grid-count", "rep-grid-axes", "scalar-grid",
         "string-grid", "fractional-rep-grid", "decay-mu-3", "string-mu",
@@ -112,11 +121,21 @@ def test_bad_schur_config(tmp_path, capsys, schur):
         "reversed-r-range", "zero-delta", "zero-hormander-bound", "l1-R-max-inside-shell",
         "reversed-slope-range", "negative-quasi-bound", "string-lambda-min",
         "string-tolerance", "fractional-lambda-count", "negative-rep-lambda",
-        "string-stabilization", "string-slope-target"])
+        "string-stabilization", "string-slope-target", "fractional-seed", "bool-seed",
+        "negative-seed", "fractional-threads", "negative-threads", "bool-lambda0",
+        "numeric-out-dir"])
 def test_bad_config_at_load(tmp_path, capsys, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))
     assert main(["counterexample-l1", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_bad_cli_override(tmp_path, capsys, flag):
+    # command-line overrides pass the same rules as the config file
+    assert main(["hormander", flag, "-1", "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 

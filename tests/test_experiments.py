@@ -112,6 +112,15 @@ def test_run_suite_writes_reports(tmp_path):
     assert os.path.exists(tmp_path / "report.json")
 
 
+def test_expected_follows_tolerances():
+    # the expected statement quotes the gate the config sets, not the default
+    cfg = default_config()
+    cfg.tolerances.update(expansion_slope=[3.0, 0.45], l1_r2=0.95)
+    ctx = xp.SuiteContext(cfg)
+    assert "Gamma3 slope 3.0+-0.45" in xp.check_resolvent_expansion(ctx).expected
+    assert "(R^2 >= 0.95)" in xp.check_counterexample_l1(ctx).expected
+
+
 def test_write_csv_numpy_scalars(tmp_path):
     # numpy scalars are written as numbers, not as "np.float64(...)"
     path = tmp_path / "cells.csv"

@@ -61,7 +61,7 @@ UNSET_DEFAULTS_KEPT = {
     # the console script calls main(); tests pass argv
     "main": {"argv"},
 }
-# classes whose fields are set after construction: _merge sets the
+# classes whose fields are set after construction: load_config sets the
 # Config fields from the JSON config
 FIELDS_SET_LATER = {"Config"}
 

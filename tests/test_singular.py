@@ -271,6 +271,17 @@ def test_schur_model_kernel_gated_vs_ungated():
     assert rep2.row_sup < 4.0 * rep.row_sup
 
 
+def test_schur_sup_runs_inside_the_ball():
+    # K(s, rho) = s: the row integral over |.| <= R is (4 pi/3) s R^3 and
+    # grows with s, so a shared sample s > R would set the R = 1 sup
+    kernel = lambda s, rho: np.full_like(rho, s)
+    rep1, rep10 = sg.schur_growth(kernel, kernel, [1.0, 10.0], 4)
+    s = np.geomspace(sg.SCHUR_S_MIN, 9.8, 4)
+    assert rep1.row_sup == pytest.approx(4 * np.pi / 3 * s[s <= 1.0].max(), rel=1e-12)
+    assert rep1.col_sup == rep1.row_sup
+    assert rep10.row_sup == pytest.approx(4000 * np.pi / 3 * s.max(), rel=1e-12)
+
+
 def test_weak11_model_and_leading_operators(small_pot):
     prof = sg.smooth_bump_profile(5.0, 0.5)
     op_model = model_operator_abs(prof)
