@@ -47,6 +47,9 @@ _N_MU = 24
 _N_RHO = 48
 # relative tolerance of Phi in |T_G f_R|
 _TG_REL_TOL = 1e-8
+# points per slice of the identities residuals: the slice's temporaries
+# fit in cache
+_IDENTITY_BLOCK = 2 ** 15
 # log-spaced panels of the counterexample-l1 shell
 _L1_PANELS = 36
 
@@ -362,6 +365,30 @@ def _result(name, expected, measured, failures, t0, header=None, rows=None):
 
 # ---------------------------- checks ----------------------------------
 
+def _identity_residuals_block(s, r) -> np.ndarray:
+    """Scale-relative residuals of the decomposition, adjoint and
+    cancellation identities, each the max over the points (s, r)."""
+    K, K1, K2, K3 = sg.model_kernel_decomp(s, r)
+    scale = np.maximum.reduce([np.abs(K), np.abs(K1), np.abs(K2), np.abs(K3)])
+    rel_decomp = np.max(np.abs(K - (K1 + K2 + K3)) / scale)
+    Ka, J1, J2, J3 = sg.adjoint_kernel_decomp(s, r)
+    scale_a = np.maximum.reduce([np.abs(Ka), np.abs(J1), np.abs(J2), np.abs(J3)])
+    rel_adj = np.max(np.abs(Ka - (J1 + J2 + J3)) / scale_a)
+    lhs = kn.cancellation_identity_lhs(s, r)
+    rhs = -4j * s / ((s - r) * (s + r) * (s ** 2 + r ** 2))
+    scale_c = np.maximum(np.abs(lhs), 1.0 / (s * r * np.abs(s - r)))
+    rel_canc = np.max(np.abs(lhs - rhs) / scale_c)
+    return np.array([rel_decomp, rel_adj, rel_canc])
+
+
+def identity_residuals(s, r) -> tuple[float, float, float]:
+    """``_identity_residuals_block`` slice by slice: every step but the max
+    is pointwise, so the result has the bits of one whole-array pass."""
+    blocks = [_identity_residuals_block(s[i:i + _IDENTITY_BLOCK], r[i:i + _IDENTITY_BLOCK])
+              for i in range(0, s.size, _IDENTITY_BLOCK)]
+    return tuple(float(v) for v in np.max(blocks, axis=0))
+
+
 def check_identities(ctx: SuiteContext) -> CheckResult:
     t0 = time.perf_counter()
     cfg = ctx.cfg
@@ -370,16 +397,7 @@ def check_identities(ctx: SuiteContext) -> CheckResult:
     n = 10 ** 6
     s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
-    K, K1, K2, K3 = sg.model_kernel_decomp(s, r)
-    scale = np.maximum.reduce([np.abs(K), np.abs(K1), np.abs(K2), np.abs(K3)])
-    rel_decomp = float(np.max(np.abs(K - (K1 + K2 + K3)) / scale))
-    Ka, J1, J2, J3 = sg.adjoint_kernel_decomp(s, r)
-    scale_a = np.maximum.reduce([np.abs(Ka), np.abs(J1), np.abs(J2), np.abs(J3)])
-    rel_adj = float(np.max(np.abs(Ka - (J1 + J2 + J3)) / scale_a))
-    lhs = kn.cancellation_identity_lhs(s, r)
-    rhs = -4j * s / ((s - r) * (s + r) * (s ** 2 + r ** 2))
-    scale_c = np.maximum(np.abs(lhs), 1.0 / (s * r * np.abs(s - r)))
-    rel_canc = float(np.max(np.abs(lhs - rhs) / scale_c))
+    rel_decomp, rel_adj, rel_canc = identity_residuals(s, r)
     spot = abs(kn.cancellation_identity_lhs(2.0, 1.0) - (-8j / 15.0))
     failures = []
     for label, val in (("decomposition", rel_decomp), ("adjoint", rel_adj),

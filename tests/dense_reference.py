@@ -34,6 +34,11 @@ Cutoff: ``smooth_step_everywhere`` evaluates the smooth step's partial
 bump integral at every abscissa and writes the plateaus over it; the
 package evaluates it only inside the transition.
 
+Special functions: ``series_horner_complex`` is the small-argument
+series of F, A and B as all 36 tabulated terms of a complex Horner loop;
+the package runs real Horner loops on the real and imaginary parts,
+with as many terms as the batch's largest argument needs.
+
 Paper objects with no check of their own: ``dyadic_phi`` is the
 homogeneous dyadic partition of unity behind the band estimates.
 
@@ -50,7 +55,7 @@ from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_ada
 from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
 from waveop_lab.singular import _cell_measures
 from waveop_lab.specfun import (Branch, SmoothStep, _bump_cumulative, _bump_hat,
-                               _bump_norm, eval_F, eval_F_diff)
+                               _bump_norm, _series_coeffs, eval_F, eval_F_diff)
 
 
 def full_mode_stack(grid, kernel) -> np.ndarray:
@@ -520,3 +525,18 @@ def smooth_step_everywhere(step: SmoothStep, x) -> np.ndarray:
     nodes = (lo + half)[..., None] + half[..., None] * x16
     out = (cum[k] + (_bump_hat(nodes) * w16).sum(axis=-1) * half) / _bump_norm()
     return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))
+
+
+def series_horner_complex(kind: str, sigma: int, s, order: int) -> np.ndarray:
+    """The order-th derivative of F, A or B by its Taylor series: every
+    term of the coefficient table, summed by complex Horner's rule."""
+    c = _series_coeffs(kind, sigma)
+    m = np.arange(c.size, dtype=float)
+    fall = np.ones(c.size)
+    for j in range(order):
+        fall *= np.maximum(m - j, 0.0)
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape, dtype=complex)
+    for ck in (c * fall)[order:][::-1]:
+        out = out * s + ck
+    return out

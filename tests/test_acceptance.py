@@ -44,7 +44,7 @@ def test_criterion_03_resolvent_expansion(ctx):
 
 
 def test_criterion_04_projection_gain(ctx):
-    _finish(xp.check_projection_gain(ctx), 6.5)
+    _finish(xp.check_projection_gain(ctx), 0.8)
 
 
 def test_criterion_05_kernel_envelopes(ctx):

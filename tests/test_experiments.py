@@ -43,6 +43,16 @@ def test_tg_abs_batch_matches_per_point(small_pot):
     assert op.tg_abs(s, R) == pytest.approx(dense.tg_abs(op, s, R), rel=1e-12)
 
 
+def test_identity_residuals_blocked_match_whole_array(rng):
+    # three full slices and a partial one give the bits of one whole pass
+    n = 3 * xp._IDENTITY_BLOCK + 17
+    s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+    whole = tuple(float(v) for v in xp._identity_residuals_block(s, r))
+    assert xp.identity_residuals(s, r) == whole
+    assert all(v > 0.0 for v in whole)
+
+
 def test_phi_dominates_chain_bound():
     R, R0 = 100.0, 1.0
     for a0 in (103.0, 103.5, 104.5):

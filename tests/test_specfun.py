@@ -51,13 +51,103 @@ def test_conjugation_symmetry():
 
 
 def test_seam_agreement():
-    # both evaluation branches agree on the crossover band
-    s = np.linspace(0.4, 1.0, 31)
-    for kind, top in (("F", 4), ("A", 4), ("B", 4)):
-        for order in range(top):
-            a = sf._series_eval(kind, 1, s, order)
-            b = sf._CLOSED[kind](1, s, order)
-            assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12, (kind, order)
+    # both evaluation branches agree on the crossover band; the highest
+    # orders switch branches at 1.0, not at 0.5
+    for lo, hi, orders in ((0.4, 1.0, {"F": range(4), "A": range(4), "B": range(4)}),
+                           (0.8, 1.2, {"F": (4, 5), "A": (4,), "B": (4,)})):
+        s = np.linspace(lo, hi, 31)
+        for kind, kind_orders in orders.items():
+            for order in kind_orders:
+                a = sf._series_eval(kind, 1, s, order)
+                b = sf._CLOSED[kind](1, s, order)
+                assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12, (kind, order)
+
+
+# (kind, derivative order) of every function the series serves
+SERIES_CASES = [("F", o) for o in range(6)] + [(k, o) for k in "AB" for o in range(5)]
+
+
+def _public(kind, branch, s, order):
+    return eval_F(branch, s, order) if kind == "F" else eval_AB(kind, branch, s, order)
+
+
+def _seam(order):
+    return sf._SERIES_CROSSOVER if order <= 3 else 1.0
+
+
+@pytest.mark.parametrize("kind, order", SERIES_CASES)
+def test_series_matches_complex_horner(kind, order):
+    # the trimmed real-arithmetic Horner against every tabulated term in
+    # complex arithmetic, on both branches
+    s = np.concatenate([[0.0], np.geomspace(1e-8, _seam(order), 400)])
+    for branch in Branch:
+        want = dense.series_horner_complex(kind, branch.sign, s, order)
+        got = sf._series_eval(kind, branch.sign, s, order)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (kind, order, branch)
+        # all below the seam: the public route is the series alone
+        got = _public(kind, branch, s[:-1], order)
+        assert np.all(np.abs(got - want[:-1]) <= 1e-15 * np.abs(want[:-1])), (kind, order, branch)
+
+
+def _mp_value(mpmath, kind, sigma, s, order):
+    """The order-th derivative of F, A or B at s, by quadrature of the
+    integral over t in [0, 1] of sum_j w_j(t) e^{a_j(t) s} that equals
+    each function; F(s) = int (i sigma e^{i sigma s t} + e^{-st}) dt."""
+    i = mpmath.mpc(0, sigma)
+    pieces = {"F": lambda t: ((i, i * t), (1, -t)),
+              "B": lambda t: ((i, i * (t - 1)), (1, -t - i)),
+              "A": lambda t: ((-t, i * (t - 1)), (-t, -t - i))}[kind]
+    return mpmath.quad(lambda t: sum(w * a ** order * mpmath.exp(a * s) for w, a in pieces(t)),
+                       [0, 1])
+
+
+@pytest.mark.parametrize("kind, order", SERIES_CASES)
+def test_series_matches_30_digit_values(kind, order):
+    mpmath = pytest.importorskip("mpmath")
+    s = np.concatenate([[0.0], np.geomspace(1e-8, _seam(order), 12)[:-1]])
+    with mpmath.workdps(30):
+        for branch in Branch:
+            got = _public(kind, branch, s, order)
+            want = np.array([complex(_mp_value(mpmath, kind, branch.sign, mpmath.mpf(x), order))
+                             for x in s])
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (kind, order, branch)
+
+
+def test_series_length_is_trimmed():
+    # a largest argument up to 0.5 needs at most 20 of the 36 terms
+    for kind, order in SERIES_CASES:
+        for sigma in (1, -1):
+            mag = sf._derivative_coeffs(kind, sigma, order)[2]
+            assert sf._series_length(mag, 0.0) == 1
+            for s_max in np.linspace(0.01, 0.5, 50):
+                assert sf._series_length(mag, s_max) <= 20, (kind, order, sigma, s_max)
+
+
+def test_eval_F_shapes_and_batches():
+    # empty input: an empty complex array of the same shape
+    for shape in ((0,), (2, 0)):
+        out = eval_F(Branch.plus, np.zeros(shape), 2)
+        assert out.shape == shape and out.dtype == complex
+    # scalar input: a numpy complex scalar
+    out = eval_F(Branch.minus, 0.3, 1)
+    assert isinstance(out, np.complex128) and np.ndim(out) == 0
+    want = dense.series_horner_complex("F", -1, 0.3, 1)
+    assert abs(out - want) <= 1e-15 * abs(want)
+    rng = np.random.default_rng(3)
+    # a 3-D batch entirely below the seam
+    s = rng.uniform(0.0, 0.49, (3, 4, 5))
+    want = dense.series_horner_complex("F", 1, s, 2)
+    got = eval_F(Branch.plus, s, 2)
+    assert got.shape == s.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    # a mixed batch: the series below the seam, the closed form above it
+    s = rng.uniform(0.0, 3.0, (4, 6))
+    got = eval_F(Branch.plus, s, 2)
+    small = s < 0.5
+    assert got.shape == s.shape and 0 < small.sum() < s.size
+    want = dense.series_horner_complex("F", 1, s[small], 2)
+    assert np.all(np.abs(got[small] - want) <= 1e-15 * np.abs(want))
+    assert np.array_equal(got[~small], sf._CLOSED["F"](1, s[~small], 2))
 
 
 def test_derivative_consistency():
