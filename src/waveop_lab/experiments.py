@@ -711,12 +711,8 @@ def check_hormander(ctx: SuiteContext) -> CheckResult:
 
 def check_schur(ctx: SuiteContext) -> CheckResult:
     t0 = time.perf_counter()
-    cfg = ctx.cfg
-    sc = cfg.schur
-    cut = ctx.cutoff
-    batch = kn.make_psi_batch(cut)
-    batch_t = kn.make_psi_batch(cut, transpose=True)
-    reports = sg.schur_growth(batch, batch_t, sc["radii"], sc["n_samples"])
+    sc = ctx.cfg.schur
+    reports = sg.schur_growth(kn.make_psi_batch(ctx.cutoff), sc["radii"], sc["n_samples"])
     rows = [(r.domain_radius, r.row_sup, r.col_sup) for r in reports]
     row_growth = rows[-1][1] / rows[-2][1] - 1.0
     col_growth = rows[-1][2] / rows[-2][2] - 1.0

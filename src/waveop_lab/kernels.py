@@ -8,8 +8,8 @@ special functions F, A, B against free-resolvent factors:
 * ``ktilde_radial``  the translation-invariant core KtildeP of K_P,
 * ``psi2_radial``    its admissible remainder on the gate (stable
                      cutoff-derivative representation),
-* ``make_psi_batch`` Psi = KtildeP off the gate, Psi2 on it, on fixed
-                     panel rules for the Schur integrals,
+* ``make_psi_batch`` Psi(s, rho) and Psi(rho, s) together (KtildeP off
+                     the gate, Psi2 on it) for the Schur integrals,
 * ``KPDirect``       the rank-one-projection kernel K_P, both by direct
                      quadrature (factorized through the radial potential
                      profile) and through its closed-form leading term,
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .potential import Potential
-from .quadrature import gauss_rule, integrate_batch
+from .quadrature import _leggauss, gauss_rule, integrate_batch
 # unused here, but perfbench/tracer.py rebinds it in every module that held it
 from .quadrature import integrate_adaptive  # noqa: F401
 from .reports import BoundReport, SlopeFit, fit_loglog
@@ -199,85 +199,90 @@ def psi2_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     return out.reshape(shape)[()]
 
 
-def make_psi_batch(cutoff: Cutoff, transpose: bool = False):
-    """Vectorized Psi(s, rho_array) on fixed panelized rules.
+def _psi_panels(a: float, b: float, freq: float):
+    """Nodes, weights, midpoints and node offsets of the fixed Psi rule on
+    [a, b]: one equal-width panel per 3 radians of phase, at least 16."""
+    x, wgl = _leggauss(_PSI_GL)
+    n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0)))
+    sub = np.linspace(a, b, n_pan + 1)
+    mid = 0.5 * (sub[:-1] + sub[1:])
+    half = 0.5 * np.diff(sub)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wts = (half[:, None] * wgl[None, :]).ravel()
+    return nodes, wts, mid, 0.5 * (b - a) / n_pan * x
 
-    Used by the Schur row/column integrals, where one radius is fixed
-    and the other runs over a quadrature grid.  Panel counts follow the
-    phase range, so accuracy is uniform in the radii; each panel has
-    8 Gauss-Legendre nodes.  With
-    ``transpose`` the returned callable evaluates Psi(rho_array, s)
-    instead (the kernel is not symmetric).
+
+def _panel_phase(rho, mid):
+    """exp(i rho mid) for equally spaced mid, from rho (A + B) exps: panel
+    p = a B + b, B = ceil(sqrt(n_pan)), is exp(i rho mid_aB) exp(i rho
+    (mid_b - mid_0)), a (rho, A) block table times a (rho, B) offset
+    table; the padded tail p >= n_pan is dropped."""
+    step = int(np.ceil(np.sqrt(mid.size)))
+    block = np.exp(1j * np.outer(rho, mid[::step]))
+    offset = np.exp(1j * np.outer(rho, mid[:step] - mid[0]))
+    return (block[:, :, None] * offset[:, None, :]).reshape(len(rho), -1)[:, :mid.size]
+
+
+def _contract(panel, node, cols):
+    """(panel[r, p] node[r, j]) @ cols[(p, j), k], summed over p and j."""
+    n_rho, n_pan = panel.shape
+    m = cols.reshape(n_pan, _PSI_GL, -1).transpose(1, 0, 2).reshape(_PSI_GL, -1)
+    return np.matmul(panel[:, None, :], (node @ m).reshape(n_rho, n_pan, -1))[:, 0, :]
+
+
+def make_psi_batch(cutoff: Cutoff):
+    """``batch(s, rho_array)`` returns (Psi(s, rho), Psi(rho, s)) on fixed
+    panelized lambda rules, for the Schur row and column integrals (the
+    kernel is not symmetric).  Both sides share the rho nodes, the rule
+    and its tables.  Panel counts follow the phase range, so accuracy is
+    uniform in the radii.
 
     On the gate the four exponentials of Psi2 are e^{iL(Z+-W)} and
     e^{-L(Z+-iW)} over denominators in rho only, so every (rho, lambda)
     table is E = exp(i rho L), conj(E) (conj(E) @ m = conj(E @ conj(m)))
-    or the real exp(-rho L), times a lambda-only weight column.  The
-    nodes sit on equal-width panels, L = c_p + d_j, so each table is a
-    (rho, panel) table times a (rho, node) table; ``contract`` applies
-    that product to the weight columns without building it.
+    or the columns' real exp(-rho L), times lambda-only weight columns;
+    E is contracted once for both sides.  The nodes sit on equal-width
+    panels, L = c_p + d_j, so each table is a (rho, panel) table times a
+    (rho, node) table, and ``_contract`` applies that product without
+    building it.
     """
-    from .quadrature import _leggauss
-    x, wgl = _leggauss(_PSI_GL)
-
-    def panel_rule(a, b, freq):
-        n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0)))
-        sub = np.linspace(a, b, n_pan + 1)
-        mid = 0.5 * (sub[:-1] + sub[1:])
-        half = 0.5 * np.diff(sub)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (half[:, None] * wgl[None, :]).ravel()
-        return nodes, wts, mid, 0.5 * (b - a) / n_pan * x
-
-    def contract(panel, node, cols):
-        """(panel[r, p] node[r, j]) @ cols[(p, j), k], summed over p and j."""
-        n_pan = panel.shape[1]
-        m = cols.reshape(n_pan, _PSI_GL, -1).transpose(1, 0, 2).reshape(_PSI_GL, -1)
-        return np.einsum("rp,rpk->rk", panel, (node @ m).reshape(len(node), n_pan, -1))
-
     lo, hi = cutoff.transition_band
 
     def batch(s, rho):
         s = float(s)
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = np.zeros(rho.shape, dtype=complex)
+        row, col = np.zeros((2,) + rho.shape, dtype=complex)
         gate = np.abs(s - rho) >= 1.0
         near = ~gate
         if near.any():
             rn = rho[near]
-            lam, w, _, _ = panel_rule(0.0, cutoff.lambda0, s + rn.max())
+            lam, w, _, _ = _psi_panels(0.0, cutoff.lambda0, s + rn.max())
             base = w * cutoff(lam) * lam ** 2
-            if transpose:
-                # KtildeP(rho, s): F carries rho, the sine factor carries s
-                base_s = base * eval_F_diff(lam * s)
-                out[near] = eval_F(Branch.plus, np.outer(rn, lam)) @ base_s
-            else:
-                base_s = base * eval_F(Branch.plus, lam * s)
-                out[near] = eval_F_diff(np.outer(rn, lam)) @ base_s
+            # KtildeP(z, w): F carries z, the sine factor carries w
+            row[near] = eval_F_diff(np.outer(rn, lam)) @ (base * eval_F(Branch.plus, lam * s))
+            col[near] = eval_F(Branch.plus, np.outer(rn, lam)) @ (base * eval_F_diff(lam * s))
         if gate.any():
             rg = np.maximum(rho[gate], 1e-12)
             sc = max(s, 1e-12)
-            lam, w, mid, d = panel_rule(lo, hi, s + rg.max())
+            lam, w, mid, d = _psi_panels(lo, hi, s + rg.max())
             wchi = w * cutoff(lam, 1)
-            E = (np.exp(1j * np.outer(rg, mid)), np.exp(1j * np.outer(rg, d)))
             ws = wchi * np.exp(1j * lam * sc)
-            if transpose:
-                # Z = rho, W = s: e^{iL(rho+-s)} = E e^{+-iLs}, e^{-L(rho+-is)} = D e^{-+iLs}
-                ep, em = contract(*E, np.stack([ws, ws.conj()], axis=1)).T
-                D = (np.exp(-np.outer(rg, mid)), np.exp(-np.outer(rg, d)))
-                dr, di = contract(*D, np.stack([ws.real, ws.imag], axis=1)).T
-                dp, dm = dr + 1j * di, dr - 1j * di
-                b = (-ep / (1j * (rg + sc)) + em / (1j * (rg - sc))
-                     + dm / (rg + 1j * sc) - dp / (rg - 1j * sc))
-            else:
-                # Z = s, W = rho: e^{iL(s+-rho)} = e^{iLs} (E or conj E),
-                # e^{-L(s+-i rho)} = e^{-Ls} (conj E or E)
-                ep, ed, ec = contract(*E, np.stack([ws, wchi * np.exp(-lam * sc),
-                                                    ws.conj()], axis=1)).T
-                b = (-ep / (1j * (sc + rg)) + ec.conj() / (1j * (sc - rg))
-                     + ed.conj() / (sc + 1j * rg) - ed / (sc - 1j * rg))
-            out[gate] = b / (sc * rg)
-        return out
+            E = (_panel_phase(rg, mid), np.exp(1j * np.outer(rg, d)))
+            ep, em, ed = _contract(*E, np.stack([ws, ws.conj(), wchi * np.exp(-lam * sc)],
+                                                axis=1)).T
+            D = (np.exp(-np.outer(rg, mid)), np.exp(-np.outer(rg, d)))
+            dr, di = _contract(*D, np.stack([ws.real, ws.imag], axis=1)).T
+            # rows, Z = s and W = rho: e^{iL(s+-rho)} = e^{iLs} (E or conj E),
+            # e^{-L(s+-i rho)} = e^{-Ls} (conj E or E)
+            b = (-ep / (1j * (sc + rg)) + em.conj() / (1j * (sc - rg))
+                 + ed.conj() / (sc + 1j * rg) - ed / (sc - 1j * rg))
+            row[gate] = b / (sc * rg)
+            # columns, Z = rho and W = s: e^{iL(rho+-s)} = E e^{+-iLs},
+            # e^{-L(rho+-is)} = D e^{-+iLs}
+            b = (-ep / (1j * (rg + sc)) + em / (1j * (rg - sc))
+                 + (dr - 1j * di) / (rg + 1j * sc) - (dr + 1j * di) / (rg - 1j * sc))
+            col[gate] = b / (sc * rg)
+        return row, col
 
     return batch
 

@@ -265,13 +265,13 @@ class SchurReport:
     col_sup: float
 
 
-def _radial_l1(batch_eval: Callable, s: float, R: float) -> float:
-    """4 pi * integral of |K(s, rho)| rho^2 d rho over (0, R): composite
-    16-point Gauss-Legendre on panels at most 8 wide, cut at the gate
-    edges s - 1 and s + 1."""
+def _radial_l1(batch_eval: Callable, s: float, R: float) -> tuple:
+    """4 pi * integrals of |K(s, rho)| and |K(rho, s)| times rho^2 d rho over
+    (0, R), for batch_eval(s, rho) = (K(s, rho), K(rho, s)): composite
+    16-point Gauss-Legendre on panels at most 8 wide, cut at s -+ 1."""
     edges = [0.0] + [b for b in (s - 1.0, s + 1.0) if 0.0 < b < R] + [R]
     x, w = _leggauss(16)
-    total = 0.0
+    total = np.zeros(2)
     for a, b in zip(edges[:-1], edges[1:]):
         n_pan = max(2, int(np.ceil((b - a) / 8.0)))
         sub = np.linspace(a, b, n_pan + 1)
@@ -279,27 +279,25 @@ def _radial_l1(batch_eval: Callable, s: float, R: float) -> float:
         half = 0.5 * np.diff(sub)
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         wts = (half[:, None] * w[None, :]).ravel()
-        vals = np.abs(batch_eval(s, nodes))
-        total += float(np.sum(wts * vals * nodes ** 2))
-    return 4.0 * np.pi * total
+        vals = np.abs(np.stack(batch_eval(s, nodes)))
+        total += np.sum(wts * vals * nodes ** 2, axis=1)
+    return tuple(4.0 * np.pi * total)
 
 
-def schur_growth(row_eval: Callable, col_eval: Callable, R_list, n_samples: int) -> list:
+def schur_growth(batch_eval: Callable, R_list, n_samples: int) -> list:
     """Row and column L1 sups of a bi-radial kernel over the balls
     |.| <= R, one SchurReport per R in R_list (stabilization diagnostic).
 
-    row_eval(s, rho_array) returns K(s, rho) for a fixed first radius,
-    and col_eval(s, rho_array) returns K(rho, s).  The outer radii are
-    n_samples points from SCHUR_S_MIN to 0.98 max(R_list), shared across
-    the domain radii so that the sups are directly comparable; the sup
-    for R runs over the samples s <= R, inside the ball.
+    batch_eval(s, rho_array) returns the pair (K(s, rho), K(rho, s)), so
+    a row and its column share each call.  The outer radii are n_samples points from SCHUR_S_MIN to
+    0.98 max(R_list), shared across the domain radii so that the sups
+    are directly comparable; the sup for R runs over the samples s <= R,
+    inside the ball.
     """
     s_samples = np.geomspace(SCHUR_S_MIN, max(R_list) * 0.98, n_samples)
     reports = []
     for R in R_list:
-        inside = s_samples[s_samples <= R]
-        rows = [_radial_l1(row_eval, s, R) for s in inside]
-        cols = [_radial_l1(col_eval, s, R) for s in inside]
+        rows, cols = zip(*(_radial_l1(batch_eval, s, R) for s in s_samples[s_samples <= R]))
         reports.append(SchurReport(domain_radius=R, row_sup=float(np.max(rows)),
                                    col_sup=float(np.max(cols))))
     return reports

@@ -22,6 +22,10 @@ Kernel integrals: ``psi_gate_batch`` evaluates the gated Psi with all
 four exponentials on the full (rho, lambda) table, and
 ``tg_abs_far_batch`` sums the far-field Phi over every (d, rho) node;
 the package uses separable phase tables and a moment series instead.
+``psi_batch_separate`` is the Psi batch as one callable per side, each
+with its own directly built panel phase table; the package evaluates
+both sides in one call on one table built from block and offset
+phases.
 ``psi_radial`` assembles Psi from the per-pair routes above,
 ``kp_shell`` evaluates the K_P shell integrals in complex arithmetic
 (``kp_integrand`` is the direct K_P integrand built from four of them,
@@ -252,6 +256,77 @@ def psi_gate_batch(cutoff, s: float, rho, transpose: bool = False, n_gl: int = 8
          + np.exp(-L * (Z + 1j * W)) / (Z + 1j * W)
          - np.exp(-L * (Z - 1j * W)) / (Z - 1j * W))
     return ((b @ wchi) / (sc * rg)).astype(complex)
+
+
+def psi_batch_separate(cutoff, transpose: bool = False):
+    """kernels.make_psi_batch as two callables: Psi(s, rho_array), or with
+    ``transpose`` Psi(rho_array, s).  Each builds its own exp(i rho mid)
+    panel table, directly, and sums it over panels by einsum; the package
+    builds the table once for both sides, from a block and an offset
+    table, and sums by matmul."""
+    n_gl = 8
+    x, wgl = _leggauss(n_gl)
+
+    def panel_rule(a, b, freq):
+        n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0)))
+        sub = np.linspace(a, b, n_pan + 1)
+        mid = 0.5 * (sub[:-1] + sub[1:])
+        half = 0.5 * np.diff(sub)
+        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        wts = (half[:, None] * wgl[None, :]).ravel()
+        return nodes, wts, mid, 0.5 * (b - a) / n_pan * x
+
+    def contract(panel, node, cols):
+        """(panel[r, p] node[r, j]) @ cols[(p, j), k], summed over p and j."""
+        n_pan = panel.shape[1]
+        m = cols.reshape(n_pan, n_gl, -1).transpose(1, 0, 2).reshape(n_gl, -1)
+        return np.einsum("rp,rpk->rk", panel, (node @ m).reshape(len(node), n_pan, -1))
+
+    lo, hi = cutoff.transition_band
+
+    def batch(s, rho):
+        s = float(s)
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        out = np.zeros(rho.shape, dtype=complex)
+        gate = np.abs(s - rho) >= 1.0
+        near = ~gate
+        if near.any():
+            rn = rho[near]
+            lam, w, _, _ = panel_rule(0.0, cutoff.lambda0, s + rn.max())
+            base = w * cutoff(lam) * lam ** 2
+            if transpose:
+                # KtildeP(rho, s): F carries rho, the sine factor carries s
+                base_s = base * eval_F_diff(lam * s)
+                out[near] = eval_F(Branch.plus, np.outer(rn, lam)) @ base_s
+            else:
+                base_s = base * eval_F(Branch.plus, lam * s)
+                out[near] = eval_F_diff(np.outer(rn, lam)) @ base_s
+        if gate.any():
+            rg = np.maximum(rho[gate], 1e-12)
+            sc = max(s, 1e-12)
+            lam, w, mid, d = panel_rule(lo, hi, s + rg.max())
+            wchi = w * cutoff(lam, 1)
+            E = (np.exp(1j * np.outer(rg, mid)), np.exp(1j * np.outer(rg, d)))
+            ws = wchi * np.exp(1j * lam * sc)
+            if transpose:
+                # Z = rho, W = s: e^{iL(rho+-s)} = E e^{+-iLs}, e^{-L(rho+-is)} = D e^{-+iLs}
+                ep, em = contract(*E, np.stack([ws, ws.conj()], axis=1)).T
+                D = (np.exp(-np.outer(rg, mid)), np.exp(-np.outer(rg, d)))
+                dr, di = contract(*D, np.stack([ws.real, ws.imag], axis=1)).T
+                dp, dm = dr + 1j * di, dr - 1j * di
+                b = (-ep / (1j * (rg + sc)) + em / (1j * (rg - sc))
+                     + dm / (rg + 1j * sc) - dp / (rg - 1j * sc))
+            else:
+                # Z = s, W = rho: e^{iL(s+-rho)} = e^{iLs} (E or conj E),
+                # e^{-L(s+-i rho)} = e^{-Ls} (conj E or E)
+                ep, ed, ec = contract(*E, np.stack([ws, wchi * np.exp(-lam * sc),
+                                                    ws.conj()], axis=1)).T
+                b = (-ep / (1j * (sc + rg)) + ec.conj() / (1j * (sc - rg))
+                     + ed.conj() / (sc + 1j * rg) - ed / (sc - 1j * rg))
+            out[gate] = b / (sc * rg)
+        return out
+
+    return batch
 
 
 def tg_abs_far_batch(op, s_values, R: float, n_rho: int = 48) -> np.ndarray:

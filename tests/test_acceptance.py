@@ -91,7 +91,7 @@ def test_criterion_10_counterexample_l1_and_schur(ctx):
     print()
     print(res_l1.line(), f"({res_l1.runtime_s:.1f}s)")
     print(res_schur.line(), f"({res_schur.runtime_s:.1f}s)")
-    assert res_l1.runtime_s + res_schur.runtime_s < 30.0
+    assert res_l1.runtime_s + res_schur.runtime_s < 0.7
     assert res_l1.passed, "; ".join(res_l1.failures)
     assert res_schur.passed, "; ".join(res_schur.failures)
 

@@ -67,13 +67,36 @@ def test_batched_kernels_match_per_pair_calls(small_pot, cutoff, monkeypatch):
 RHO = np.concatenate([np.linspace(0.01, 6.0, 240), np.geomspace(6.0, 4000.0, 400)])
 
 
-@pytest.mark.parametrize("transpose", [False, True], ids=["rows", "cols"])
+@pytest.mark.parametrize("side", [0, 1], ids=["rows", "cols"])
 @pytest.mark.parametrize("s", [0.05, 3.0, 700.0, 3900.0])
-def test_psi_batch_matches_four_exponentials(cutoff, s, transpose):
+def test_psi_batch_matches_four_exponentials(cutoff, s, side):
     rho = RHO[np.abs(s - RHO) >= 1.0]
-    got = kn.make_psi_batch(cutoff, transpose=transpose)(s, rho)
-    ref = dense.psi_gate_batch(cutoff, s, rho, transpose=transpose)
+    got = kn.make_psi_batch(cutoff)(s, rho)[side]
+    ref = dense.psi_gate_batch(cutoff, s, rho, transpose=bool(side))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("s", [0.05, 3.0, 700.0, 3900.0])
+def test_psi_batch_matches_separate_callables(cutoff, s):
+    """Both sides of one call against one callable per side, on and off
+    the gate."""
+    rows, cols = kn.make_psi_batch(cutoff)(s, RHO)
+    for got, transpose in ((rows, False), (cols, True)):
+        ref = dense.psi_batch_separate(cutoff, transpose)(s, RHO)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_pan", [16, 17, 23, 67, 132])
+def test_panel_phase_matches_direct_exp(cutoff, n_pan):
+    """The block x offset phase table, padded tail included (17, 23 and
+    67 are prime), against exp(i rho mid) itself."""
+    lo, hi = cutoff.transition_band
+    _, _, mid, _ = kn._psi_panels(lo, hi, 3.0 * (n_pan - 0.5) / (hi - lo))
+    assert mid.size == n_pan
+    rho = np.concatenate([np.linspace(0.0, 6.0, 100), np.geomspace(6.0, 4000.0, 500)])
+    got = kn._panel_phase(rho, mid)
+    assert got.shape == (rho.size, n_pan)
+    assert np.max(np.abs(got - np.exp(1j * np.outer(rho, mid)))) <= 3e-13
 
 
 def test_far_field_matches_direct_sum(small_pot):

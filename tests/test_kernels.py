@@ -103,14 +103,11 @@ def test_psi2_cases(cutoff):
 
 
 def test_psi_batch_matches_scalar(cutoff):
-    batch = kn.make_psi_batch(cutoff)
-    batch_t = kn.make_psi_batch(cutoff, transpose=True)
     rho = np.array([0.3, 2.0, 19.5, 21.0, 60.0])
     s = 20.0
-    vb = batch(s, rho)
+    vb, vt = kn.make_psi_batch(cutoff)(s, rho)
     vs = np.array([dense.psi_radial(s, float(t), cutoff) for t in rho])
     assert np.max(np.abs(vb - vs) / np.maximum(np.abs(vs), 1e-18)) < 1e-9
-    vt = batch_t(s, rho)
     vst = np.array([dense.psi_radial(float(t), s, cutoff) for t in rho])
     assert np.max(np.abs(vt - vst) / np.maximum(np.abs(vst), 1e-18)) < 1e-9
 

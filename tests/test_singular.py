@@ -266,7 +266,8 @@ def test_schur_convolution_kernel():
 def test_schur_model_kernel_gated_vs_ungated():
     # gated model kernel has stable row integrals; removing the gate
     # reintroduces the logarithmic divergence probed above
-    rep, rep2 = sg.schur_growth(model_kernel_batch, model_kernel_batch, [50.0, 100.0], 8)
+    both = lambda s, rho: (model_kernel_batch(s, rho),) * 2
+    rep, rep2 = sg.schur_growth(both, [50.0, 100.0], 8)
     assert np.isfinite(rep2.row_sup)
     assert rep2.row_sup < 4.0 * rep.row_sup
 
@@ -274,8 +275,8 @@ def test_schur_model_kernel_gated_vs_ungated():
 def test_schur_sup_runs_inside_the_ball():
     # K(s, rho) = s: the row integral over |.| <= R is (4 pi/3) s R^3 and
     # grows with s, so a shared sample s > R would set the R = 1 sup
-    kernel = lambda s, rho: np.full_like(rho, s)
-    rep1, rep10 = sg.schur_growth(kernel, kernel, [1.0, 10.0], 4)
+    kernel = lambda s, rho: (np.full_like(rho, s),) * 2
+    rep1, rep10 = sg.schur_growth(kernel, [1.0, 10.0], 4)
     s = np.geomspace(sg.SCHUR_S_MIN, 9.8, 4)
     assert rep1.row_sup == pytest.approx(4 * np.pi / 3 * s[s <= 1.0].max(), rel=1e-12)
     assert rep1.col_sup == rep1.row_sup
