@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .potential import PotentialSpec
+from .quadrature import log_trapezoid_rule
 from .singular import SCHUR_S_MIN
 
 # smallest |x| and |y| that k3-bound samples
@@ -216,10 +217,9 @@ def validate(cfg: Config) -> None:
     shell_start = 3.0 * cfg.potential["R0"] + 2.0
     if not cfg.counterexample["l1_R_max"] > shell_start:
         raise ConfigError(f"counterexample l1_R_max must exceed 3 R0 + 2 = {shell_start:g}")
-    # k3-bound integrates on n_lambda log-spaced nodes from lambda_min to
-    # lambda0 and fits each spot integrand on the nodes lambda <= lambda0/2
-    nodes = np.exp(np.linspace(np.log(cfg.k3["lambda_min"]), np.log(cfg.lambda0),
-                               cfg.k3["n_lambda"]))
+    # k3-bound integrates on K3Evaluator's lambda rule and fits each spot
+    # integrand on the nodes lambda <= lambda0/2
+    nodes = log_trapezoid_rule(cfg.k3["lambda_min"], cfg.lambda0, cfg.k3["n_lambda"]).nodes
     if np.count_nonzero(nodes <= cfg.lambda0 / 2) < 2:
         raise ConfigError("k3 needs lambda_min < lambda0/2 and two lambda nodes at or below "
                           "lambda0/2 for the slope fit")

@@ -34,7 +34,7 @@ from . import singular as sg
 from .config import K3_RADIUS_MIN, Config
 from .errors import InvalidInputError
 from .potential import Potential, PotentialSpec, build_potential
-from .quadrature import _leggauss, cap_area
+from .quadrature import _leggauss, cap_area, gauss_rule, panel_rule
 # unused here, but perfbench/tracer.py rebinds it in every module that held it
 from .quadrature import integrate_adaptive  # noqa: F401
 from .reports import fit_linear_in_logx
@@ -90,9 +90,8 @@ class CounterexampleOperator:
             raise InvalidInputError("counterexamples need a compactly supported potential")
         self.pot = pot
         R0 = pot.radius
-        xr, wr = _leggauss(_N_R1)
-        self.r1 = 0.5 * R0 * (xr + 1.0)
-        w_r1 = 0.5 * R0 * wr
+        radial = gauss_rule(_N_R1, 0.0, R0)
+        self.r1, w_r1 = radial.nodes, radial.weights
         self.mu, self.wmu = _leggauss(_N_MU)
         self.d = self.r1.copy()
         prof = pot.abs_profile(self.r1)
@@ -133,10 +132,10 @@ class CounterexampleOperator:
             raise InvalidInputError(
                 f"far-field radii need |x - u1| >= R + |u2| + 1 = {R + self.d.max() + 1.0:g}; "
                 f"got {a0.min():g}")
-        xr, wrho = _leggauss(_N_RHO)
-        # cap-weighted rho rule per d, times the u2 weights: c(d, rho) >= 0
-        rho = 0.5 * (R + self.d)[:, None] * (xr[None, :] + 1.0)
-        wr = 0.5 * (R + self.d)[:, None] * wrho[None, :]
+        # cap-weighted rho rule on [0, R + d] per d, times the u2 weights:
+        # c(d, rho) >= 0
+        rule = gauss_rule(_N_RHO, 0.0, (R + self.d)[:, None])
+        rho, wr = rule.nodes, rule.weights
         c = (self.w2[:, None] * cap_area(rho, self.d[:, None], R) * wr).ravel()
         # scale both powers by min a0^4 so neither over- nor underflows
         a_min4 = a0.min() ** 4
@@ -164,8 +163,7 @@ class CounterexampleOperator:
         x = np.array([s, 0.0, 0.0])
 
         def ball(n, radius):
-            v = rng.standard_normal((n, 3))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            v = _unit_vectors(rng, n)
             u = rng.random(n) ** (1.0 / 3.0)
             return radius * u[:, None] * v
 
@@ -248,14 +246,15 @@ def counterexample_l1(pot: Potential, R_max: float = 1e4) -> L1GrowthReport:
     R0 = pot.radius
     s_lo = 3.0 * R0 + 2.0
     edges = np.geomspace(s_lo, R_max, _L1_PANELS + 1)
-    x16, w16 = _leggauss(16)
+    # the half-width multiplies the panel's sum, not its weights: folding
+    # it in moves the masses in their last bit
+    nodes = panel_rule(edges, 16).nodes
+    half = 0.5 * np.diff(edges)
+    w16 = _leggauss(16)[1]
     masses = np.zeros(_L1_PANELS)
     for p in range(_L1_PANELS):
-        mid = 0.5 * (edges[p] + edges[p + 1])
-        half = 0.5 * (edges[p + 1] - edges[p])
-        nodes = mid + half * x16
-        tvals = op.tg_abs_far_batch(nodes, 1.0)
-        masses[p] = 4.0 * np.pi * half * np.sum(w16 * tvals * nodes ** 2)
+        tvals = op.tg_abs_far_batch(nodes[p], 1.0)
+        masses[p] = 4.0 * np.pi * half[p] * np.sum(w16 * tvals * nodes[p] ** 2)
     M = np.cumsum(masses)
     fit = fit_linear_in_logx(edges[1:], M)
     shell = np.geomspace(s_lo, 5.0 * s_lo, 12)

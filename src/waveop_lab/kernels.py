@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .potential import Potential
-from .quadrature import _leggauss, gauss_rule, integrate_batch
+from .quadrature import _leggauss, gauss_rule, integrate_batch, log_trapezoid_rule, panel_rule
 # unused here, but perfbench/tracer.py rebinds it in every module that held it
 from .quadrature import integrate_adaptive  # noqa: F401
 from .reports import BoundReport, SlopeFit, fit_loglog
@@ -202,14 +202,12 @@ def psi2_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
 def _psi_panels(a: float, b: float, freq: float):
     """Nodes, weights, midpoints and node offsets of the fixed Psi rule on
     [a, b]: one equal-width panel per 3 radians of phase, at least 16."""
-    x, wgl = _leggauss(_PSI_GL)
     n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0)))
     sub = np.linspace(a, b, n_pan + 1)
+    rule = panel_rule(sub, _PSI_GL)
     mid = 0.5 * (sub[:-1] + sub[1:])
-    half = 0.5 * np.diff(sub)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * wgl[None, :]).ravel()
-    return nodes, wts, mid, 0.5 * (b - a) / n_pan * x
+    offsets = 0.5 * (b - a) / n_pan * _leggauss(_PSI_GL)[0]
+    return rule.nodes.ravel(), rule.weights.ravel(), mid, offsets
 
 
 def _panel_phase(rho, mid):
@@ -383,13 +381,8 @@ class K3Evaluator:
         self.terms = terms
         self.pot = terms.pot
         self.cutoff = cutoff
-        t = np.linspace(np.log(lam_min), np.log(cutoff.lambda0), n_lambda)
-        self.lambdas = np.exp(t)
-        dt = t[1] - t[0]
-        wt = np.full(n_lambda, dt)
-        wt[0] *= 0.5
-        wt[-1] *= 0.5
-        self.weights = wt * self.lambdas          # trapezoid in log-lambda
+        rule = log_trapezoid_rule(lam_min, cutoff.lambda0, n_lambda)
+        self.lambdas, self.weights = rule.nodes, rule.weights
 
     def eval_pairs(self, pairs):
         """Values and per-node integrand profiles for a list of (x, y).

@@ -31,8 +31,9 @@ class PotentialSpec:
 
     amplitude is the signed multiplier of the unit profile; the stock
     counterexample potential is amplitude=-0.01, R0=1 (a negative bump).
-    For the decaying shape the hypothesis needs mu > 11; smaller mu is
-    accepted with a warning and flagged in reports.
+    For the decaying shape the hypothesis needs mu > 11; for smaller mu
+    ``build_potential`` emits a HypothesisViolationWarning and sets
+    ``hypothesis_ok = False`` on the potential.
     """
 
     shape: str = "smooth_bump_compact"

@@ -1,10 +1,15 @@
 """Integration infrastructure.
 
 Provides the adaptive 1D integrator used for every oscillatory lambda
-integral and every gated radial integral in the package, Gauss-Legendre
-product grids on balls in R^3, and the closed-form sphere/ball
-intersection area used to reduce shifted ball integrals to one
-dimension.
+integral and every gated radial integral in the package, the fixed 1D
+rules, Gauss-Legendre product grids on balls in R^3, and the
+closed-form sphere/ball intersection area used to reduce shifted ball
+integrals to one dimension.
+
+The fixed rules are ``gauss_rule`` (Gauss-Legendre on [a, b], one rule
+per row for a column of upper ends), ``panel_rule`` (composite
+Gauss-Legendre on the panels between given edges) and
+``log_trapezoid_rule`` (the trapezoid in log x).
 
 The adaptive integrator is a nested Gauss-Kronrod (G7, K15) panel
 scheme with bisection (QUADPACK's pair).  It has one refinement loop,
@@ -201,7 +206,8 @@ def integrate_adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for a 1D interval (unit density)."""
+    """Nodes and weights for a 1D interval (unit density); rules built
+    together are stacked along the leading axes."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -213,11 +219,33 @@ def _leggauss(n: int):
     return x, w
 
 
-def gauss_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b]."""
+def gauss_rule(n: int, a: float, b) -> QuadratureRule:
+    """n-point Gauss-Legendre rule on [a, b]; a column of upper ends b,
+    shape (m, 1), gives one rule per row, shape (m, n)."""
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w)
+
+
+def panel_rule(edges: np.ndarray, n: int) -> QuadratureRule:
+    """Composite n-point Gauss-Legendre rule on the panels between
+    consecutive ``edges``: nodes and weights of shape (n_panels, n), panel
+    p's nodes at its midpoint plus its half-width times the unit nodes."""
+    x, w = _leggauss(n)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return QuadratureRule(nodes=mid + half * x, weights=half * w)
+
+
+def log_trapezoid_rule(a: float, b: float, n: int) -> QuadratureRule:
+    """Trapezoid rule in log x on n >= 2 nodes spaced evenly in log x
+    from a to b (both positive); the weights carry the Jacobian x."""
+    t = np.linspace(np.log(a), np.log(b), n)
+    nodes = np.exp(t)
+    wt = np.full(n, t[1] - t[0])
+    wt[0] *= 0.5
+    wt[-1] *= 0.5
+    return QuadratureRule(nodes=nodes, weights=wt * nodes)
 
 
 # ----------------------------------------------------------------------
@@ -252,9 +280,8 @@ def ball_grid(radius: float, n_r: int, n_theta: int, n_phi: int) -> BallGrid:
     """Build the product Gauss-Legendre grid on the ball of given radius."""
     if min(n_r, n_theta, n_phi) < 2:
         raise InvalidInputError("ball grid needs at least 2 points per axis")
-    xr, wr = _leggauss(n_r)
-    r = 0.5 * radius * (xr + 1.0)
-    wr = 0.5 * radius * wr
+    radial = gauss_rule(n_r, 0.0, radius)
+    r, wr = radial.nodes, radial.weights
     mu, wmu = _leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi

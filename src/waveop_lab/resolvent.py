@@ -447,16 +447,10 @@ def projection_gain(pot: Potential, lambda_list, rep_pot: Potential,
 
 def _graded_theta_nodes():
     """Unit-interval panel pattern graded geometrically toward 0."""
-    from .quadrature import _leggauss
+    from .quadrature import panel_rule
     breaks = np.concatenate([[0.0], 2.0 ** np.arange(-_REP_LEVELS, 1, dtype=float)])
-    x, w = _leggauss(_REP_GL)
-    lo = breaks[:-1]
-    hi = breaks[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
+    rule = panel_rule(breaks, _REP_GL)
+    return rule.nodes.ravel(), rule.weights.ravel()
 
 
 def representation_check(pot: Potential, lam: float) -> float:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
-from .quadrature import _leggauss, integrate_adaptive, integrate_batch
+from .quadrature import integrate_adaptive, integrate_batch, panel_rule
 
 # weak11_profile counts level sets on this many log cells from this radius
 _WEAK11_S_MIN = 1e-3
@@ -270,15 +270,11 @@ def _radial_l1(batch_eval: Callable, s: float, R: float) -> tuple:
     (0, R), for batch_eval(s, rho) = (K(s, rho), K(rho, s)): composite
     16-point Gauss-Legendre on panels at most 8 wide, cut at s -+ 1."""
     edges = [0.0] + [b for b in (s - 1.0, s + 1.0) if 0.0 < b < R] + [R]
-    x, w = _leggauss(16)
     total = np.zeros(2)
     for a, b in zip(edges[:-1], edges[1:]):
         n_pan = max(2, int(np.ceil((b - a) / 8.0)))
-        sub = np.linspace(a, b, n_pan + 1)
-        mid = 0.5 * (sub[:-1] + sub[1:])
-        half = 0.5 * np.diff(sub)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (half[:, None] * w[None, :]).ravel()
+        rule = panel_rule(np.linspace(a, b, n_pan + 1), 16)
+        nodes, wts = rule.nodes.ravel(), rule.weights.ravel()
         vals = np.abs(np.stack(batch_eval(s, nodes)))
         total += np.sum(wts * vals * nodes ** 2, axis=1)
     return tuple(4.0 * np.pi * total)

@@ -6,13 +6,12 @@ The building blocks are
     A(s)  = e^{-sigma*i*s} * F'(s)
     B(s)  = e^{-sigma*i*s} * F(s) = (1 - e^{(-1-sigma*i)s}) / s
 
-together with derivatives up to order 5 (F) and 4 (A, B), and a
-C-infinity cutoff chi that is 1 on [0, lambda0/2] and 0 beyond lambda0.
+together with their derivatives up to order 3, and a C-infinity cutoff
+chi that is 1 on [0, lambda0/2] and 0 beyond lambda0.
 
 All removable singularities at s = 0 are evaluated by truncated Taylor
-series; the closed forms take over beyond s = 0.5 (1.0 for F^(4), F^(5),
-A^(4) and B^(4)) where cancellation is harmless.  Both branches agree to
-1e-12 relative on [0.4, 1] and, at those highest orders, on [0.8, 1.2].
+series; the closed forms take over from s = 0.5, where cancellation is
+harmless.  Both branches agree to 1e-12 relative on [0.4, 1].
 
 The series has complex coefficients but a real argument, so it runs as
 two real Horner loops, on the coefficients' real and imaginary parts,
@@ -34,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedOrderError
-from .quadrature import _leggauss, integrate_adaptive
+from .quadrature import _leggauss, integrate_adaptive, panel_rule
 from .reports import BoundReport
 
 _SERIES_CROSSOVER = 0.5
@@ -42,6 +41,10 @@ _N_SERIES = 36
 # relative size of the dropped series tail; at 2^-56 the tail flips the
 # last bit of about 1 in 300 values, at 2^-64 of about 1 in 70,000
 _SERIES_TAIL = 2.0 ** -64
+# highest derivative order of F, A and B
+_MAX_ORDER = 3
+# Gauss-Legendre nodes per panel of the cutoff's bump integral
+_BUMP_GL = 16
 
 __all__ = ["Branch", "eval_F", "eval_AB", "envelope_report", "Cutoff"]
 
@@ -175,26 +178,22 @@ def _closed_B(sigma: int, s: np.ndarray, order: int) -> np.ndarray:
 
 
 _CLOSED = {"F": _closed_F, "A": _closed_A, "B": _closed_B}
-_MAX_ORDER = {"F": 5, "A": 4, "B": 4}
 
 
 def _eval_kind(kind: str, branch: Branch, s, order: int):
-    if not 0 <= order <= _MAX_ORDER[kind]:
+    if not 0 <= order <= _MAX_ORDER:
         raise UnsupportedOrderError(
-            f"{kind} derivatives implemented up to order {_MAX_ORDER[kind]}, got {order}")
+            f"{kind} derivatives implemented up to order {_MAX_ORDER}, got {order}")
     arr = _as_s_array(s)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if arr.size == 0:
         return np.empty(arr.shape, dtype=complex)
-    # the closed forms cancel ~order extra digits near the seam, so move
-    # it outward for the highest derivative orders
-    seam = _SERIES_CROSSOVER if order <= 3 else 1.0
-    if arr.max() < seam:
+    if arr.max() < _SERIES_CROSSOVER:
         out = _series_eval(kind, branch.sign, arr, order)
     else:
         out = np.empty(arr.shape, dtype=complex)
-        small = arr < seam
+        small = arr < _SERIES_CROSSOVER
         if small.any():
             out[small] = _series_eval(kind, branch.sign, arr[small], order)
         out[~small] = _CLOSED[kind](branch.sign, arr[~small], order)
@@ -202,12 +201,12 @@ def _eval_kind(kind: str, branch: Branch, s, order: int):
 
 
 def eval_F(branch: Branch, s, order: int = 0):
-    """F^(order) for the selected branch; s >= 0, order <= 5."""
+    """F^(order) for the selected branch; s >= 0, order <= 3."""
     return _eval_kind("F", branch, s, order)
 
 
 def eval_AB(kind: str, branch: Branch, s, order: int = 0):
-    """A^(order) or B^(order) for the selected branch; s >= 0, order <= 4."""
+    """A^(order) or B^(order) for the selected branch; s >= 0, order <= 3."""
     if kind not in ("A", "B"):
         raise InvalidInputError(f"kind must be 'A' or 'B', got {kind!r}")
     return _eval_kind(kind, branch, s, order)
@@ -250,30 +249,12 @@ def envelope_report(kind: str, order: int, s_samples) -> BoundReport:
 # Smooth step and cutoff
 # ----------------------------------------------------------------------
 
-def _bump_hat(t: np.ndarray, order: int = 0) -> np.ndarray:
-    """exp(-1/(t(1-t))) on (0,1), zero outside; derivatives to order 3."""
+def _bump_hat(t: np.ndarray) -> np.ndarray:
+    """exp(-1/(t(1-t))) on (0,1), zero outside."""
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
     ts = np.where(inside, t, 0.5)
-    p = ts * (1.0 - ts)
-    pp = 1.0 - 2.0 * ts
-    b = np.exp(-1.0 / p)
-    if order == 0:
-        out = b
-    else:
-        psi1 = pp / p ** 2
-        if order == 1:
-            out = psi1 * b
-        else:
-            psi2 = -2.0 / p ** 2 - 2.0 * pp ** 2 / p ** 3
-            if order == 2:
-                out = (psi2 + psi1 ** 2) * b
-            elif order == 3:
-                psi3 = 12.0 * pp / p ** 3 + 6.0 * pp ** 3 / p ** 4
-                out = (psi3 + 3.0 * psi1 * psi2 + psi1 ** 3) * b
-            else:
-                raise UnsupportedOrderError("bump derivatives available up to order 3")
-    return np.where(inside, out, 0.0)
+    return np.where(inside, np.exp(-1.0 / (ts * (1.0 - ts))), 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -284,15 +265,13 @@ def _bump_norm() -> float:
 
 @lru_cache(maxsize=4)
 def _bump_cumulative():
-    """Panelized cumulative integral of the bump on [0, 1]."""
+    """Panelized cumulative integral of the bump on [0, 1], at the panel
+    edges: 256 panels of width 2^-8, so the half-width folds into the
+    weights without rounding."""
     edges = np.linspace(0.0, 1.0, 257)
-    x16, w16 = _leggauss(16)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    vals = _bump_hat(mid[:, None] + half[:, None] * x16[None, :])
-    panel = (vals * w16[None, :]).sum(axis=1) * half
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    return edges, cum, x16, w16
+    rule = panel_rule(edges, _BUMP_GL)
+    panel = (_bump_hat(rule.nodes) * rule.weights).sum(axis=1)
+    return edges, np.concatenate([[0.0], np.cumsum(panel)])
 
 
 class SmoothStep:
@@ -314,7 +293,8 @@ class SmoothStep:
             out = np.where(t >= 1.0, 1.0, 0.0)
             inside = (t > 0.0) & (t < 1.0)
             ti = t[inside]
-            edges, cum, x16, w16 = _bump_cumulative()
+            edges, cum = _bump_cumulative()
+            x16, w16 = _leggauss(_BUMP_GL)
             k = np.clip(np.searchsorted(edges, ti, side="right") - 1, 0, 255)
             lo = edges[k]
             half = 0.5 * (ti - lo)
@@ -322,13 +302,13 @@ class SmoothStep:
             part = (_bump_hat(nodes) * w16).sum(axis=-1) * half
             out[inside] = (cum[k] + part) / _bump_norm()
         else:
-            out = _bump_hat(t, order - 1) / (_bump_norm() * self._h ** order)
+            out = _bump_hat(t) / (_bump_norm() * self._h)
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 class Cutoff:
     """The cutoff chi, identically 1 on [0, lambda0/2] and 0 beyond lambda0
-    with an exp-bump transition, and its derivatives (order <= 4)."""
+    with an exp-bump transition, and its first derivative."""
 
     def __init__(self, lambda0: float):
         if not lambda0 > 0:
@@ -341,8 +321,8 @@ class Cutoff:
         return (self.lambda0 / 2.0, self.lambda0)
 
     def __call__(self, lam, order: int = 0):
-        if not 0 <= order <= 4:
-            raise UnsupportedOrderError("cutoff derivatives available up to order 4")
+        if not 0 <= order <= 1:
+            raise UnsupportedOrderError("cutoff derivatives available up to order 1")
         lam_arr = np.asarray(lam, dtype=float)
         if np.any(lam_arr < 0.0):
             raise InvalidInputError("lambda must be nonnegative")

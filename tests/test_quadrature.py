@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from waveop_lab.errors import AccuracyError, InvalidInputError
-from waveop_lab.quadrature import (ball_grid, cap_area, gauss_rule, integrate_adaptive,
-                                   integrate_batch)
+from waveop_lab.quadrature import (_leggauss, ball_grid, cap_area, gauss_rule,
+                                   integrate_adaptive, integrate_batch, log_trapezoid_rule,
+                                   panel_rule)
 from waveop_lab.singular import _cell_measures
 
 
@@ -117,6 +118,68 @@ def test_gauss_rule_unit_density():
     rule = gauss_rule(12, -0.5, 2.5)
     assert abs(rule.weights.sum() - 3.0) < 1e-12
     assert np.all(rule.nodes > -0.5) and np.all(rule.nodes < 2.5)
+
+
+# uneven panel edges: log-spaced, and graded geometrically toward 0 as
+# the theta panels of the representation check
+UNEVEN_EDGES = {"geomspace": np.geomspace(0.5, 40.0, 7),
+                "graded": np.concatenate([[0.0], 2.0 ** np.arange(-12, 1, dtype=float)])}
+
+
+@pytest.mark.parametrize("name", sorted(UNEVEN_EDGES))
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_panel_rule_exact_for_degree_2n_minus_1(name, n):
+    edges = UNEVEN_EDGES[name]
+    rule = panel_rule(edges, n)
+    assert rule.nodes.shape == rule.weights.shape == (edges.size - 1, n)
+    for k in range(2 * n):
+        want = (edges[-1] ** (k + 1) - edges[0] ** (k + 1)) / (k + 1)
+        got = np.sum(rule.weights * rule.nodes ** k)
+        assert abs(got - want) <= 1e-14 * want, (k, got, want)
+
+
+@pytest.mark.parametrize("edges", [np.linspace(0.0, 1.0, 257), np.linspace(0.05, 0.1, 68),
+                                   np.geomspace(5.0, 1e4, 37), UNEVEN_EDGES["graded"]],
+                         ids=["linspace-bump", "linspace-psi", "geomspace", "graded"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_panel_rule_matches_hand_formula(edges, n):
+    # the midpoint-plus-half-width form the fixed rules were built by: the
+    # reports keep their bits only if the shared rule reproduces it
+    x, w = _leggauss(n)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    rule = panel_rule(edges, n)
+    assert np.array_equal(rule.nodes, mid[:, None] + half[:, None] * x[None, :])
+    assert np.array_equal(rule.weights, half[:, None] * w[None, :])
+
+
+@pytest.mark.parametrize("a", [0.0, -0.5])
+def test_gauss_rule_column_of_upper_ends(a):
+    b = np.array([0.3, 1.0, 2.0 + 1e-9, 7.25, 1e3])
+    rule = gauss_rule(48, a, b[:, None])
+    assert rule.nodes.shape == rule.weights.shape == (b.size, 48)
+    for row, bi in enumerate(b):
+        one = gauss_rule(48, a, bi)
+        assert np.array_equal(rule.nodes[row], one.nodes)
+        assert np.array_equal(rule.weights[row], one.weights)
+    if a == 0.0:
+        # the radial rules' former form 0.5 b (x + 1), 0.5 b w
+        x, w = _leggauss(48)
+        assert np.array_equal(rule.nodes, 0.5 * b[:, None] * (x[None, :] + 1.0))
+        assert np.array_equal(rule.weights, 0.5 * b[:, None] * w[None, :])
+
+
+@pytest.mark.parametrize("a, b, n", [(1e-3, 0.1, 24), (1e-3, 0.1, 2), (2e-4, 0.1, 7),
+                                     (0.02, 0.1, 3)])
+def test_log_trapezoid_rule_matches_former_k3_rule(a, b, n):
+    t = np.linspace(np.log(a), np.log(b), n)
+    lambdas = np.exp(t)
+    wt = np.full(n, t[1] - t[0])
+    wt[0] *= 0.5
+    wt[-1] *= 0.5
+    rule = log_trapezoid_rule(a, b, n)
+    assert np.array_equal(rule.nodes, lambdas)
+    assert np.array_equal(rule.weights, wt * lambdas)
 
 
 def test_ball_grid_volume_and_moments():
