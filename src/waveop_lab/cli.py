@@ -1,10 +1,11 @@
 """Command-line front end.
 
-    waveop-lab <check> [--config cfg.json] [--out DIR] [--seed N]
-                       [--threads N] [--check NAME ...]
+    waveop-lab <check> [<check> ...] [--config cfg.json] [--out DIR]
+                       [--seed N] [--threads N]
 
-where <check> is one of the named checks or ``all``.  Each check maps
-to exactly one acceptance criterion and names it in its output line.
+where each <check> is one of the named checks or ``all``; the checks
+run in their suite order.  Each check maps to exactly one acceptance
+criterion and names it in its output line.
 Exit status: 0 when every executed check passes, 1 when a check fails
 or raises (reports are still written), 2 on usage or configuration errors.
 """
@@ -24,16 +25,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="waveop-lab",
         description="desk-scale checks for low-energy wave-operator kernels")
-    p.add_argument("command", choices=sorted(CHECKS) + ["all"],
-                   help="check to run, or 'all'")
+    p.add_argument("checks", nargs="+", choices=sorted(CHECKS) + ["all"], metavar="check",
+                   help=f"checks to run ({', '.join(CHECKS)}), or 'all'")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default=None,
-                   help="output directory (default: config, then $WAVEOP_LAB_OUT)")
+                   help="output directory (default: $WAVEOP_LAB_OUT, then the config's out_dir)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--threads", type=int, default=None,
                    help="thread count for independent lambda nodes (0 = serial)")
-    p.add_argument("--check", action="append", default=None, metavar="NAME",
-                   help="with 'all': restrict to these named checks (repeatable)")
     return p
 
 
@@ -53,26 +52,16 @@ def main(argv=None) -> int:
     parallel.set_threads(cfg.threads)
     out_dir = args.out or os.environ.get("WAVEOP_LAB_OUT") or cfg.out_dir
 
-    if args.command == "all":
-        names = list(CHECKS)
-        if args.check:
-            bad = [c for c in args.check if c not in CHECKS]
-            if bad:
-                print(f"unknown check names: {bad}", file=sys.stderr)
-                return 2
-            names = [n for n in names if n in set(args.check)]
-    else:
-        names = [args.command]
+    names = [n for n in CHECKS if n in args.checks or "all" in args.checks]
 
     def progress(res):
         extra = "" if res.passed else " | " + "; ".join(res.failures)
         print(f"{res.line()} ({res.runtime_s:.1f}s){extra}")
 
-    report = run_suite(cfg, names, out_dir=out_dir, progress=progress)
-    n_fail = sum(not r.passed for r in report.results)
-    print(f"{len(report.results) - n_fail}/{len(report.results)} checks passed; "
-          f"reports in {out_dir}")
-    return 0 if report.all_pass else 1
+    results = run_suite(cfg, names, out_dir=out_dir, progress=progress)
+    n_fail = sum(not r.passed for r in results)
+    print(f"{len(results) - n_fail}/{len(results)} checks passed; reports in {out_dir}")
+    return 1 if n_fail else 0
 
 
 if __name__ == "__main__":

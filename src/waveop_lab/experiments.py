@@ -13,9 +13,10 @@ endpoint boundedness at desk scale.
 
 Phi reduces exactly to one dimension through the sphere/ball
 intersection area, so every experiment is a few nested 1D quadratures.
-The remaining entry point, ``run_suite``, executes named checks
-(each mapped to one acceptance criterion), collects measured numbers
-and pass/fail statuses, and writes a JSON report plus per-check CSVs.
+``run_check`` runs one named check (each mapped to one acceptance
+criterion) and records its measured numbers, status and runtime;
+``run_suite`` runs a list of them and writes a JSON report plus
+per-check CSVs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,15 +299,18 @@ def sample_three_regime_pairs(rng, n: int, r_min: float, r_max: float):
 
 @dataclass
 class CheckResult:
+    """One check's record; the CSV header and rows are None when the
+    check writes no CSV or raised."""
+
     name: str
     criterion: int
     status: str
     expected: str
-    measured: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    runtime_s: float = 0.0
-    csv_header: tuple = None
-    csv_rows: list = None
+    measured: dict
+    failures: list
+    runtime_s: float
+    csv_header: tuple | None
+    csv_rows: list | None
 
     @property
     def passed(self) -> bool:
@@ -354,15 +358,9 @@ class SuiteContext:
         return np.geomspace(w["min"], w["max"], w["count"])
 
 
-def _result(name, expected, measured, failures, t0, header=None, rows=None):
-    return CheckResult(name=name, criterion=CRITERIA[name],
-                       status="PASS" if not failures else "FAIL",
-                       expected=expected, measured=measured, failures=failures,
-                       runtime_s=round(time.perf_counter() - t0, 3),
-                       csv_header=header, csv_rows=rows)
-
-
 # ---------------------------- checks ----------------------------------
+# Each check returns (expected, measured, failures, CSV header, CSV rows),
+# the header and rows None when it writes no CSV; run_check makes the record.
 
 def _identity_residuals_block(s, r) -> np.ndarray:
     """Scale-relative residuals of the decomposition, adjoint and
@@ -388,8 +386,7 @@ def identity_residuals(s, r) -> tuple[float, float, float]:
     return tuple(float(v) for v in np.max(blocks, axis=0))
 
 
-def check_identities(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_identities(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     tol = cfg.tolerances["identity_rel"]
     rng = cfg.rng_for("identities")
@@ -406,12 +403,11 @@ def check_identities(ctx: SuiteContext) -> CheckResult:
     measured = {"decomposition_rel": rel_decomp, "adjoint_rel": rel_adj,
                 "cancellation_rel": rel_canc, "spot_residual": float(spot),
                 "n_points": n}
-    return _result("identities", f"scale-relative residuals <= {tol:g} at 1e6 points",
-                   measured, failures, t0)
+    return (f"scale-relative residuals <= {tol:g} at 1e6 points",
+            measured, failures, None, None)
 
 
-def check_specfun_envelopes(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_specfun_envelopes(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     stab_tol = cfg.tolerances["envelope_stability"]
     grid = np.geomspace(1e-6, 1e4, 4000)
@@ -421,25 +417,22 @@ def check_specfun_envelopes(ctx: SuiteContext) -> CheckResult:
     rows = []
     for kind in ("A", "B", "F"):
         for ell in range(4):
-            rep1 = envelope_report(kind, ell, grid)
-            rep2 = envelope_report(kind, ell, grid2)
-            change = abs(rep2.sup_ratio - rep1.sup_ratio) / rep2.sup_ratio
+            sup1 = envelope_report(kind, ell, grid)[0]
+            sup, arg_max, interior = envelope_report(kind, ell, grid2)
+            change = abs(sup - sup1) / sup
             key = f"{kind}{ell}"
-            measured[key] = rep2.sup_ratio
-            rows.append((kind, ell, rep2.sup_ratio, rep2.arg_max, rep2.interior, change))
-            if not np.isfinite(rep2.sup_ratio):
+            measured[key] = sup
+            rows.append((kind, ell, sup, arg_max, interior, change))
+            if not np.isfinite(sup):
                 failures.append(f"sup for {key} not finite")
             if change > stab_tol:
                 failures.append(f"sup for {key} unstable under doubling: {change:.3%}")
-    return _result("specfun-envelopes",
-                   f"weighted sups finite, stable within {stab_tol:.0%} under grid doubling",
-                   measured, failures, t0,
-                   header=("kind", "order", "sup", "arg_max", "interior", "doubling_change"),
-                   rows=rows)
+    return (f"weighted sups finite, stable within {stab_tol:.0%} under grid doubling",
+            measured, failures,
+            ("kind", "order", "sup", "arg_max", "interior", "doubling_change"), rows)
 
 
-def check_resolvent_expansion(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_resolvent_expansion(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     terms = ctx.expansion_terms()
     lams = ctx.lambda_window()
@@ -467,15 +460,12 @@ def check_resolvent_expansion(ctx: SuiteContext) -> CheckResult:
     rows = [(float(l), float(n), float(na), float(np_)) for l, n, na, np_ in
             zip(lams, rep.norms, rep_a2.norms, rep_pt.norms)]
     full, a2, pt = (f"{target}+-{width}" for target, width in bands)
-    return _result("resolvent-expansion",
-                   f"Gamma3 slope {full} (R2>={tol['expansion_r2']}); ablations {a2} / {pt}",
-                   measured, failures, t0,
-                   header=("lambda", "gamma3_norm", "norm_drop_a2", "norm_drop_ptilde"),
-                   rows=rows)
+    return (f"Gamma3 slope {full} (R2>={tol['expansion_r2']}); ablations {a2} / {pt}",
+            measured, failures,
+            ("lambda", "gamma3_norm", "norm_drop_a2", "norm_drop_ptilde"), rows)
 
 
-def check_projection_gain(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_projection_gain(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     tol = cfg.tolerances
     pot = ctx.expansion_potential()
@@ -496,11 +486,9 @@ def check_projection_gain(ctx: SuiteContext) -> CheckResult:
                 "slope_projected": rep.fit_projected.slope,
                 "representation_errors": {f"{k:g}": v for k, v in rep.representation_errors.items()}}
     rows = list(zip(map(float, lams), map(float, rep.norm_plain), map(float, rep.norm_projected)))
-    return _result("projection-gain",
-                   f"slopes {tp:g}+-{wp:g} (plain) and {tq:g}+-{wq:g} (projected); "
-                   f"representation <= {tol['representation_rel']:g}",
-                   measured, failures, t0,
-                   header=("lambda", "norm_plain", "norm_projected"), rows=rows)
+    return (f"slopes {tp:g}+-{wp:g} (plain) and {tq:g}+-{wq:g} (projected); "
+            f"representation <= {tol['representation_rel']:g}",
+            measured, failures, ("lambda", "norm_plain", "norm_projected"), rows)
 
 
 _PAIR_HEADER = ("kernel", "x1", "x2", "x3", "y1", "y2", "y3", "re", "im", "envelope", "ratio")
@@ -512,21 +500,41 @@ def _pair_rows(name, pairs, values, envs, ratios):
 
 
 def _sweep(name, kernel, env, pairs, stab_tol):
-    """One bound-ratio sweep: its report, measured entry, CSV rows and failures."""
-    rep = kn.bound_ratio_sweep(name, kernel, env, pairs)
-    d = rep.details
-    stab = d["refine_rel_change_top"]
+    """sup |K(x,y)| / env(x,y) over the sample pairs, with refinement
+    stability: the measured entry, the pair at the sup, CSV rows and
+    failures.
+
+    ``kernel(s, t, refine)`` maps arrays of radii |x|, |y| to kernel
+    values; it is called once for all pairs and, with ``refine = 1``,
+    once for the top-ranked ones.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise InvalidInputError("empty sample list")
+    x, y = np.array(pairs, dtype=float).transpose(1, 0, 2)
+    # one norm per 3-vector: a row-wise norm can differ in the last bit
+    s, t = (np.array([np.linalg.norm(v) for v in u]) for u in (x, y))
+    envs = env(x, y)
+    values = np.asarray(kernel(s, t, 0), dtype=complex)
+    # hypot rounds |v| as abs() of one complex does; numpy's array abs may not
+    ratios = np.hypot(values.real, values.imag) / envs
+    k = int(np.argmax(ratios))
+    sup = float(ratios[k])
+    # stability of the sweep sup as a whole: re-evaluate the top ranks
+    top = np.argsort(ratios)[::-1][:max(3, len(pairs) // 20)]
+    v1 = kernel(s[top], t[top], 1)
+    r1 = np.hypot(v1.real, v1.imag) / envs[top]
+    stab = float(np.max(np.abs(r1 - ratios[top]) / np.maximum(r1, 1e-300)))
     failures = []
-    if not np.isfinite(rep.sup_ratio):
+    if not np.isfinite(sup):
         failures.append(f"{name} sup not finite")
     if stab > stab_tol:
         failures.append(f"{name} unstable under refinement ({stab:.2%})")
-    rows = _pair_rows(name, pairs, d["values"], d["envelopes"], d["ratios"])
-    return rep, {"sup": rep.sup_ratio, "stability": stab}, rows, failures
+    rows = _pair_rows(name, pairs, values, envs, ratios)
+    return {"sup": sup, "stability": stab}, pairs[k], rows, failures
 
 
-def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_kernel_bounds(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     sw = cfg.sweeps
     stab_tol = cfg.tolerances["sweep_stability"]
@@ -558,34 +566,29 @@ def check_kernel_bounds(ctx: SuiteContext) -> CheckResult:
     measured = {}
     rows = []
     for name, kernel, env, pairs in sweeps:
-        _, measured[name], sweep_rows, sweep_failures = _sweep(name, kernel, env, pairs,
-                                                               stab_tol)
+        measured[name], _, sweep_rows, sweep_failures = _sweep(name, kernel, env, pairs, stab_tol)
         rows += sweep_rows
         failures += sweep_failures
-    return _result("kernel-bounds",
-                   f"sup ratios finite and refinement-stable (<{stab_tol:.0%})",
-                   measured, failures, t0, header=_PAIR_HEADER, rows=rows)
+    return (f"sup ratios finite and refinement-stable (<{stab_tol:.0%})",
+            measured, failures, _PAIR_HEADER, rows)
 
 
-def check_kp_compare(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_kp_compare(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     sw = cfg.sweeps
     rng = cfg.rng_for("kp-compare")
     kp = kn.KPDirect(ctx.potential(), ctx.cutoff)
     pairs = sample_three_regime_pairs(rng, sw["kp_pairs"],
                                       sw["radius_min"], sw["kp_radius_max"])
-    repb, measured, rows, failures = _sweep(
+    measured, arg_max, rows, failures = _sweep(
         "KP_diff", lambda s, t, refine: kp.direct_radial(s, t, refine) - kp.leading_radial(s, t),
         kn.EnvelopeSpec("prop22_base"), pairs, cfg.tolerances["sweep_stability"])
-    measured["arg_max_radii"] = [float(np.linalg.norm(v)) for v in repb.arg_max]
-    return _result("kp-compare",
-                   "|KP_direct - leading| / base envelope bounded and stable",
-                   measured, failures, t0, header=_PAIR_HEADER, rows=rows)
+    measured["arg_max_radii"] = [float(np.linalg.norm(v)) for v in arg_max]
+    return ("|KP_direct - leading| / base envelope bounded and stable",
+            measured, failures, _PAIR_HEADER, rows)
 
 
-def check_k3_bound(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_k3_bound(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     k3cfg = cfg.k3
     rng = cfg.rng_for("k3-bound")
@@ -616,13 +619,11 @@ def check_k3_bound(ctx: SuiteContext) -> CheckResult:
     measured = {"sup_ratio": float(ratios.max()), "slopes": slopes,
                 "n_lambda": k3cfg["n_lambda"]}
     rows = _pair_rows("K3", pairs, vals, envs, ratios)
-    return _result("k3-bound",
-                   "|K3| / <x>^-1<y>^-1<|x|-|y|>^-5/2 bounded; integrand slope 4+-0.3",
-                   measured, failures, t0, header=_PAIR_HEADER, rows=rows)
+    return ("|K3| / <x>^-1<y>^-1<|x|-|y|>^-5/2 bounded; integrand slope 4+-0.3",
+            measured, failures, _PAIR_HEADER, rows)
 
 
-def check_weak11(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_weak11(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     wcfg = cfg.weak11
     failures = []
@@ -673,15 +674,11 @@ def check_weak11(ctx: SuiteContext) -> CheckResult:
         rows.append(("bracket_cubed_decay", "<x>^-3", float(lam), float(m), float(lam * m)))
     measured = {"family_sup_ratio": sup_ratio, "homogeneity_gap": hom,
                 "levelset_rel": rel, "n_members": len(ratios)}
-    return _result("weak11",
-                   f"bump-family quasi-norms bounded; <x>^-3 level sets within {tol:.0%}",
-                   measured, failures, t0,
-                   header=("operator", "input_id", "lambda", "mass", "lambda_mass"),
-                   rows=rows)
+    return (f"bump-family quasi-norms bounded; <x>^-3 level sets within {tol:.0%}",
+            measured, failures, ("operator", "input_id", "lambda", "mass", "lambda_mass"), rows)
 
 
-def check_hormander(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_hormander(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     hc = cfg.hormander
     rng = cfg.rng_for("hormander")
@@ -702,14 +699,11 @@ def check_hormander(ctx: SuiteContext) -> CheckResult:
         failures.append(f"spot value {spot:.3f} > 6")
     measured = {"max_over_triples": worst, "spot_10_10.4_0.5": spot,
                 "n_triples": hc["n_triples"]}
-    return _result("hormander",
-                   f"kernel smoothness modulus <= {hc['bound']} over random triples",
-                   measured, failures, t0,
-                   header=("r", "r_bar", "delta", "value"), rows=rows)
+    return (f"kernel smoothness modulus <= {hc['bound']} over random triples",
+            measured, failures, ("r", "r_bar", "delta", "value"), rows)
 
 
-def check_schur(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_schur(ctx: SuiteContext) -> tuple:
     sc = ctx.cfg.schur
     reports = sg.schur_growth(kn.make_psi_batch(ctx.cutoff), sc["radii"], sc["n_samples"])
     rows = [(r.domain_radius, r.row_sup, r.col_sup) for r in reports]
@@ -724,15 +718,12 @@ def check_schur(ctx: SuiteContext) -> CheckResult:
             f"({row_growth:.2%}, {col_growth:.2%})")
     measured = {"row_sups": [r[1] for r in rows], "col_sups": [r[2] for r in rows],
                 "last_doubling_growth": [row_growth, col_growth]}
-    return _result("schur",
-                   f"Psi row/col L1 integrals stabilize in the domain radius "
-                   f"(< {sc['stabilization_rel']:.0%} per doubling)",
-                   measured, failures, t0,
-                   header=("R_dom", "row_sup", "col_sup"), rows=rows)
+    return (f"Psi row/col L1 integrals stabilize in the domain radius "
+            f"(< {sc['stabilization_rel']:.0%} per doubling)",
+            measured, failures, ("R_dom", "row_sup", "col_sup"), rows)
 
 
-def check_counterexample_linf(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_counterexample_linf(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     ce = cfg.counterexample
     pot = ctx.potential()
@@ -764,16 +755,13 @@ def check_counterexample_linf(ctx: SuiteContext) -> CheckResult:
             for R, sr, v, b, ok, reg in zip(run.R_list, run.x_star_radii, run.values,
                                             run.lower_bounds, run.bound_satisfied,
                                             run.asymptotic_regime)]
-    return _result("counterexample-linf",
-                   "sup values >= (1/(4 sqrt 2)) log(1+(R-R0)/(2R0+1)) in regime; "
-                   f"slope in [{lo}, {hi}]",
-                   measured, failures, t0,
-                   header=("R", "x_star", "value", "lower_bound", "bound_ok", "in_regime"),
-                   rows=rows)
+    return ("sup values >= (1/(4 sqrt 2)) log(1+(R-R0)/(2R0+1)) in regime; "
+            f"slope in [{lo}, {hi}]",
+            measured, failures,
+            ("R", "x_star", "value", "lower_bound", "bound_ok", "in_regime"), rows)
 
 
-def check_counterexample_l1(ctx: SuiteContext) -> CheckResult:
-    t0 = time.perf_counter()
+def check_counterexample_l1(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     ce = cfg.counterexample
     pot = ctx.potential()
@@ -790,10 +778,9 @@ def check_counterexample_l1(ctx: SuiteContext) -> CheckResult:
     measured = {"slope_per_logR": rep.fit.slope, "r2": rep.fit.r_squared,
                 "shell_scaled_range": [rep.shell_scaled_min, rep.shell_scaled_max]}
     rows = list(zip(map(float, rep.R_values), map(float, rep.masses)))
-    return _result("counterexample-l1",
-                   "shell mass of T_G f_1 grows linearly in log R "
-                   f"(R^2 >= {cfg.tolerances['l1_r2']})",
-                   measured, failures, t0, header=("R", "shell_mass"), rows=rows)
+    return ("shell mass of T_G f_1 grows linearly in log R "
+            f"(R^2 >= {cfg.tolerances['l1_r2']})",
+            measured, failures, ("R", "shell_mass"), rows)
 
 
 # the acceptance criterion each check answers
@@ -816,15 +803,6 @@ CHECKS = {
     "counterexample-linf": check_counterexample_linf,
     "counterexample-l1": check_counterexample_l1,
 }
-
-
-@dataclass
-class SuiteReport:
-    results: list
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.results)
 
 
 def _format_cell(v):
@@ -854,12 +832,33 @@ def write_csv(path: str, header, rows) -> None:
 _REPORT_FIELDS = ("criterion", "status", "expected", "measured", "failures")
 
 
-def run_suite(cfg: Config, names=None, out_dir: str | None = None,
-              progress=None) -> SuiteReport:
-    """Execute the named checks (all by default) and write reports.
+def run_check(ctx: SuiteContext, name: str) -> CheckResult:
+    """Run the named check and record it: its criterion, its runtime and
+    PASS or FAIL from its failures.  A check that raises is recorded as
+    ERROR, so one crash never loses the other checks' reports.
 
-    A check that raises is recorded as ERROR and the others still run;
-    report.json is rewritten after each check, so it keeps every result.
+    The check is looked up in ``CHECKS`` at call time, so a rebound
+    entry is the one that runs.
+    """
+    t0 = time.perf_counter()
+    try:
+        expected, measured, failures, header, rows = CHECKS[name](ctx)
+        status = "FAIL" if failures else "PASS"
+    except Exception as exc:
+        traceback.print_exc()
+        expected, measured, header, rows = "check raised", {}, None, None
+        failures, status = [f"{type(exc).__name__}: {exc}"], "ERROR"
+    return CheckResult(name=name, criterion=CRITERIA[name], status=status, expected=expected,
+                       measured=measured, failures=failures,
+                       runtime_s=round(time.perf_counter() - t0, 3),
+                       csv_header=header, csv_rows=rows)
+
+
+def run_suite(cfg: Config, names=None, out_dir: str | None = None,
+              progress=None) -> list[CheckResult]:
+    """Run the named checks (all by default), write reports and return
+    their results.  report.json is rewritten after each check, so it
+    keeps every result even if the run is cut short.
     """
     names = list(names or CHECKS.keys())
     unknown = [n for n in names if n not in CHECKS]
@@ -870,14 +869,7 @@ def run_suite(cfg: Config, names=None, out_dir: str | None = None,
     os.makedirs(out, exist_ok=True)
     results = []
     for name in names:
-        t0 = time.perf_counter()
-        try:
-            res = CHECKS[name](ctx)
-        except Exception as exc:  # one crash must not lose the other reports
-            traceback.print_exc()
-            res = CheckResult(name=name, criterion=CRITERIA[name], status="ERROR",
-                              expected="check raised", failures=[f"{type(exc).__name__}: {exc}"],
-                              runtime_s=round(time.perf_counter() - t0, 3))
+        res = run_check(ctx, name)
         results.append(res)
         if progress:
             progress(res)
@@ -890,7 +882,7 @@ def run_suite(cfg: Config, names=None, out_dir: str | None = None,
     with _open_new(os.path.join(out, "run_meta.json")) as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                    "runtimes": {r.name: r.runtime_s for r in results}}, fh, indent=2)
-    return SuiteReport(results=results)
+    return results
 
 
 def _json_default(obj):

@@ -20,8 +20,9 @@ The adaptive kernels (``g_radial``, ``ktilde_radial``, ``psi2_radial``,
 ``KPDirect.direct_radial``) take broadcastable arrays of radii and run
 every pair, under its own rule, in one batched Gauss-Kronrod call.
 
-Verification sweeps compare |kernel| against named envelope families
-(``EnvelopeSpec``) and report sup ratios with refinement stability.
+``EnvelopeSpec`` names the pointwise bound families; the checks'
+ratio sweeps (``experiments._sweep``) divide |kernel| by them and
+report the sup with its refinement stability.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .potential import Potential
 from .quadrature import _leggauss, gauss_rule, integrate_batch, log_trapezoid_rule, panel_rule
 # unused here, but perfbench/tracer.py rebinds it in every module that held it
 from .quadrature import integrate_adaptive  # noqa: F401
-from .reports import BoundReport, SlopeFit, fit_loglog
+from .reports import SlopeFit, fit_loglog
 from .resolvent import ExpansionTerms, full_mode_index, r0_diff_r, r0_kernel_r
 from .specfun import Branch, Cutoff, eval_F, eval_F_diff
 
@@ -424,35 +425,3 @@ class K3Evaluator:
         mask = self.lambdas <= self.cutoff.lambda0 / 2.0
         return fit_loglog(self.lambdas[mask], np.abs(profile)[mask])
 
-
-# ----------------------------------------------------------------------
-# Ratio sweeps
-# ----------------------------------------------------------------------
-
-def bound_ratio_sweep(name: str, kernel, env: EnvelopeSpec, samples) -> BoundReport:
-    """sup |K(x,y)| / env(x,y) over sample pairs, with refinement stability.
-
-    ``kernel(s, t, refine)`` maps arrays of radii |x|, |y| to kernel
-    values; it is called once for all samples and, with ``refine = 1``,
-    once for the top-ranked ones.
-    """
-    samples = list(samples)
-    if not samples:
-        raise InvalidInputError("empty sample list")
-    x, y = np.array(samples, dtype=float).transpose(1, 0, 2)
-    # one norm per 3-vector: a row-wise norm can differ in the last bit
-    s, t = (np.array([np.linalg.norm(v) for v in u]) for u in (x, y))
-    envs = env(x, y)
-    values = np.asarray(kernel(s, t, 0), dtype=complex)
-    # hypot rounds |v| as abs() of one complex does; numpy's array abs may not
-    ratios = np.hypot(values.real, values.imag) / envs
-    k = int(np.argmax(ratios))
-    report = BoundReport(name=name, sup_ratio=float(ratios[k]), arg_max=samples[k],
-                         details={"values": values, "envelopes": envs, "ratios": ratios})
-    # stability of the sweep sup as a whole: re-evaluate the top ranks
-    top = np.argsort(ratios)[::-1][:max(3, len(samples) // 20)]
-    v1 = kernel(s[top], t[top], 1)
-    r1 = np.hypot(v1.real, v1.imag) / envs[top]
-    report.details["refine_rel_change_top"] = float(
-        np.max(np.abs(r1 - ratios[top]) / np.maximum(r1, 1e-300)))
-    return report

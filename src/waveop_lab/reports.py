@@ -1,24 +1,10 @@
-"""Small result containers and fit helpers shared across modules."""
+"""Least-squares line fits shared across modules."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class BoundReport:
-    """Outcome of a sup/ratio sweep."""
-
-    name: str
-    sup_ratio: float
-    arg_max: object = None
-    interior: bool | None = None
-    details: dict = field(default_factory=dict)
-
-    def __str__(self):
-        return f"{self.name}: sup={self.sup_ratio:.6g} at {self.arg_max}"
 
 
 @dataclass

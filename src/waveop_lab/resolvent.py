@@ -58,7 +58,7 @@ from .errors import InvalidInputError, RegularityError
 from .potential import Potential
 from .quadrature import BallGrid
 from .reports import SlopeFit, fit_loglog
-from .specfun import Branch, eval_F
+from .specfun import Branch, eval_F, eval_F_diff
 
 # QTQ counts as invertible below this condition number
 _COND_LIMIT = 1e12
@@ -84,8 +84,7 @@ def r0_diff_r(lam: float, r):
     """(R0+ - R0-)(lambda^4) at distance r: i sin(lambda r)/(4 pi lambda^2 r)."""
     if lam <= 0.0:
         raise InvalidInputError("lambda must be positive")
-    r = np.asarray(r, dtype=float)
-    return 1j * np.sinc(lam * r / np.pi) / (4.0 * np.pi * lam)
+    return eval_F_diff(lam * np.asarray(r, dtype=float)) / (8.0 * np.pi * lam)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedOrderError
 from .quadrature import _leggauss, integrate_adaptive, panel_rule
-from .reports import BoundReport
 
 _SERIES_CROSSOVER = 0.5
 _N_SERIES = 36
@@ -218,7 +217,7 @@ def eval_F_diff(s):
     return 2j * np.sinc(arr / np.pi)
 
 
-def envelope_report(kind: str, order: int, s_samples) -> BoundReport:
+def envelope_report(kind: str, order: int, s_samples) -> tuple[float, float, bool]:
     """Sup of <s>^(order+1) |A or B| (resp. <s>|F|) over a sample grid.
 
     Returns the sup, its location and whether it is attained away from
@@ -236,13 +235,7 @@ def envelope_report(kind: str, order: int, s_samples) -> BoundReport:
         power = order + 1
     q = (1.0 + s ** 2) ** (power / 2.0) * np.abs(vals)
     k = int(np.argmax(q))
-    return BoundReport(
-        name=f"envelope[{kind}^({order})]",
-        sup_ratio=float(q[k]),
-        arg_max=float(s[k]),
-        interior=bool(0 < k < s.size - 1),
-        details={"power": power, "n_samples": int(s.size)},
-    )
+    return float(q[k]), float(s[k]), bool(0 < k < s.size - 1)
 
 
 # ----------------------------------------------------------------------

@@ -32,51 +32,51 @@ def _finish(res, cap_seconds):
 
 
 def test_criterion_01_identities(ctx):
-    _finish(xp.check_identities(ctx), 5.0)
+    _finish(xp.run_check(ctx, "identities"), 5.0)
 
 
 def test_criterion_02_specfun_envelopes(ctx):
-    _finish(xp.check_specfun_envelopes(ctx), 10.0)
+    _finish(xp.run_check(ctx, "specfun-envelopes"), 10.0)
 
 
 def test_criterion_03_resolvent_expansion(ctx):
-    _finish(xp.check_resolvent_expansion(ctx), 1.5)
+    _finish(xp.run_check(ctx, "resolvent-expansion"), 1.5)
 
 
 def test_criterion_04_projection_gain(ctx):
-    _finish(xp.check_projection_gain(ctx), 0.8)
+    _finish(xp.run_check(ctx, "projection-gain"), 0.8)
 
 
 def test_criterion_05_kernel_envelopes(ctx):
-    _finish(xp.check_kernel_bounds(ctx), 0.75)
+    _finish(xp.run_check(ctx, "kernel-bounds"), 0.75)
 
 
 def test_criterion_06_kp_leading_agreement(ctx):
-    _finish(xp.check_kp_compare(ctx), 0.6)
+    _finish(xp.run_check(ctx, "kp-compare"), 0.6)
 
 
 def test_criterion_07_k3_envelope(ctx):
-    _finish(xp.check_k3_bound(ctx), 2.0)
+    _finish(xp.run_check(ctx, "k3-bound"), 2.0)
 
 
 def test_criterion_08a_weak11(ctx):
-    _finish(xp.check_weak11(ctx), 6.0)
+    _finish(xp.run_check(ctx, "weak11"), 6.0)
 
 
 def test_criterion_08b_hormander(ctx):
-    _finish(xp.check_hormander(ctx), 1.0)
+    _finish(xp.run_check(ctx, "hormander"), 1.0)
 
 
 @pytest.fixture(scope="module")
 def linf_result(ctx):
-    return xp.check_counterexample_linf(ctx)
+    return xp.run_check(ctx, "counterexample-linf")
 
 
 def test_criterion_09_counterexample_linf(linf_result):
     _finish(linf_result, 5.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the logarithmic lower bound is asymptotic in R: at R=10 the exact "
     "value at the band midpoint is ~9% below it (the uniformity "
     "precondition fails there, as the in_regime flag records)"))
@@ -86,8 +86,8 @@ def test_criterion_09_bound_at_R10(linf_result):
 
 
 def test_criterion_10_counterexample_l1_and_schur(ctx):
-    res_l1 = xp.check_counterexample_l1(ctx)
-    res_schur = xp.check_schur(ctx)
+    res_l1 = xp.run_check(ctx, "counterexample-l1")
+    res_schur = xp.run_check(ctx, "schur")
     print()
     print(res_l1.line(), f"({res_l1.runtime_s:.1f}s)")
     print(res_schur.line(), f"({res_schur.runtime_s:.1f}s)")

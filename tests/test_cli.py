@@ -145,8 +145,7 @@ def test_crashing_check_keeps_other_reports(tmp_path, capsys, monkeypatch):
         raise ValueError("boom")
 
     monkeypatch.setitem(xp.CHECKS, "identities", crash)
-    rc = main(["all", "--check", "identities", "--check", "hormander",
-               "--out", str(tmp_path)])
+    rc = main(["identities", "hormander", "--out", str(tmp_path)])
     assert rc == 1
     assert "ERROR identities" in capsys.readouterr().out
     checks = json.loads((tmp_path / "report.json").read_text())["checks"]
@@ -178,12 +177,19 @@ def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
 
 
 def test_check_filter_with_all(tmp_path, capsys):
-    rc = main(["all", "--check", "identities", "--check", "hormander",
-               "--out", str(tmp_path)])
+    # named checks run in suite order, each once, whatever order they are given in
+    rc = main(["hormander", "identities", "hormander", "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert sorted(report["checks"]) == ["hormander", "identities"]
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert out.index("identities:") < out.index("hormander:")
+
+
+def test_unknown_check_name(tmp_path, capsys):
+    assert main(["identities", "bogus", "--out", str(tmp_path)]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_seed_determinism_csv_bytes(tmp_path, capsys):

@@ -110,8 +110,8 @@ def test_sampler_covers_three_regimes(rng):
 def test_run_suite_writes_reports(tmp_path):
     cfg = default_config()
     cfg.out_dir = str(tmp_path)
-    rep = xp.run_suite(cfg, names=["identities", "hormander"])
-    assert rep.all_pass
+    results = xp.run_suite(cfg, names=["identities", "hormander"])
+    assert all(r.passed for r in results)
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["all_pass"] is True
     assert data["checks"]["identities"]["criterion"] == 1
@@ -127,8 +127,14 @@ def test_expected_follows_tolerances():
     cfg = default_config()
     cfg.tolerances.update(expansion_slope=[3.0, 0.45], l1_r2=0.95)
     ctx = xp.SuiteContext(cfg)
-    assert "Gamma3 slope 3.0+-0.45" in xp.check_resolvent_expansion(ctx).expected
-    assert "(R^2 >= 0.95)" in xp.check_counterexample_l1(ctx).expected
+    assert "Gamma3 slope 3.0+-0.45" in xp.run_check(ctx, "resolvent-expansion").expected
+    assert "(R^2 >= 0.95)" in xp.run_check(ctx, "counterexample-l1").expected
+
+
+def test_every_check_has_a_criterion():
+    # run_check looks the criterion up outside its guard: a missing one
+    # would crash the suite instead of recording an ERROR
+    assert set(xp.CHECKS) == set(xp.CRITERIA)
 
 
 def test_write_csv_numpy_scalars(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+from waveop_lab import experiments as xp
 from waveop_lab import kernels as kn
 from waveop_lab.errors import InvalidInputError
 from waveop_lab.quadrature import ball_grid, integrate_adaptive
@@ -216,8 +217,8 @@ def test_bound_ratio_sweep_zero_field():
         return np.zeros_like(s)
 
     env = kn.EnvelopeSpec("prop22_base")
-    rep = kn.bound_ratio_sweep("zero", zero, env, [(np.ones(3), np.zeros(3))])
-    assert rep.sup_ratio == 0.0
-    assert rep.details["refine_rel_change_top"] == 0.0
+    measured, _, _, _ = xp._sweep("zero", zero, env, [(np.ones(3), np.zeros(3))], 0.05)
+    assert measured["sup"] == 0.0
+    assert measured["stability"] == 0.0
     with pytest.raises(InvalidInputError):
-        kn.bound_ratio_sweep("zero", zero, env, [])
+        xp._sweep("zero", zero, env, [], 0.05)
