@@ -219,7 +219,7 @@ def validate(cfg: Config) -> None:
         raise ConfigError(f"counterexample l1_R_max must exceed 3 R0 + 2 = {shell_start:g}")
     # k3-bound integrates on K3Evaluator's lambda rule and fits each spot
     # integrand on the nodes lambda <= lambda0/2
-    nodes = log_trapezoid_rule(cfg.k3["lambda_min"], cfg.lambda0, cfg.k3["n_lambda"]).nodes
+    nodes, _ = log_trapezoid_rule(cfg.k3["lambda_min"], cfg.lambda0, cfg.k3["n_lambda"])
     if np.count_nonzero(nodes <= cfg.lambda0 / 2) < 2:
         raise ConfigError("k3 needs lambda_min < lambda0/2 and two lambda nodes at or below "
                           "lambda0/2 for the slope fit")

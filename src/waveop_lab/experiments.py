@@ -91,8 +91,7 @@ class CounterexampleOperator:
             raise InvalidInputError("counterexamples need a compactly supported potential")
         self.pot = pot
         R0 = pot.radius
-        radial = gauss_rule(_N_R1, 0.0, R0)
-        self.r1, w_r1 = radial.nodes, radial.weights
+        self.r1, w_r1 = gauss_rule(_N_R1, 0.0, R0)
         self.mu, self.wmu = _leggauss(_N_MU)
         self.d = self.r1.copy()
         prof = pot.abs_profile(self.r1)
@@ -135,8 +134,7 @@ class CounterexampleOperator:
                 f"got {a0.min():g}")
         # cap-weighted rho rule on [0, R + d] per d, times the u2 weights:
         # c(d, rho) >= 0
-        rule = gauss_rule(_N_RHO, 0.0, (R + self.d)[:, None])
-        rho, wr = rule.nodes, rule.weights
+        rho, wr = gauss_rule(_N_RHO, 0.0, (R + self.d)[:, None])
         c = (self.w2[:, None] * cap_area(rho, self.d[:, None], R) * wr).ravel()
         # scale both powers by min a0^4 so neither over- nor underflows
         a_min4 = a0.min() ** 4
@@ -204,15 +202,14 @@ class CounterexampleRun:
     asymptotic_regime: np.ndarray
 
 
-def counterexample_linf(pot: Potential, R_list) -> CounterexampleRun:
+def counterexample_linf(op: CounterexampleOperator, R_list) -> CounterexampleRun:
     """|T_G f_R| at x* = (R + 2 R0 + 1.5) e1 against the log lower bound.
 
     The log bound is asymptotic; R values where even the pointwise
     bound fails at the band midpoint by construction are flagged via
     ``asymptotic_regime`` (the bound is only asserted there).
     """
-    op = CounterexampleOperator(pot)
-    R0 = pot.radius
+    R0 = op.pot.radius
     R_arr = np.asarray(R_list, dtype=float)
     radii = R_arr + 2.0 * R0 + 1.5
     vals = np.array([op.tg_abs(sr, R) for sr, R in zip(radii, R_arr)])
@@ -249,7 +246,7 @@ def counterexample_l1(pot: Potential, R_max: float = 1e4) -> L1GrowthReport:
     edges = np.geomspace(s_lo, R_max, _L1_PANELS + 1)
     # the half-width multiplies the panel's sum, not its weights: folding
     # it in moves the masses in their last bit
-    nodes = panel_rule(edges, 16).nodes
+    nodes, _ = panel_rule(edges, 16)
     half = 0.5 * np.diff(edges)
     w16 = _leggauss(16)[1]
     masses = np.zeros(_L1_PANELS)
@@ -455,7 +452,7 @@ def check_resolvent_expansion(ctx: SuiteContext) -> tuple:
     measured = {"slope": rep.fit.slope, "r2": rep.fit.r_squared,
                 "slope_drop_a2": rep_a2.fit.slope, "slope_drop_ptilde": rep_pt.fit.slope,
                 "feshbach_rel": fesh, "solve_residual_max": float(rep.solve_residuals.max()),
-                "cond_QTQ": terms.regularity.condition_number,
+                "cond_QTQ": terms.cond_QTQ,
                 "grid_size": terms.pot.grid.size}
     rows = [(float(l), float(n), float(na), float(np_)) for l, n, na, np_ in
             zip(lams, rep.norms, rep_a2.norms, rep_pt.norms)]
@@ -632,14 +629,11 @@ def check_weak11(ctx: SuiteContext) -> tuple:
     for c in wcfg["centers"]:
         for h in wcfg["widths"]:
             prof = sg.smooth_bump_profile(c, h)
-            mass = prof.mass_omega()
-            dist = sg.weak11_profile(
-                lambda s, p=prof: np.abs(sg.apply_W(p, s)), input_mass=mass,
-                s_max=max(50.0, 8.0 * c), measure="omega",
-                n_thresholds=wcfg["n_thresholds"], decades=wcfg["decades"],
-                label=prof.label)
-            ratios.append(dist.ratio)
-            for lam, m in zip(dist.thresholds, dist.masses):
+            thresholds, masses, quasi = sg.weak11_profile(
+                lambda s, p=prof: np.abs(sg.apply_W(p, s)), max(50.0, 8.0 * c),
+                measure="omega", n_thresholds=wcfg["n_thresholds"], decades=wcfg["decades"])
+            ratios.append(quasi / prof.mass_omega())
+            for lam, m in zip(thresholds, masses):
                 rows.append(("W", prof.label, float(lam), float(m), float(lam * m)))
     sup_ratio = float(np.max(ratios))
     if not np.isfinite(sup_ratio):
@@ -649,28 +643,28 @@ def check_weak11(ctx: SuiteContext) -> tuple:
 
     # homogeneity: doubling the input doubles the quasi-norm
     prof = sg.smooth_bump_profile(5.0, 0.5)
-    d1 = sg.weak11_profile(lambda s: np.abs(sg.apply_W(prof, s)), 1.0, 60.0)
-    d2 = sg.weak11_profile(lambda s: 2.0 * np.abs(sg.apply_W(prof, s)), 2.0, 60.0)
-    hom = abs(d2.quasi_norm - 2.0 * d1.quasi_norm) / (2.0 * d1.quasi_norm)
+    q1 = sg.weak11_profile(lambda s: np.abs(sg.apply_W(prof, s)), 60.0)[2]
+    q2 = sg.weak11_profile(lambda s: 2.0 * np.abs(sg.apply_W(prof, s)), 60.0)[2]
+    hom = abs(q2 - 2.0 * q1) / (2.0 * q1)
     if hom > 0.02:
         failures.append(f"homogeneity violated at {hom:.2%}")
 
     # level-set identity for <x>^-3 in R^3
     tol = cfg.tolerances["levelset_rel"]
     op = lambda s: (1.0 + s ** 2) ** -1.5
-    dist = sg.weak11_profile(op, input_mass=1.0, s_max=80.0, measure="lebesgue3d",
-                             n_thresholds=wcfg["n_thresholds"],
-                             decades=wcfg["decades"])
+    thresholds, masses, _ = sg.weak11_profile(op, 80.0, measure="lebesgue3d",
+                                              n_thresholds=wcfg["n_thresholds"],
+                                              decades=wcfg["decades"])
     analytic = (4.0 * np.pi / 3.0) * np.maximum(
-        dist.thresholds ** (-2.0 / 3.0) - 1.0, 0.0) ** 1.5 * dist.thresholds
-    got = dist.thresholds * dist.masses
+        thresholds ** (-2.0 / 3.0) - 1.0, 0.0) ** 1.5 * thresholds
+    got = thresholds * masses
     rel = float(np.max(np.abs(got - analytic) / np.maximum(analytic, 1e-12)))
     bound = (4.0 * np.pi / 3.0) * (1.0 + tol)
     if not np.all(got <= bound):
         failures.append(f"level-set products exceed 4 pi/3 by more than {tol:.0%}")
     if rel > tol:
         failures.append(f"level-set identity off by {rel:.3%} > {tol:.0%}")
-    for lam, m in zip(dist.thresholds, dist.masses):
+    for lam, m in zip(thresholds, masses):
         rows.append(("bracket_cubed_decay", "<x>^-3", float(lam), float(m), float(lam * m)))
     measured = {"family_sup_ratio": sup_ratio, "homogeneity_gap": hom,
                 "levelset_rel": rel, "n_members": len(ratios)}
@@ -705,8 +699,7 @@ def check_hormander(ctx: SuiteContext) -> tuple:
 
 def check_schur(ctx: SuiteContext) -> tuple:
     sc = ctx.cfg.schur
-    reports = sg.schur_growth(kn.make_psi_batch(ctx.cutoff), sc["radii"], sc["n_samples"])
-    rows = [(r.domain_radius, r.row_sup, r.col_sup) for r in reports]
+    rows = sg.schur_growth(kn.make_psi_batch(ctx.cutoff), sc["radii"], sc["n_samples"])
     row_growth = rows[-1][1] / rows[-2][1] - 1.0
     col_growth = rows[-1][2] / rows[-2][2] - 1.0
     failures = []
@@ -726,8 +719,8 @@ def check_schur(ctx: SuiteContext) -> tuple:
 def check_counterexample_linf(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     ce = cfg.counterexample
-    pot = ctx.potential()
-    run = counterexample_linf(pot, ce["R_list"])
+    op = CounterexampleOperator(ctx.potential())
+    run = counterexample_linf(op, ce["R_list"])
     lo, hi = ce["slope_range"]
     failures = []
     for R, val, bound, ok, regime in zip(run.R_list, run.values, run.lower_bounds,
@@ -739,7 +732,6 @@ def check_counterexample_linf(ctx: SuiteContext) -> tuple:
     if not lo <= run.slope_fit.slope <= hi:
         failures.append(f"slope {run.slope_fit.slope:.4f} outside [{lo}, {hi}]")
     # Monte Carlo consistency at three spot configurations
-    op = CounterexampleOperator(pot)
     rng = cfg.rng_for("counterexample-linf")
     mc_rows = []
     for R, srad, quad in zip(run.R_list[:3], run.x_star_radii, run.values):

@@ -205,10 +205,10 @@ def _psi_panels(a: float, b: float, freq: float):
     [a, b]: one equal-width panel per 3 radians of phase, at least 16."""
     n_pan = max(16, int(np.ceil(freq * (b - a) / 3.0)))
     sub = np.linspace(a, b, n_pan + 1)
-    rule = panel_rule(sub, _PSI_GL)
+    nodes, weights = panel_rule(sub, _PSI_GL)
     mid = 0.5 * (sub[:-1] + sub[1:])
     offsets = 0.5 * (b - a) / n_pan * _leggauss(_PSI_GL)[0]
-    return rule.nodes.ravel(), rule.weights.ravel(), mid, offsets
+    return nodes.ravel(), weights.ravel(), mid, offsets
 
 
 def _panel_phase(rho, mid):
@@ -313,9 +313,8 @@ class KPDirect:
     def __init__(self, pot: Potential, cutoff: Cutoff):
         self.pot = pot
         self.cutoff = cutoff
-        rule = gauss_rule(_KP_RADIAL_NODES, 0.0, pot.radius)
-        self.rn = rule.nodes
-        self.core = rule.weights * self.rn * pot.abs_profile(self.rn)
+        self.rn, weights = gauss_rule(_KP_RADIAL_NODES, 0.0, pot.radius)
+        self.core = weights * self.rn * pot.abs_profile(self.rn)
         self.prefactor = 1.0 / (8.0 * np.pi * (1.0 + 1j) * pot.normV_L1 ** 2)
 
     def _chords(self, s):
@@ -382,8 +381,7 @@ class K3Evaluator:
         self.terms = terms
         self.pot = terms.pot
         self.cutoff = cutoff
-        rule = log_trapezoid_rule(lam_min, cutoff.lambda0, n_lambda)
-        self.lambdas, self.weights = rule.nodes, rule.weights
+        self.lambdas, self.weights = log_trapezoid_rule(lam_min, cutoff.lambda0, n_lambda)
 
     def eval_pairs(self, pairs):
         """Values and per-node integrand profiles for a list of (x, y).

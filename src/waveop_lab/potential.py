@@ -32,8 +32,8 @@ class PotentialSpec:
     amplitude is the signed multiplier of the unit profile; the stock
     counterexample potential is amplitude=-0.01, R0=1 (a negative bump).
     For the decaying shape the hypothesis needs mu > 11; for smaller mu
-    ``build_potential`` emits a HypothesisViolationWarning and sets
-    ``hypothesis_ok = False`` on the potential.
+    ``build_potential`` emits a HypothesisViolationWarning and builds the
+    potential anyway.
     """
 
     shape: str = "smooth_bump_compact"
@@ -50,27 +50,23 @@ class PotentialSpec:
         if self.R0 <= 0:
             raise InvalidInputError("R0 must be positive")
         if self.shape == "polynomial_decay" and not self.mu > 3.0:
-            # build_potential's truncation error divides by mu - 3
+            # |V| is integrable on R^3 only for mu > 3
             raise InvalidInputError("polynomial_decay needs mu > 3")
 
 
 class Potential:
     """A built potential on its ball grid, with radial profile access."""
 
-    def __init__(self, spec: PotentialSpec, grid: BallGrid, hypothesis_ok: bool,
-                 truncation_error: float):
+    def __init__(self, spec: PotentialSpec, grid: BallGrid):
         self.spec = spec
         self.grid = grid
-        self.hypothesis_ok = hypothesis_ok
-        self.truncation_error = truncation_error
         self.radius = grid.radius
         self.V = self.profile(grid.radii())
         self.v = np.sqrt(np.abs(self.V))
         self.U = np.where(self.V >= 0.0, 1.0, -1.0)
-        rule = gauss_rule(_PROFILE_RULE_N, 0.0, self.radius)
-        self._rule = rule
-        self.normV_L1 = float(4.0 * np.pi * np.sum(
-            rule.weights * rule.nodes ** 2 * np.abs(self.profile(rule.nodes))))
+        self._rule = gauss_rule(_PROFILE_RULE_N, 0.0, self.radius)
+        rn, rw = self._rule
+        self.normV_L1 = float(4.0 * np.pi * np.sum(rw * rn ** 2 * np.abs(self.profile(rn))))
         # grid inner product <v, v>: apply_Q divides by it so that Q^2 = Q
         # holds to machine precision
         self.normV_grid = float(np.sum(grid.weights * self.v ** 2))
@@ -108,7 +104,7 @@ class Potential:
         exactly 1 outside the support.  Vectorized in s.
         """
         s = np.asarray(s, dtype=float)
-        rn, rw = self._rule.nodes, self._rule.weights
+        rn, rw = self._rule
         core = rn * self.abs_profile(rn) * rw
         out = 4.0 * np.pi * (np.minimum(s[..., None], rn) * core).sum(axis=-1) / self.normV_L1
         return out if out.ndim else float(out)
@@ -123,24 +119,11 @@ def build_potential(spec: PotentialSpec, grid_shape=(12, 8, 16)) -> Potential:
     """
     if spec.amplitude == 0.0:
         raise DegenerateInputError("amplitude 0: potential vanishes identically")
-    hypothesis_ok = True
-    trunc_err = 0.0
+    radius = spec.R0
     if spec.shape == "polynomial_decay":
         if spec.mu <= 11.0:
             warnings.warn(
                 f"decay exponent mu={spec.mu} <= 11 violates the standing hypothesis",
                 HypothesisViolationWarning)
-            hypothesis_ok = False
-        r_eff = float(np.sqrt(max(1e12 ** (2.0 / spec.mu) - 1.0, 1.0)))
-        # L1 mass of the discarded tail relative to the kept part
-        mu = spec.mu
-        rule = gauss_rule(_PROFILE_RULE_N, 0.0, r_eff)
-        kept = float(np.sum(rule.weights * rule.nodes ** 2 *
-                            (1.0 + rule.nodes ** 2) ** (-mu / 2.0)))
-        tail = r_eff ** (3.0 - mu) / (mu - 3.0)
-        trunc_err = float(tail / kept)
-        radius = r_eff
-    else:
-        radius = spec.R0
-    grid = ball_grid(radius, *grid_shape)
-    return Potential(spec, grid, hypothesis_ok, trunc_err)
+        radius = float(np.sqrt(max(1e12 ** (2.0 / spec.mu) - 1.0, 1.0)))
+    return Potential(spec, ball_grid(radius, *grid_shape))

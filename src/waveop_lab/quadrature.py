@@ -9,7 +9,8 @@ integrals to one dimension.
 The fixed rules are ``gauss_rule`` (Gauss-Legendre on [a, b], one rule
 per row for a column of upper ends), ``panel_rule`` (composite
 Gauss-Legendre on the panels between given edges) and
-``log_trapezoid_rule`` (the trapezoid in log x).
+``log_trapezoid_rule`` (the trapezoid in log x).  Each returns
+(nodes, weights), as ``_leggauss`` does on [-1, 1].
 
 The adaptive integrator is a nested Gauss-Kronrod (G7, K15) panel
 scheme with bisection (QUADPACK's pair).  It has one refinement loop,
@@ -204,48 +205,41 @@ def integrate_adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
 # Fixed Gauss-Legendre rules
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for a 1D interval (unit density); rules built
-    together are stacked along the leading axes."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 @lru_cache(maxsize=128)
 def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
 
-def gauss_rule(n: int, a: float, b) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b]; a column of upper ends b,
-    shape (m, 1), gives one rule per row, shape (m, n)."""
+def gauss_rule(n: int, a: float, b):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]; a
+    column of upper ends b, shape (m, 1), gives one rule per row, shape
+    (m, n)."""
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w)
+    return a + half * (x + 1.0), half * w
 
 
-def panel_rule(edges: np.ndarray, n: int) -> QuadratureRule:
+def panel_rule(edges: np.ndarray, n: int):
     """Composite n-point Gauss-Legendre rule on the panels between
     consecutive ``edges``: nodes and weights of shape (n_panels, n), panel
     p's nodes at its midpoint plus its half-width times the unit nodes."""
     x, w = _leggauss(n)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
-    return QuadratureRule(nodes=mid + half * x, weights=half * w)
+    return mid + half * x, half * w
 
 
-def log_trapezoid_rule(a: float, b: float, n: int) -> QuadratureRule:
-    """Trapezoid rule in log x on n >= 2 nodes spaced evenly in log x
-    from a to b (both positive); the weights carry the Jacobian x."""
+def log_trapezoid_rule(a: float, b: float, n: int):
+    """Nodes and weights of the trapezoid rule in log x on n >= 2 nodes
+    spaced evenly in log x from a to b (both positive); the weights carry
+    the Jacobian x."""
     t = np.linspace(np.log(a), np.log(b), n)
     nodes = np.exp(t)
     wt = np.full(n, t[1] - t[0])
     wt[0] *= 0.5
     wt[-1] *= 0.5
-    return QuadratureRule(nodes=nodes, weights=wt * nodes)
+    return nodes, wt * nodes
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +256,6 @@ class BallGrid:
     """
 
     radius: float
-    n_r: int
-    n_theta: int
     n_phi: int
     nodes: np.ndarray = field(repr=False)        # (n, 3)
     weights: np.ndarray = field(repr=False)      # (n,)
@@ -280,8 +272,7 @@ def ball_grid(radius: float, n_r: int, n_theta: int, n_phi: int) -> BallGrid:
     """Build the product Gauss-Legendre grid on the ball of given radius."""
     if min(n_r, n_theta, n_phi) < 2:
         raise InvalidInputError("ball grid needs at least 2 points per axis")
-    radial = gauss_rule(n_r, 0.0, radius)
-    r, wr = radial.nodes, radial.weights
+    r, wr = gauss_rule(n_r, 0.0, radius)
     mu, wmu = _leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
@@ -294,8 +285,7 @@ def ball_grid(radius: float, n_r: int, n_theta: int, n_phi: int) -> BallGrid:
     nodes = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
     W = (wr * r ** 2)[:, None, None] * wmu[None, :, None] * np.full(n_phi, wphi)
     weights = W.reshape(-1)
-    return BallGrid(radius=float(radius), n_r=n_r, n_theta=n_theta, n_phi=n_phi,
-                    nodes=nodes, weights=weights)
+    return BallGrid(radius=float(radius), n_phi=n_phi, nodes=nodes, weights=weights)
 
 
 # ----------------------------------------------------------------------

@@ -197,7 +197,6 @@ class QSplit:
         h[0] += 1.0 if u[0] >= 0 else -1.0
         h /= np.linalg.norm(h)
         H = np.eye(u.size) - 2.0 * np.outer(h, h)
-        self.u = u
         self.basis = H[:, 1:]          # (nb, nb-1), columns orthonormal, span u-perp
         self.P = np.zeros((pot.grid.n_phi // 2 + 1, u.size, u.size))
         self.P[0] = np.outer(u, u)
@@ -213,31 +212,18 @@ class QSplit:
         return np.concatenate([(self.basis @ head @ self.basis.T)[None], tail])
 
 
-@dataclass
-class RegularityReport:
-    condition_number: float
-    invertible: bool
-    sigma_max: float
-    sigma_min: float
-    grid_size: int
-
-
 def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
-                          T: np.ndarray | None = None) -> RegularityReport:
-    """Conditioning of QTQ on the Q-subspace (regular-point test), from
-    the exact singular values of its mode blocks; invertible means a
-    condition number below 1e12.  ``T`` is the stack of ``t_tilde(pot)``
-    when the caller has built it already."""
+                          T: np.ndarray | None = None) -> float:
+    """Condition number of QTQ on the Q-subspace (regular-point test),
+    from the exact singular values of its mode blocks; inf if QTQ is
+    singular.  ``T`` is the stack of ``t_tilde(pot)`` when the caller has
+    built it already."""
     qs = qsplit or QSplit(pot)
     head, tail = qs.restrict(t_tilde(pot) if T is None else T)
     sv = np.concatenate([np.linalg.svd(head, compute_uv=False),
                          np.linalg.svd(tail, compute_uv=False).ravel()])
     smax, smin = sv.max(), sv.min()
-    cond = smax / smin if smin > 0 else np.inf
-    return RegularityReport(condition_number=float(cond),
-                            invertible=bool(np.isfinite(cond) and cond < _COND_LIMIT),
-                            sigma_max=float(smax), sigma_min=float(smin),
-                            grid_size=pot.grid.size)
+    return float(smax / smin) if smin > 0 else np.inf
 
 
 # ----------------------------------------------------------------------
@@ -251,17 +237,12 @@ class ExpansionTerms:
 
     pot: Potential
     a: complex
-    a1: complex
-    T: np.ndarray = field(repr=False)
-    G1: np.ndarray = field(repr=False)          # v |x-y|^2 v
     D0: np.ndarray = field(repr=False)          # (QTQ)^{-1} extended by zero
     C1: np.ndarray = field(repr=False)          # full lambda^1 coefficient
     A2: np.ndarray = field(repr=False)          # lambda^2 coefficient
-    qa10: np.ndarray = field(repr=False)        # Q A_{1,0} part of C1
-    a01q: np.ndarray = field(repr=False)        # A_{0,1} Q part of C1
     ptilde: np.ndarray = field(repr=False)      # (1/a) P part of C1
-    qsplit: QSplit = field(repr=False, default=None)
-    regularity: RegularityReport = None
+    qsplit: QSplit = field(repr=False)
+    cond_QTQ: float                             # condition number of QTQ
 
     def expansion_value(self, lam: float, drop=()) -> np.ndarray:
         """D0 + lambda C1 + lambda^2 A2 with optional dropped terms."""
@@ -284,14 +265,17 @@ class ExpansionTerms:
         return (1.0 / s[:, None]) * self.gamma3_tilde(lam) * s[None, :]
 
 
-def expansion_terms(pot: Potential, regularity: RegularityReport | None = None) -> ExpansionTerms:
-    """Materialize D0, C1 (= QA10 + A01Q + Ptilde/a) and A2 on the grid."""
+def expansion_terms(pot: Potential) -> ExpansionTerms:
+    """Materialize D0, C1 (= QA10 + A01Q + Ptilde/a) and A2 on the grid.
+
+    Raises RegularityError unless the condition number of QTQ is below
+    1e12 (zero is a regular point)."""
     qs = QSplit(pot)
     T = t_tilde(pot)
-    reg = regularity or zero_regularity_check(pot, qs, T)
-    if not reg.invertible:
+    cond = zero_regularity_check(pot, qs, T)
+    if not cond < _COND_LIMIT:
         raise RegularityError(
-            f"QTQ is numerically singular (cond ~ {reg.condition_number:.3e}); "
+            f"QTQ is numerically singular (cond ~ {cond:.3e}); "
             "zero is not a regular point on this grid")
     G1 = vg1v_tilde(pot)
     sigma = pot.normV_grid
@@ -332,18 +316,15 @@ def expansion_terms(pot: Potential, regularity: RegularityReport | None = None) 
           + TD0 @ T
           + T2 @ D0 - c * GD0
           + D0 @ T2 - c * D0G) / a ** 2
-    return ExpansionTerms(pot=pot, a=a, a1=a1, T=T, G1=G1, D0=D0, C1=C1, A2=A2,
-                          qa10=qa10, a01q=a01q, ptilde=ptilde, qsplit=qs,
-                          regularity=reg)
+    return ExpansionTerms(pot=pot, a=a, D0=D0, C1=C1, A2=A2, ptilde=ptilde, qsplit=qs,
+                          cond_QTQ=cond)
 
 
 @dataclass
 class ExpansionResidualReport:
-    lambdas: np.ndarray
     norms: np.ndarray
     fit: SlopeFit
     solve_residuals: np.ndarray
-    dropped: tuple
 
 
 def expansion_residual(terms: ExpansionTerms, lambda_list,
@@ -368,10 +349,9 @@ def expansion_residual(terms: ExpansionTerms, lambda_list,
     out = pmap(one, lams)
     norms = np.array([o[0] for o in out])
     solve_res = np.array([o[1] for o in out])
-    return [ExpansionResidualReport(lambdas=lams, norms=norms[:, k],
-                                    fit=fit_loglog(lams, norms[:, k]),
-                                    solve_residuals=solve_res, dropped=tuple(d))
-            for k, d in enumerate(drops)]
+    return [ExpansionResidualReport(norms=norms[:, k], fit=fit_loglog(lams, norms[:, k]),
+                                    solve_residuals=solve_res)
+            for k in range(len(drops))]
 
 
 def feshbach_consistency(terms: ExpansionTerms, lam: float) -> float:
@@ -413,7 +393,6 @@ def vr0_apply(pot: Potential, lam: float, f) -> np.ndarray:
 
 @dataclass
 class ProjectionGainReport:
-    lambdas: np.ndarray
     norm_plain: np.ndarray
     norm_projected: np.ndarray
     fit_plain: SlopeFit
@@ -438,7 +417,7 @@ def projection_gain(pot: Potential, lambda_list, rep_pot: Potential,
         plain[k] = _weighted_norm(pot, g)
         proj[k] = _weighted_norm(pot, pot.apply_Q(g))
     rep_errors = {float(lam): representation_check(rep_pot, float(lam)) for lam in rep_lambdas}
-    return ProjectionGainReport(lambdas=lams, norm_plain=plain, norm_projected=proj,
+    return ProjectionGainReport(norm_plain=plain, norm_projected=proj,
                                 fit_plain=fit_loglog(lams, plain),
                                 fit_projected=fit_loglog(lams, proj),
                                 representation_errors=rep_errors)
@@ -448,8 +427,8 @@ def _graded_theta_nodes():
     """Unit-interval panel pattern graded geometrically toward 0."""
     from .quadrature import panel_rule
     breaks = np.concatenate([[0.0], 2.0 ** np.arange(-_REP_LEVELS, 1, dtype=float)])
-    rule = panel_rule(breaks, _REP_GL)
-    return rule.nodes.ravel(), rule.weights.ravel()
+    nodes, weights = panel_rule(breaks, _REP_GL)
+    return nodes.ravel(), weights.ravel()
 
 
 def representation_check(pot: Potential, lam: float) -> float:

@@ -145,21 +145,6 @@ def apply_W(profile: RadialProfile, s_values):
     return float(out[0]) if out.size == 1 else out
 
 
-@dataclass
-class DistributionProfile:
-    """lambda -> measure{|Tf| > lambda} over a threshold ladder."""
-
-    thresholds: np.ndarray
-    masses: np.ndarray
-    quasi_norm: float
-    input_mass: float
-    label: str = ""
-
-    @property
-    def ratio(self) -> float:
-        return self.quasi_norm / self.input_mass if self.input_mass > 0 else np.inf
-
-
 def _cell_measures(edges: np.ndarray, measure: str) -> np.ndarray:
     vol = (edges[1:] ** 3 - edges[:-1] ** 3) / 3.0
     if measure == "omega":
@@ -197,24 +182,23 @@ def level_set_masses(op_abs: Callable, thresholds, s_min: float, s_max: float,
     return coarse + np.where(refine[:, cells], sub_mass, 0.0).sum(axis=1)
 
 
-def weak11_profile(op_abs: Callable, input_mass: float, s_max: float,
-                   measure: str = "omega", n_thresholds: int = 24,
-                   decades: float = 4.0, label: str = "") -> DistributionProfile:
-    """Distribution profile of |T|(s) on [1e-3, s_max] with automatic
-    threshold ladder.
+def weak11_profile(op_abs: Callable, s_max: float, measure: str = "omega",
+                   n_thresholds: int = 24, decades: float = 4.0):
+    """Distribution profile lambda -> measure{|T| > lambda} of |T|(s) on
+    [1e-3, s_max] over an automatic threshold ladder: returns the
+    thresholds, their level-set masses and the quasi-norm
+    sup lambda * measure{|T| > lambda} (empty arrays and 0 if T = 0).
 
     Thresholds span the requested number of decades below the maximum
-    over 2048 probes; the level sets are counted on 4096 log cells, and
-    the quasi-norm is sup lambda * measure{|T| > lambda}.
+    over 2048 probes; the level sets are counted on 4096 log cells.
     """
     probe = np.geomspace(_WEAK11_S_MIN, s_max, 2048)
     vmax = float(np.max(np.abs(op_abs(probe))))
     if vmax <= 0.0:
-        return DistributionProfile(np.array([]), np.array([]), 0.0, input_mass, label)
+        return np.array([]), np.array([]), 0.0
     thresholds = np.geomspace(vmax * 0.95, vmax * 10.0 ** (-decades), n_thresholds)
     masses = level_set_masses(op_abs, thresholds, _WEAK11_S_MIN, s_max, _WEAK11_CELLS, measure)
-    quasi = float(np.max(thresholds * masses))
-    return DistributionProfile(thresholds, masses, quasi, input_mass, label)
+    return thresholds, masses, float(np.max(thresholds * masses))
 
 
 # ----------------------------------------------------------------------
@@ -258,13 +242,6 @@ def hormander_check(r: float, r_bar: float, delta: float) -> float:
 # Schur row/column integrals
 # ----------------------------------------------------------------------
 
-@dataclass
-class SchurReport:
-    domain_radius: float
-    row_sup: float
-    col_sup: float
-
-
 def _radial_l1(batch_eval: Callable, s: float, R: float) -> tuple:
     """4 pi * integrals of |K(s, rho)| and |K(rho, s)| times rho^2 d rho over
     (0, R), for batch_eval(s, rho) = (K(s, rho), K(rho, s)): composite
@@ -273,8 +250,7 @@ def _radial_l1(batch_eval: Callable, s: float, R: float) -> tuple:
     total = np.zeros(2)
     for a, b in zip(edges[:-1], edges[1:]):
         n_pan = max(2, int(np.ceil((b - a) / 8.0)))
-        rule = panel_rule(np.linspace(a, b, n_pan + 1), 16)
-        nodes, wts = rule.nodes.ravel(), rule.weights.ravel()
+        nodes, wts = (x.ravel() for x in panel_rule(np.linspace(a, b, n_pan + 1), 16))
         vals = np.abs(np.stack(batch_eval(s, nodes)))
         total += np.sum(wts * vals * nodes ** 2, axis=1)
     return tuple(4.0 * np.pi * total)
@@ -282,18 +258,18 @@ def _radial_l1(batch_eval: Callable, s: float, R: float) -> tuple:
 
 def schur_growth(batch_eval: Callable, R_list, n_samples: int) -> list:
     """Row and column L1 sups of a bi-radial kernel over the balls
-    |.| <= R, one SchurReport per R in R_list (stabilization diagnostic).
+    |.| <= R (stabilization diagnostic): one row (R, row sup, column sup)
+    per R in R_list.
 
     batch_eval(s, rho_array) returns the pair (K(s, rho), K(rho, s)), so
-    a row and its column share each call.  The outer radii are n_samples points from SCHUR_S_MIN to
-    0.98 max(R_list), shared across the domain radii so that the sups
-    are directly comparable; the sup for R runs over the samples s <= R,
-    inside the ball.
+    a row and its column share each call.  The outer radii are n_samples
+    points from SCHUR_S_MIN to 0.98 max(R_list), shared across the domain
+    radii so that the sups are directly comparable; the sup for R runs
+    over the samples s <= R, inside the ball.
     """
     s_samples = np.geomspace(SCHUR_S_MIN, max(R_list) * 0.98, n_samples)
-    reports = []
+    out = []
     for R in R_list:
         rows, cols = zip(*(_radial_l1(batch_eval, s, R) for s in s_samples[s_samples <= R]))
-        reports.append(SchurReport(domain_radius=R, row_sup=float(np.max(rows)),
-                                   col_sup=float(np.max(cols))))
-    return reports
+        out.append((R, float(np.max(rows)), float(np.max(cols))))
+    return out

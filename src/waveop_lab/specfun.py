@@ -239,7 +239,7 @@ def envelope_report(kind: str, order: int, s_samples) -> tuple[float, float, boo
 
 
 # ----------------------------------------------------------------------
-# Smooth step and cutoff
+# Cutoff
 # ----------------------------------------------------------------------
 
 def _bump_hat(t: np.ndarray) -> np.ndarray:
@@ -262,28 +262,44 @@ def _bump_cumulative():
     edges: 256 panels of width 2^-8, so the half-width folds into the
     weights without rounding."""
     edges = np.linspace(0.0, 1.0, 257)
-    rule = panel_rule(edges, _BUMP_GL)
-    panel = (_bump_hat(rule.nodes) * rule.weights).sum(axis=1)
+    nodes, weights = panel_rule(edges, _BUMP_GL)
+    panel = (_bump_hat(nodes) * weights).sum(axis=1)
     return edges, np.concatenate([[0.0], np.cumsum(panel)])
 
 
-class SmoothStep:
-    """C-infinity step: 0 below t0, 1 above t1, exp-bump transition."""
+class Cutoff:
+    """The cutoff chi, identically 1 on [0, lambda0/2] and 0 beyond lambda0,
+    and its first derivative.
 
-    def __init__(self, t0: float, t1: float):
-        if not t1 > t0:
-            raise InvalidInputError("need t1 > t0")
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        self._h = self.t1 - self.t0
+    On the transition band [t0, t0 + h], t0 = h = lambda0/2, chi is 1
+    minus the normalized partial integral of the bump exp(-1/(t(1-t)))
+    up to t = (lambda - t0)/h: the tabulated integral up to the panel
+    edge below t plus a 16-point Gauss-Legendre rule from that edge to
+    t, taken only inside the band.
+    """
 
-    def __call__(self, x, order: int = 0):
-        x = np.asarray(x, dtype=float)
-        t = np.atleast_1d((x - self.t0) / self._h)
+    def __init__(self, lambda0: float):
+        if not lambda0 > 0:
+            raise InvalidInputError("lambda0 must be positive")
+        self.lambda0 = lambda0
+        self.t0 = lambda0 / 2.0
+        self._h = lambda0 - self.t0
+
+    @property
+    def transition_band(self):
+        return (self.t0, self.lambda0)
+
+    def __call__(self, lam, order: int = 0):
+        if not 0 <= order <= 1:
+            raise UnsupportedOrderError("cutoff derivatives available up to order 1")
+        lam_arr = np.asarray(lam, dtype=float)
+        if np.any(lam_arr < 0.0):
+            raise InvalidInputError("lambda must be nonnegative")
+        t = np.atleast_1d((lam_arr - self.t0) / self._h)
         if order == 0:
-            # 0 below the transition and 1 above it; the partial bump
-            # integral is needed only inside
-            out = np.where(t >= 1.0, 1.0, 0.0)
+            # the step is 0 below the band and 1 above it; the partial
+            # bump integral is needed only inside
+            step = np.where(t >= 1.0, 1.0, 0.0)
             inside = (t > 0.0) & (t < 1.0)
             ti = t[inside]
             edges, cum = _bump_cumulative()
@@ -293,34 +309,8 @@ class SmoothStep:
             half = 0.5 * (ti - lo)
             nodes = (lo + half)[:, None] + half[:, None] * x16
             part = (_bump_hat(nodes) * w16).sum(axis=-1) * half
-            out[inside] = (cum[k] + part) / _bump_norm()
+            step[inside] = (cum[k] + part) / _bump_norm()
+            out = 1.0 - step
         else:
-            out = _bump_hat(t) / (_bump_norm() * self._h)
-        return out.reshape(x.shape) if x.ndim else float(out[0])
-
-
-class Cutoff:
-    """The cutoff chi, identically 1 on [0, lambda0/2] and 0 beyond lambda0
-    with an exp-bump transition, and its first derivative."""
-
-    def __init__(self, lambda0: float):
-        if not lambda0 > 0:
-            raise InvalidInputError("lambda0 must be positive")
-        self.lambda0 = lambda0
-        self._step = SmoothStep(lambda0 / 2.0, lambda0)
-
-    @property
-    def transition_band(self):
-        return (self.lambda0 / 2.0, self.lambda0)
-
-    def __call__(self, lam, order: int = 0):
-        if not 0 <= order <= 1:
-            raise UnsupportedOrderError("cutoff derivatives available up to order 1")
-        lam_arr = np.asarray(lam, dtype=float)
-        if np.any(lam_arr < 0.0):
-            raise InvalidInputError("lambda must be nonnegative")
-        if order == 0:
-            out = 1.0 - self._step(lam_arr)
-        else:
-            out = -np.asarray(self._step(lam_arr, order))
-        return out if np.ndim(out) else float(out)
+            out = -(_bump_hat(t) / (_bump_norm() * self._h))
+        return out.reshape(lam_arr.shape) if lam_arr.ndim else float(out[0])

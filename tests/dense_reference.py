@@ -34,9 +34,9 @@ phases.
 ``kp_smeared_reference`` smears KtildeP over a coarse potential grid,
 and ``phi_lower_bound_chain`` is the analytic lower bound for Phi.
 
-Cutoff: ``smooth_step_everywhere`` evaluates the smooth step's partial
-bump integral at every abscissa and writes the plateaus over it; the
-package evaluates it only inside the transition.
+Cutoff: ``smooth_step_everywhere`` evaluates the smooth step under the
+cutoff, its partial bump integral at every abscissa, and writes the
+plateaus over it; the package evaluates it only inside the transition.
 
 Special functions: ``series_horner_complex`` is the small-argument
 series of F, A and B as all 36 tabulated terms of a complex Horner loop;
@@ -51,6 +51,7 @@ Nothing in the package imports this module.
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,8 +59,8 @@ import numpy as np
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
 from waveop_lab.resolvent import r0_diff_r, r0_kernel_r
 from waveop_lab.singular import _cell_measures
-from waveop_lab.specfun import (Branch, SmoothStep, _bump_cumulative, _bump_hat,
-                               _bump_norm, _series_coeffs, eval_F, eval_F_diff)
+from waveop_lab.specfun import (Branch, _bump_cumulative, _bump_hat, _bump_norm,
+                               _series_coeffs, eval_F, eval_F_diff)
 
 
 def full_mode_stack(grid, kernel) -> np.ndarray:
@@ -176,8 +177,8 @@ def expansion_terms(pot) -> SimpleNamespace:
           + TD0 @ T
           + T2 @ D0 - c * GD0
           + D0 @ T2 - c * D0G) / a ** 2
-    return SimpleNamespace(pot=pot, a=a, a1=a1, T=T, G1=G1, D0=D0, C1=C1, A2=A2,
-                           qa10=qa10, a01q=a01q, ptilde=ptilde, qsplit=qs)
+    return SimpleNamespace(pot=pot, a=a, T=T, G1=G1, D0=D0, C1=C1, A2=A2, ptilde=ptilde,
+                           qsplit=qs)
 
 
 def gamma3_tilde(terms, lam: float) -> np.ndarray:
@@ -563,9 +564,8 @@ def kp_smeared_reference(pot, cutoff, coarse_grid, x, y, n_lambda: int = 320) ->
     w = coarse_grid.weights * np.abs(pot.profile(coarse_grid.radii()))
     dz = np.linalg.norm(np.asarray(x) - coarse_grid.nodes, axis=1)
     dw = np.linalg.norm(np.asarray(y) - coarse_grid.nodes, axis=1)
-    rule = gauss_rule(n_lambda, 0.0, cutoff.lambda0)
-    lam = rule.nodes
-    chiw = cutoff(lam) * rule.weights * lam ** 2
+    lam, weights = gauss_rule(n_lambda, 0.0, cutoff.lambda0)
+    chiw = cutoff(lam) * weights * lam ** 2
     sz = (eval_F(Branch.plus, lam[:, None] * dz[None, :]) * w[None, :]).sum(axis=1)
     sw = (eval_F_diff(lam[:, None] * dw[None, :]) * w[None, :]).sum(axis=1)
     return (chiw * sz * sw).sum() / (8.0 * np.pi * (1.0 + 1j) * pot.normV_L1 ** 2)
@@ -576,22 +576,12 @@ def phi_lower_bound_chain(a0: float, R: float, R0: float) -> float:
     return float(np.pi * np.log1p(2.0 * (R - R0) / (a0 - R + R0)) - 2.0 * np.pi ** 2)
 
 
-_THETA = SmoothStep(0.25, 0.5)
-
-
-def dyadic_phi(N: int, lam):
-    """phi_N(lambda) = theta(2^-N lambda) - theta(2^-(N+1) lambda), theta
-    rising on [1/4, 1/2]: supp phi_N is in [2^(N-2), 2^N] and the sum over
-    N telescopes to 1."""
-    lam = np.asarray(lam, dtype=float)
-    return _THETA(2.0 ** -N * lam) - _THETA(2.0 ** -(N + 1) * lam)
-
-
-def smooth_step_everywhere(step: SmoothStep, x) -> np.ndarray:
-    """SmoothStep.__call__ at order 0 with the partial bump integral taken
-    at every abscissa, clipped to [0, 1], and then overwritten by 0 below
-    the transition and 1 above it."""
-    t = np.atleast_1d((np.asarray(x, dtype=float) - step.t0) / step._h)
+def smooth_step_everywhere(t0: float, h: float, x) -> np.ndarray:
+    """The smooth step on the band [t0, t0 + h] (1 minus Cutoff at order
+    0, for t0 = h = lambda0/2) with the partial bump integral taken at
+    every abscissa, clipped to [0, 1], and then overwritten by 0 below
+    the band and 1 above it."""
+    t = np.atleast_1d((np.asarray(x, dtype=float) - t0) / h)
     edges, cum = _bump_cumulative()
     x16, w16 = _leggauss(16)
     tc = np.clip(t, 0.0, 1.0)
@@ -601,6 +591,18 @@ def smooth_step_everywhere(step: SmoothStep, x) -> np.ndarray:
     nodes = (lo + half)[..., None] + half[..., None] * x16
     out = (cum[k] + (_bump_hat(nodes) * w16).sum(axis=-1) * half) / _bump_norm()
     return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))
+
+
+# the smooth step rising on [1/4, 1/2]
+_THETA = partial(smooth_step_everywhere, 0.25, 0.25)
+
+
+def dyadic_phi(N: int, lam):
+    """phi_N(lambda) = theta(2^-N lambda) - theta(2^-(N+1) lambda), theta
+    rising on [1/4, 1/2]: supp phi_N is in [2^(N-2), 2^N] and the sum over
+    N telescopes to 1."""
+    lam = np.asarray(lam, dtype=float)
+    return _THETA(2.0 ** -N * lam) - _THETA(2.0 ** -(N + 1) * lam)
 
 
 def series_horner_complex(kind: str, sigma: int, s, order: int) -> np.ndarray:

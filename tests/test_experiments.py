@@ -70,10 +70,11 @@ def test_counterexample_operator_requires_compact():
 
 
 def test_counterexample_linf_run(small_pot):
-    run = xp.counterexample_linf(small_pot, [10.0, 30.0])
+    op = xp.CounterexampleOperator(small_pot)
+    run = xp.counterexample_linf(op, [10.0, 30.0])
     assert np.all(np.diff(run.values) > 0)
     # degenerate bound at R ~ R0 stays trivially satisfied
-    tiny = xp.counterexample_linf(small_pot, [1.0])
+    tiny = xp.counterexample_linf(op, [1.0])
     assert tiny.lower_bounds[0] == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(tiny.values[0])
     # at R = 30 the asymptotic bound already holds

@@ -1,6 +1,7 @@
 """Every top-level function and class in the package, and every public
 method, is used somewhere in the package other than its own definition;
-and every defaulted parameter is set by some call in the package.
+every defaulted parameter is set by some call in the package; and every
+field an object stores is read by the package.
 
 Tests and independent oracles live under tests/; code that only they
 reach belongs there too.
@@ -56,8 +57,6 @@ UNSET_DEFAULTS_KEPT = {
     # tests/dense_reference.py set these, and perfbench/tracer.py reads
     # rel_tol and abs_tol from this signature
     "integrate_adaptive": {"abs_tol", "freq", "breakpoints", "max_panels"},
-    # tests pass a failing regularity report through it
-    "expansion_terms": {"regularity"},
     # the console script calls main(); tests pass argv
     "main": {"argv"},
 }
@@ -154,3 +153,50 @@ def test_every_default_is_set_by_some_call():
     assert not extra, f"defaulted parameters that no call in src/ sets: {extra}"
     stale = sorted(kept - set(unset))
     assert not stale, f"kept parameters that a call in src/ now sets: {stale}"
+
+
+# Stored fields that src/ never reads, each kept on purpose.
+STORED_UNREAD_KEPT = {
+    # they carry the best estimate to whoever catches the error
+    "AccuracyError": {"best", "err_est"},
+}
+
+
+def _stored_fields(tree):
+    """(class, field) for every dataclass field and every ``self.x = ...``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(_name(d) == "dataclass" for d in cls.decorator_list):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield cls.name, item.target.id
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                yield cls.name, node.attr
+
+
+def _read_names(trees):
+    """Every attribute name src/ loads, and every string it holds, since
+    getattr and _REPORT_FIELDS read fields by name."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_stored_field_is_read():
+    trees = _trees()
+    read = _read_names(trees)
+    unread = {f"{cls}.{name}" for tree in trees.values()
+              for cls, name in _stored_fields(tree) if name not in read}
+    kept = {f"{cls}.{name}" for cls, names in STORED_UNREAD_KEPT.items() for name in names}
+    extra = sorted(unread - kept)
+    assert not extra, f"stored but never read in src/: {extra}"
+    stale = sorted(kept - unread)
+    assert not stale, f"kept fields that src/ now reads: {stale}"

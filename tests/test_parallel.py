@@ -1,0 +1,30 @@
+"""The lambda-node thread pool gives the serial results bit for bit."""
+
+import numpy as np
+
+from waveop_lab import kernels as kn
+from waveop_lab import parallel
+from waveop_lab import resolvent as rs
+from waveop_lab.potential import PotentialSpec, build_potential
+
+
+def _run(terms, cutoff, pairs):
+    rep = rs.expansion_residual(terms, np.geomspace(1e-3, 1e-1, 6))[0]
+    vals, profs = kn.K3Evaluator(terms, cutoff, n_lambda=6).eval_pairs(pairs)
+    return rep.norms, rep.solve_residuals, vals, profs
+
+
+def test_results_identical_for_any_thread_count(cutoff):
+    pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=(6, 4, 8))
+    terms = rs.expansion_terms(pot)
+    rng = np.random.default_rng(5)
+    pairs = rng.standard_normal((5, 2, 3)) * rng.uniform(0.5, 20.0, (5, 2, 1))
+    try:
+        parallel.set_threads(0)
+        serial = _run(terms, cutoff, pairs)
+        parallel.set_threads(2)
+        threaded = _run(terms, cutoff, pairs)
+    finally:
+        parallel.set_threads(0)
+    for got, want in zip(threaded, serial):
+        assert np.array_equal(got, want)

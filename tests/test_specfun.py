@@ -198,7 +198,7 @@ def test_cutoff_plateaus_match_full_evaluation():
     chi = Cutoff(0.1)
     lam = np.concatenate([np.linspace(0.0, 0.12, 1201),
                           [np.nextafter(0.05, 1.0), np.nextafter(0.1, 0.0)]])
-    assert np.array_equal(chi(lam), 1.0 - dense.smooth_step_everywhere(chi._step, lam))
+    assert np.array_equal(chi(lam), 1.0 - dense.smooth_step_everywhere(chi.t0, chi._h, lam))
 
 
 def test_bump_table_has_the_bits_of_the_unfolded_sum():
