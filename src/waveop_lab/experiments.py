@@ -193,7 +193,6 @@ class CounterexampleOperator:
 
 @dataclass
 class CounterexampleRun:
-    R_list: np.ndarray
     x_star_radii: np.ndarray
     values: np.ndarray
     lower_bounds: np.ndarray
@@ -219,7 +218,7 @@ def counterexample_linf(op: CounterexampleOperator, R_list) -> CounterexampleRun
     # its own precondition at the least favorable grid-free midpoint value
     regime = phi_radial(radii + R0, 0.0, R_arr) >= log_bounds
     fit = fit_linear_in_logx(R_arr, vals)
-    return CounterexampleRun(R_list=R_arr, x_star_radii=radii, values=vals,
+    return CounterexampleRun(x_star_radii=radii, values=vals,
                              lower_bounds=bounds, slope_fit=fit,
                              bound_satisfied=vals >= bounds,
                              asymptotic_regime=regime)
@@ -723,7 +722,7 @@ def check_counterexample_linf(ctx: SuiteContext) -> tuple:
     run = counterexample_linf(op, ce["R_list"])
     lo, hi = ce["slope_range"]
     failures = []
-    for R, val, bound, ok, regime in zip(run.R_list, run.values, run.lower_bounds,
+    for R, val, bound, ok, regime in zip(ce["R_list"], run.values, run.lower_bounds,
                                          run.bound_satisfied, run.asymptotic_regime):
         if regime and not ok:
             failures.append(f"R={R:g}: value {val:.4f} < bound {bound:.4f}")
@@ -734,7 +733,7 @@ def check_counterexample_linf(ctx: SuiteContext) -> tuple:
     # Monte Carlo consistency at three spot configurations
     rng = cfg.rng_for("counterexample-linf")
     mc_rows = []
-    for R, srad, quad in zip(run.R_list[:3], run.x_star_radii, run.values):
+    for R, srad, quad in zip(ce["R_list"][:3], run.x_star_radii, run.values):
         mc, se = op.mc_estimate(srad, R, ce["mc_samples"], rng)
         mc_rows.append((R, quad, mc, se))
         if abs(quad - mc) > 3.0 * se + 1e-12:
@@ -744,7 +743,7 @@ def check_counterexample_linf(ctx: SuiteContext) -> tuple:
                 "asymptotic_regime": run.asymptotic_regime.tolist(),
                 "mc": [(float(a), float(b), float(c), float(d)) for a, b, c, d in mc_rows]}
     rows = [(float(R), float(sr), float(v), float(b), bool(ok), bool(reg))
-            for R, sr, v, b, ok, reg in zip(run.R_list, run.x_star_radii, run.values,
+            for R, sr, v, b, ok, reg in zip(ce["R_list"], run.x_star_radii, run.values,
                                             run.lower_bounds, run.bound_satisfied,
                                             run.asymptotic_regime)]
     return ("sup values >= (1/(4 sqrt 2)) log(1+(R-R0)/(2R0+1)) in regime; "

@@ -391,8 +391,8 @@ class K3Evaluator:
 
         Gamma3 comes as its distinct mode blocks, so the row and column
         vectors of each pair are taken to azimuthal modes too (ifft for
-        the rows, fft for the columns) and contracted mode by mode, mode
-        m with block min(m, n_phi - m).
+        the rows, fft for the columns); mode m uses block min(m, n_phi - m),
+        and the rows of all pairs meet the blocks in one batched matmul.
         """
         pairs = np.asarray(pairs, dtype=float)
         grid = self.pot.grid
@@ -407,9 +407,8 @@ class K3Evaluator:
             gamma = self.terms.gamma3_value_frame(lam)
             rows = r0_kernel_r(Branch.plus, lam, rx) * (grid.weights * v)[None, :]
             cols = r0_diff_r(lam, ry) * v[None, :]
-            contr = np.einsum("pam,mab,pbm->p", np.fft.ifft(rows.reshape(shape), axis=-1),
-                              gamma[modes], np.fft.fft(cols.reshape(shape), axis=-1),
-                              optimize=True)
+            left = np.fft.ifft(rows.reshape(shape), axis=-1).transpose(2, 0, 1) @ gamma[modes]
+            contr = np.einsum("mpb,pbm->p", left, np.fft.fft(cols.reshape(shape), axis=-1))
             return lam ** 3 * self.cutoff(lam) * contr
 
         from .parallel import pmap

@@ -26,7 +26,7 @@ phase ranges that occur here (<= a few hundred radians).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -267,6 +267,16 @@ class BallGrid:
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.nodes, axis=1)
+
+    @cached_property
+    def mode_distances(self) -> np.ndarray:
+        """Read-only (nb, n_phi//2 + 1, nb) table of |x_i - x_j| from the
+        nodes at azimuths 0 ... n_phi//2 to the phi = 0 nodes, with
+        nb = n_r * n_theta: every mode stack on the grid is built on it."""
+        x = self.nodes.reshape(-1, self.n_phi, 3)
+        r = np.linalg.norm(x[:, :self.n_phi // 2 + 1, None] - x[None, None, :, 0], axis=-1)
+        r.flags.writeable = False
+        return r
 
 
 def ball_grid(radius: float, n_r: int, n_theta: int, n_phi: int) -> BallGrid:

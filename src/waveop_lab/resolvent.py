@@ -30,16 +30,20 @@ mode m and nb = n_r * n_theta.  The grid is also symmetric under
 phi -> -phi, so the blocks of modes m and n_phi - m are equal.  An
 operator is stored as its half spectrum (``mode_stack``): the array
 (n_phi//2 + 1, nb, nb) of the distinct blocks, m = 0 ... n_phi//2.  The
-kernel is evaluated at the row azimuths j = 0 ... n_phi//2 only, and
-mode m is the real cosine sum
+kernel is evaluated at the row azimuths j = 0 ... n_phi//2 only, on one
+distance table per grid (``BallGrid.mode_distances``), and mode m is the
+real cosine sum
 
     sum_j w_j cos(2 pi m j / n_phi) K[:, j, :],
 
 with w_j = 1 at j = 0 and, for even n_phi, at j = n_phi/2, and w_j = 2
 otherwise; these are also the multiplicities of the blocks in the full
-spectrum.  A real kernel gives real blocks: U, T, G1, P, Q, D0 and the
-QTQ blocks are real, so the expansion algebra runs in real arithmetic
-and the complex constants a, a1 enter only its final combinations.
+spectrum.  A real symmetric kernel gives real symmetric blocks (block m
+transposed is block -m, that is block m): U, T, G1, P, Q, D0 and QTQ.  So
+the expansion algebra runs on 11 real block products and their
+transposes, the complex constants a, a1 enter only its final
+combinations, and singular values come from ``eigvalsh``: of the QTQ
+blocks, and of the Hermitian Gram blocks A^H A for the operator norm.
 Sums, products and inverses act block by block, so ``@`` and
 ``np.linalg.inv`` work on the stacks as they would on the N x N
 matrices; the operator norm is the largest block norm, and the
@@ -113,12 +117,9 @@ def mode_stack(grid: BallGrid, kernel) -> np.ndarray:
     the blocks of modes 0 ... n_phi//2.
     """
     n_phi = grid.n_phi
-    half = n_phi // 2 + 1
-    x = grid.nodes.reshape(-1, n_phi, 3)
-    r = np.linalg.norm(x[:, :half, None, :] - x[None, None, :, 0, :], axis=-1)
-    j = np.arange(half)
+    j = np.arange(n_phi // 2 + 1)
     table = mode_multiplicity(n_phi) * np.cos(2.0 * np.pi * (np.outer(j, j) % n_phi) / n_phi)
-    return np.tensordot(table, kernel(r), axes=([1], [1]))
+    return np.tensordot(table, kernel(grid.mode_distances), axes=([1], [1]))
 
 
 def full_mode_index(n_phi: int) -> np.ndarray:
@@ -137,8 +138,10 @@ def mode_apply(stack: np.ndarray, f) -> np.ndarray:
 
 def operator_norm(stack: np.ndarray) -> float:
     """Euclidean operator norm of a block-circulant operator: the largest
-    singular value over its mode blocks."""
-    return float(np.linalg.norm(stack, ord=2, axis=(-2, -1)).max())
+    singular value over its mode blocks, the square root of the largest
+    eigenvalue of the Hermitian Gram blocks A^H A."""
+    gram = np.swapaxes(stack.conj(), -1, -2) @ stack
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[..., -1].max(), 0.0)))
 
 
 def _per_block(pot: Potential, values) -> np.ndarray:
@@ -215,13 +218,12 @@ class QSplit:
 def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
                           T: np.ndarray | None = None) -> float:
     """Condition number of QTQ on the Q-subspace (regular-point test),
-    from the exact singular values of its mode blocks; inf if QTQ is
-    singular.  ``T`` is the stack of ``t_tilde(pot)`` when the caller has
-    built it already."""
+    from the exact singular values of its symmetric mode blocks, the
+    absolute values of their eigenvalues; inf if QTQ is singular.  ``T``
+    is the stack of ``t_tilde(pot)`` when the caller has built it."""
     qs = qsplit or QSplit(pot)
     head, tail = qs.restrict(t_tilde(pot) if T is None else T)
-    sv = np.concatenate([np.linalg.svd(head, compute_uv=False),
-                         np.linalg.svd(tail, compute_uv=False).ravel()])
+    sv = np.abs(np.concatenate([np.linalg.eigvalsh(head), np.linalg.eigvalsh(tail).ravel()]))
     smax, smin = sv.max(), sv.min()
     return float(smax / smin) if smin > 0 else np.inf
 
@@ -278,45 +280,33 @@ def expansion_terms(pot: Potential) -> ExpansionTerms:
             f"QTQ is numerically singular (cond ~ {cond:.3e}); "
             "zero is not a regular point on this grid")
     G1 = vg1v_tilde(pot)
-    sigma = pot.normV_grid
-    a = (1.0 + 1j) * sigma / (8.0 * np.pi)
+    a = (1.0 + 1j) * pot.normV_grid / (8.0 * np.pi)
     a1 = (1.0 - 1j) / (48.0 * np.pi)
 
-    T2 = T @ T
     head, tail = qs.restrict(T)
     D0 = qs.extend(np.linalg.inv(head), np.linalg.inv(tail))
 
     # expansion of (lambda/a) * Mtilde(lambda)^{-1} through the block
     # inversion, written in x = lambda/a with c = a1 * a:
-    #   E  = I + x E1 + x^2 E2 + ...,  E1 = -T, E2 = T^2 - c G1
-    #   W  = x^{-1} D0 + W0 + x W1    (Q-subspace inverse, extended by 0)
+    #   (x Mtilde + Q)^{-1} = I + x E1 + x^2 E2 + ...,  E1 = -T, E2 = T^2 - c G1
+    #   W = x^{-1} D0 + W0 + x W1    (Q-subspace inverse, extended by 0)
+    # T, G1 and D0 are real symmetric per block: with E = T D0, D0 T = E^T
+    # and D0 T^2 D0 = E^T E; P + Q = I.
     c = a1 * a
-    TD0 = T @ D0
-    D0T = D0 @ T
+    eye = np.eye(T.shape[-1])
+    E = T @ D0
+    ET = E.transpose(0, 2, 1)
     GD0 = G1 @ D0
-    D0G = D0 @ G1
-    D0T2D0 = D0 @ T2 @ D0
+    T2D0 = T @ E
+    D0T2D0 = ET @ E
     D0GD0 = D0 @ GD0
 
-    qa10 = (qs.Q - D0T + D0T2D0) / a - a1 * D0GD0
-    a01q = -TD0 / a
-    ptilde = qs.P / a
-    C1 = qa10 + a01q + ptilde
-
-    W1 = (c * c * (D0GD0 @ GD0)
-          - c * (D0G @ D0T2D0)
-          - c * (D0T2D0 @ GD0)
-          + D0T2D0 @ T2 @ D0
-          - D0 @ T2 @ TD0
-          + c * (D0 @ (T @ G1) @ D0)
-          + c * (D0 @ (G1 @ T) @ D0))
-    A2 = (-T + W1
-          + c * (TD0 @ GD0) - TD0 @ T2 @ D0
-          + c * (D0GD0 @ T) - D0T2D0 @ T
-          + TD0 @ T
-          + T2 @ D0 - c * GD0
-          + D0 @ T2 - c * D0G) / a ** 2
-    return ExpansionTerms(pot=pot, a=a, D0=D0, C1=C1, A2=A2, ptilde=ptilde, qsplit=qs,
+    C1 = (eye - E - ET + D0T2D0) / a - a1 * D0GD0
+    B = (E + ET - D0T2D0 - eye) @ GD0
+    S = T2D0 - E @ T2D0
+    R0 = -T + E @ T + D0T2D0 @ T2D0 - ET @ T2D0 + S + S.transpose(0, 2, 1)
+    A2 = (R0 + c * (B + B.transpose(0, 2, 1)) + c * c * (D0GD0 @ GD0)) / a ** 2
+    return ExpansionTerms(pot=pot, a=a, D0=D0, C1=C1, A2=A2, ptilde=qs.P / a, qsplit=qs,
                           cond_QTQ=cond)
 
 

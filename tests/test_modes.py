@@ -64,6 +64,25 @@ def test_real_kernels_give_real_blocks(both):
     assert np.iscomplexobj(rs.m_tilde(terms.pot, 0.05))
 
 
+@pytest.mark.parametrize("grid_shape", [(12, 8, 16), (6, 4, 7)], ids=["12x8x16", "6x4x7"])
+def test_blocks_are_symmetric(grid_shape):
+    """expansion_terms writes D0 T as (T D0)^T and D0 T^2 D0 as
+    (T D0)^T (T D0): every block of T, G1 and D0 must be symmetric, on
+    the default grid and on an odd n_phi.  The blocks are built on the
+    grid's distance table, the dense distances to the phi = 0 nodes."""
+    pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=grid_shape)
+    for stack in (rs.t_tilde(pot), rs.vg1v_tilde(pot), rs.expansion_terms(pot).D0):
+        gap = np.max(np.abs(stack - stack.transpose(0, 2, 1)))
+        assert gap <= 1e-13 * np.max(np.abs(stack))
+    grid = pot.grid
+    x, n_phi = grid.nodes, grid.n_phi
+    cols = np.linalg.norm(x[:, None, :] - x[None, ::n_phi, :], axis=-1)
+    want = cols.reshape(-1, n_phi, cols.shape[1])[:, :n_phi // 2 + 1]
+    assert grid.mode_distances is grid.mode_distances
+    assert not grid.mode_distances.flags.writeable
+    assert np.max(np.abs(grid.mode_distances - want)) <= 1e-15 * np.max(want)
+
+
 # the operators expansion_terms builds but does not keep
 BUILT = {"T": rs.t_tilde, "G1": rs.vg1v_tilde}
 

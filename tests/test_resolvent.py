@@ -49,6 +49,22 @@ def test_m_taylor_first_order(small_pot):
     assert abs(fit.slope - 1.0) < 0.05
 
 
+def test_operator_norm_matches_svd():
+    """The norm is the square root of the largest Gram eigenvalue; it
+    equals the largest singular value when the blocks differ in scale by
+    1e6, whichever block holds the maximum, and on a rank-deficient stack."""
+    rng = np.random.default_rng(19)
+
+    def complex_stack(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    scaled = complex_stack(7, 48, 48) * np.geomspace(1e-3, 1e3, 7)[:, None, None]
+    rank_deficient = complex_stack(4, 48, 5) @ complex_stack(4, 5, 48)
+    for stack in (scaled, scaled[::-1], scaled[[0, 6, 1]], rank_deficient, scaled.real):
+        want = np.linalg.svd(stack, compute_uv=False).max()
+        assert rs.operator_norm(stack) == pytest.approx(want, rel=1e-13)
+
+
 def test_zero_regularity(small_pot):
     cond = rs.zero_regularity_check(small_pot)
     assert cond < 10.0
