@@ -22,6 +22,8 @@ per-check CSVs.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import time
 import traceback
@@ -197,7 +199,6 @@ class CounterexampleRun:
     values: np.ndarray
     lower_bounds: np.ndarray
     slope_fit: object
-    bound_satisfied: np.ndarray
     asymptotic_regime: np.ndarray
 
 
@@ -220,7 +221,6 @@ def counterexample_linf(op: CounterexampleOperator, R_list) -> CounterexampleRun
     fit = fit_linear_in_logx(R_arr, vals)
     return CounterexampleRun(x_star_radii=radii, values=vals,
                              lower_bounds=bounds, slope_fit=fit,
-                             bound_satisfied=vals >= bounds,
                              asymptotic_regime=regime)
 
 
@@ -293,6 +293,51 @@ def sample_three_regime_pairs(rng, n: int, r_min: float, r_max: float):
 # Check framework
 # ----------------------------------------------------------------------
 
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+            "band": lambda v, b: b[0] <= v <= b[1], "finite": lambda v, b: math.isfinite(v)}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One comparison a check asserts: ``value op bound``.
+
+    ``op`` is "<=", "<", ">=" or ">" against a number, "band" against a
+    closed interval ``(lo, hi)``, or "finite" with no bound.  Every
+    comparison with a NaN is false, so a NaN fails every gate.
+    """
+
+    label: str
+    value: float
+    op: str
+    bound: float | tuple | None = None
+
+    @property
+    def passed(self) -> bool:
+        return bool(_COMPARE[self.op](self.value, self.bound))
+
+    @property
+    def margin(self) -> float | None:
+        """Signed distance to the bound in the value's units, positive on
+        the passing side; None under "finite" and where it is not finite,
+        so no margin is written to report.json as NaN or Infinity."""
+        if self.op == "finite":
+            return None
+        # a one-sided bound is a band with one open end
+        lo, hi = (self.bound if self.op == "band" else (-math.inf, self.bound)
+                  if self.op in ("<=", "<") else (self.bound, math.inf))
+        m = min(self.value - lo, hi - self.value)
+        return float(m) if math.isfinite(m) else None
+
+    def failure(self) -> str:
+        b = self.bound
+        want = ("finite" if self.op == "finite" else f"in [{b[0]:.6g}, {b[1]:.6g}]"
+                if self.op == "band" else f"{self.op} {b:.6g}")
+        return f"{self.label} = {self.value:.6g}, not {want}"
+
+    def record(self) -> dict:
+        return {"value": self.value, "op": self.op, "bound": self.bound, "margin": self.margin}
+
+
 @dataclass
 class CheckResult:
     """One check's record; the CSV header and rows are None when the
@@ -303,6 +348,7 @@ class CheckResult:
     status: str
     expected: str
     measured: dict
+    gates: list
     failures: list
     runtime_s: float
     csv_header: tuple | None
@@ -355,8 +401,9 @@ class SuiteContext:
 
 
 # ---------------------------- checks ----------------------------------
-# Each check returns (expected, measured, failures, CSV header, CSV rows),
-# the header and rows None when it writes no CSV; run_check makes the record.
+# Each check returns (expected, measured, gates, CSV header, CSV rows), the
+# header and rows None when it writes no CSV; run_check makes the record
+# and derives the failures and the status from the gates.
 
 def _identity_residuals_block(s, r) -> np.ndarray:
     """Scale-relative residuals of the decomposition, adjoint and
@@ -391,16 +438,11 @@ def check_identities(ctx: SuiteContext) -> tuple:
     r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     rel_decomp, rel_adj, rel_canc = identity_residuals(s, r)
     spot = abs(kn.cancellation_identity_lhs(2.0, 1.0) - (-8j / 15.0))
-    failures = []
-    for label, val in (("decomposition", rel_decomp), ("adjoint", rel_adj),
-                       ("cancellation", rel_canc), ("spot_-8i/15", spot)):
-        if not val <= tol:
-            failures.append(f"{label} residual {val:.3e} > {tol:g}")
-    measured = {"decomposition_rel": rel_decomp, "adjoint_rel": rel_adj,
-                "cancellation_rel": rel_canc, "spot_residual": float(spot),
-                "n_points": n}
+    residuals = {"decomposition_rel": rel_decomp, "adjoint_rel": rel_adj,
+                 "cancellation_rel": rel_canc, "spot_residual": float(spot)}
+    gates = [Gate(label, val, "<=", tol) for label, val in residuals.items()]
     return (f"scale-relative residuals <= {tol:g} at 1e6 points",
-            measured, failures, None, None)
+            {**residuals, "n_points": n}, gates, None, None)
 
 
 def check_specfun_envelopes(ctx: SuiteContext) -> tuple:
@@ -408,7 +450,7 @@ def check_specfun_envelopes(ctx: SuiteContext) -> tuple:
     stab_tol = cfg.tolerances["envelope_stability"]
     grid = np.geomspace(1e-6, 1e4, 4000)
     grid2 = np.geomspace(1e-6, 1e4, 8000)
-    failures = []
+    gates = []
     measured = {}
     rows = []
     for kind in ("A", "B", "F"):
@@ -419,12 +461,10 @@ def check_specfun_envelopes(ctx: SuiteContext) -> tuple:
             key = f"{kind}{ell}"
             measured[key] = sup
             rows.append((kind, ell, sup, arg_max, interior, change))
-            if not np.isfinite(sup):
-                failures.append(f"sup for {key} not finite")
-            if change > stab_tol:
-                failures.append(f"sup for {key} unstable under doubling: {change:.3%}")
+            gates += [Gate(f"{key}_sup", sup, "finite"),
+                      Gate(f"{key}_doubling_change", change, "<=", stab_tol)]
     return (f"weighted sups finite, stable within {stab_tol:.0%} under grid doubling",
-            measured, failures,
+            measured, gates,
             ("kind", "order", "sup", "arg_max", "interior", "doubling_change"), rows)
 
 
@@ -436,18 +476,14 @@ def check_resolvent_expansion(ctx: SuiteContext) -> tuple:
     rep, rep_a2, rep_pt = rs.expansion_residual(terms, lams,
                                                 drops=((), ("a2",), ("ptilde",)))
     fesh = rs.feshbach_consistency(terms, 0.05)
-    failures = []
+    gates = []
     bands = [tol[k] for k in ("expansion_slope", "ablation_a2_slope", "ablation_ptilde_slope")]
-    for label, fit, (target, width) in zip(("full", "drop_a2", "drop_ptilde"),
+    for label, fit, (target, width) in zip(("", "_drop_a2", "_drop_ptilde"),
                                            (rep.fit, rep_a2.fit, rep_pt.fit), bands):
-        if not abs(fit.slope - target) <= width:
-            failures.append(f"{label} slope {fit.slope:.3f} outside {target}+-{width}")
-        if not fit.r_squared >= tol["expansion_r2"]:
-            failures.append(f"{label} fit R^2 {fit.r_squared:.4f} < {tol['expansion_r2']}")
-    if not np.all(rep.solve_residuals <= 1e-9):
-        failures.append(f"dense solve residual {rep.solve_residuals.max():.2e} > 1e-9")
-    if not fesh <= 1e-8:
-        failures.append(f"block-inversion consistency {fesh:.2e} > 1e-8")
+        gates += [Gate(f"slope{label}", fit.slope, "band", (target - width, target + width)),
+                  Gate(f"r2{label}", fit.r_squared, ">=", tol["expansion_r2"])]
+    gates += [Gate("solve_residual_max", float(rep.solve_residuals.max()), "<=", 1e-9),
+              Gate("feshbach_rel", fesh, "<=", 1e-8)]
     measured = {"slope": rep.fit.slope, "r2": rep.fit.r_squared,
                 "slope_drop_a2": rep_a2.fit.slope, "slope_drop_ptilde": rep_pt.fit.slope,
                 "feshbach_rel": fesh, "solve_residual_max": float(rep.solve_residuals.max()),
@@ -457,7 +493,7 @@ def check_resolvent_expansion(ctx: SuiteContext) -> tuple:
             zip(lams, rep.norms, rep_a2.norms, rep_pt.norms)]
     full, a2, pt = (f"{target}+-{width}" for target, width in bands)
     return (f"Gamma3 slope {full} (R2>={tol['expansion_r2']}); ablations {a2} / {pt}",
-            measured, failures,
+            measured, gates,
             ("lambda", "gamma3_norm", "norm_drop_a2", "norm_drop_ptilde"), rows)
 
 
@@ -468,23 +504,19 @@ def check_projection_gain(ctx: SuiteContext) -> tuple:
     lams = ctx.lambda_window()
     rep = rs.projection_gain(pot, lams, rep_lambdas=cfg.projection["rep_lambdas"],
                              rep_pot=ctx.rep_potential())
-    failures = []
     tp, wp = tol["gain_plain_slope"]
     tq, wq = tol["gain_projected_slope"]
-    if not abs(rep.fit_plain.slope - tp) <= wp:
-        failures.append(f"plain slope {rep.fit_plain.slope:.3f} outside {tp}+-{wp}")
-    if not abs(rep.fit_projected.slope - tq) <= wq:
-        failures.append(f"projected slope {rep.fit_projected.slope:.3f} outside {tq}+-{wq}")
-    worst_rep = max(rep.representation_errors.values())
-    if not worst_rep <= tol["representation_rel"]:
-        failures.append(f"representation gap {worst_rep:.2e} > {tol['representation_rel']:g}")
+    gates = [Gate("slope_plain", rep.fit_plain.slope, "band", (tp - wp, tp + wp)),
+             Gate("slope_projected", rep.fit_projected.slope, "band", (tq - wq, tq + wq))]
+    gates += [Gate(f"representation_{k:g}", v, "<=", tol["representation_rel"])
+              for k, v in rep.representation_errors.items()]
     measured = {"slope_plain": rep.fit_plain.slope,
                 "slope_projected": rep.fit_projected.slope,
                 "representation_errors": {f"{k:g}": v for k, v in rep.representation_errors.items()}}
     rows = list(zip(map(float, lams), map(float, rep.norm_plain), map(float, rep.norm_projected)))
     return (f"slopes {tp:g}+-{wp:g} (plain) and {tq:g}+-{wq:g} (projected); "
             f"representation <= {tol['representation_rel']:g}",
-            measured, failures, ("lambda", "norm_plain", "norm_projected"), rows)
+            measured, gates, ("lambda", "norm_plain", "norm_projected"), rows)
 
 
 _PAIR_HEADER = ("kernel", "x1", "x2", "x3", "y1", "y2", "y3", "re", "im", "envelope", "ratio")
@@ -498,7 +530,7 @@ def _pair_rows(name, pairs, values, envs, ratios):
 def _sweep(name, kernel, env, pairs, stab_tol):
     """sup |K(x,y)| / env(x,y) over the sample pairs, with refinement
     stability: the measured entry, the pair at the sup, CSV rows and
-    failures.
+    gates.
 
     ``kernel(s, t, refine)`` maps arrays of radii |x|, |y| to kernel
     values; it is called once for all pairs and, with ``refine = 1``,
@@ -521,13 +553,10 @@ def _sweep(name, kernel, env, pairs, stab_tol):
     v1 = kernel(s[top], t[top], 1)
     r1 = np.hypot(v1.real, v1.imag) / envs[top]
     stab = float(np.max(np.abs(r1 - ratios[top]) / np.maximum(r1, 1e-300)))
-    failures = []
-    if not np.isfinite(sup):
-        failures.append(f"{name} sup not finite")
-    if stab > stab_tol:
-        failures.append(f"{name} unstable under refinement ({stab:.2%})")
+    gates = [Gate(f"{name}_sup", sup, "finite"),
+             Gate(f"{name}_stability", stab, "<=", stab_tol)]
     rows = _pair_rows(name, pairs, values, envs, ratios)
-    return {"sup": sup, "stability": stab}, pairs[k], rows, failures
+    return {"sup": sup, "stability": stab}, pairs[k], rows, gates
 
 
 def check_kernel_bounds(ctx: SuiteContext) -> tuple:
@@ -558,15 +587,15 @@ def check_kernel_bounds(ctx: SuiteContext) -> tuple:
     sweeps.append(("Psi2", lambda s, t, refine: kn.psi2_radial(s, t, cut, refine),
                    kn.EnvelopeSpec("psi2_envelope"), psi_pairs))
 
-    failures = []
+    gates = []
     measured = {}
     rows = []
     for name, kernel, env, pairs in sweeps:
-        measured[name], _, sweep_rows, sweep_failures = _sweep(name, kernel, env, pairs, stab_tol)
+        measured[name], _, sweep_rows, sweep_gates = _sweep(name, kernel, env, pairs, stab_tol)
         rows += sweep_rows
-        failures += sweep_failures
+        gates += sweep_gates
     return (f"sup ratios finite and refinement-stable (<{stab_tol:.0%})",
-            measured, failures, _PAIR_HEADER, rows)
+            measured, gates, _PAIR_HEADER, rows)
 
 
 def check_kp_compare(ctx: SuiteContext) -> tuple:
@@ -576,12 +605,12 @@ def check_kp_compare(ctx: SuiteContext) -> tuple:
     kp = kn.KPDirect(ctx.potential(), ctx.cutoff)
     pairs = sample_three_regime_pairs(rng, sw["kp_pairs"],
                                       sw["radius_min"], sw["kp_radius_max"])
-    measured, arg_max, rows, failures = _sweep(
+    measured, arg_max, rows, gates = _sweep(
         "KP_diff", lambda s, t, refine: kp.direct_radial(s, t, refine) - kp.leading_radial(s, t),
         kn.EnvelopeSpec("prop22_base"), pairs, cfg.tolerances["sweep_stability"])
     measured["arg_max_radii"] = [float(np.linalg.norm(v)) for v in arg_max]
     return ("|KP_direct - leading| / base envelope bounded and stable",
-            measured, failures, _PAIR_HEADER, rows)
+            measured, gates, _PAIR_HEADER, rows)
 
 
 def check_k3_bound(ctx: SuiteContext) -> tuple:
@@ -606,23 +635,19 @@ def check_k3_bound(ctx: SuiteContext) -> tuple:
     envs = kn.EnvelopeSpec("k3_envelope")(pairs[:, 0], pairs[:, 1])
     ratios = np.hypot(vals.real, vals.imag) / envs
     slopes = [k3.integrand_slope(p).slope for p in spot_profs]
-    failures = []
-    if not np.all(np.isfinite(ratios)):
-        failures.append("non-finite envelope ratio")
-    for sl in slopes:
-        if not abs(sl - 4.0) <= 0.3:
-            failures.append(f"integrand slope {sl:.3f} outside 4.0+-0.3")
+    # the max of the ratios is finite only if every ratio is
+    gates = [Gate("sup_ratio", float(ratios.max()), "finite")]
+    gates += [Gate(f"slope_spot{i}", sl, "band", (3.7, 4.3)) for i, sl in enumerate(slopes)]
     measured = {"sup_ratio": float(ratios.max()), "slopes": slopes,
                 "n_lambda": k3cfg["n_lambda"]}
     rows = _pair_rows("K3", pairs, vals, envs, ratios)
     return ("|K3| / <x>^-1<y>^-1<|x|-|y|>^-5/2 bounded; integrand slope 4+-0.3",
-            measured, failures, _PAIR_HEADER, rows)
+            measured, gates, _PAIR_HEADER, rows)
 
 
 def check_weak11(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     wcfg = cfg.weak11
-    failures = []
     rows = []
     ratios = []
     for c in wcfg["centers"]:
@@ -635,18 +660,6 @@ def check_weak11(ctx: SuiteContext) -> tuple:
             for lam, m in zip(thresholds, masses):
                 rows.append(("W", prof.label, float(lam), float(m), float(lam * m)))
     sup_ratio = float(np.max(ratios))
-    if not np.isfinite(sup_ratio):
-        failures.append("non-finite quasi-norm ratio")
-    if sup_ratio > wcfg["quasi_bound"]:
-        failures.append(f"family quasi-norm ratio {sup_ratio:.3f} > {wcfg['quasi_bound']}")
-
-    # homogeneity: doubling the input doubles the quasi-norm
-    prof = sg.smooth_bump_profile(5.0, 0.5)
-    q1 = sg.weak11_profile(lambda s: np.abs(sg.apply_W(prof, s)), 60.0)[2]
-    q2 = sg.weak11_profile(lambda s: 2.0 * np.abs(sg.apply_W(prof, s)), 60.0)[2]
-    hom = abs(q2 - 2.0 * q1) / (2.0 * q1)
-    if hom > 0.02:
-        failures.append(f"homogeneity violated at {hom:.2%}")
 
     # level-set identity for <x>^-3 in R^3
     tol = cfg.tolerances["levelset_rel"]
@@ -658,17 +671,16 @@ def check_weak11(ctx: SuiteContext) -> tuple:
         thresholds ** (-2.0 / 3.0) - 1.0, 0.0) ** 1.5 * thresholds
     got = thresholds * masses
     rel = float(np.max(np.abs(got - analytic) / np.maximum(analytic, 1e-12)))
-    bound = (4.0 * np.pi / 3.0) * (1.0 + tol)
-    if not np.all(got <= bound):
-        failures.append(f"level-set products exceed 4 pi/3 by more than {tol:.0%}")
-    if rel > tol:
-        failures.append(f"level-set identity off by {rel:.3%} > {tol:.0%}")
+    gates = [Gate("family_sup_ratio_finite", sup_ratio, "finite"),
+             Gate("family_sup_ratio", sup_ratio, "<=", wcfg["quasi_bound"]),
+             Gate("levelset_product_max", float(got.max()), "<=",
+                  (4.0 * np.pi / 3.0) * (1.0 + tol)),
+             Gate("levelset_rel", rel, "<=", tol)]
     for lam, m in zip(thresholds, masses):
         rows.append(("bracket_cubed_decay", "<x>^-3", float(lam), float(m), float(lam * m)))
-    measured = {"family_sup_ratio": sup_ratio, "homogeneity_gap": hom,
-                "levelset_rel": rel, "n_members": len(ratios)}
+    measured = {"family_sup_ratio": sup_ratio, "levelset_rel": rel, "n_members": len(ratios)}
     return (f"bump-family quasi-norms bounded; <x>^-3 level sets within {tol:.0%}",
-            measured, failures, ("operator", "input_id", "lambda", "mass", "lambda_mass"), rows)
+            measured, gates, ("operator", "input_id", "lambda", "mass", "lambda_mass"), rows)
 
 
 def check_hormander(ctx: SuiteContext) -> tuple:
@@ -685,15 +697,12 @@ def check_hormander(ctx: SuiteContext) -> tuple:
         rows.append((float(r), float(rbar), float(delta), val))
         worst = max(worst, val)
     spot = sg.hormander_check(10.0, 10.4, 0.5)
-    failures = []
-    if worst > hc["bound"]:
-        failures.append(f"smoothness modulus {worst:.3f} > {hc['bound']}")
-    if spot > 6.0:
-        failures.append(f"spot value {spot:.3f} > 6")
+    gates = [Gate("max_over_triples", worst, "<=", hc["bound"]),
+             Gate("spot_10_10.4_0.5", spot, "<=", 6.0)]
     measured = {"max_over_triples": worst, "spot_10_10.4_0.5": spot,
                 "n_triples": hc["n_triples"]}
     return (f"kernel smoothness modulus <= {hc['bound']} over random triples",
-            measured, failures, ("r", "r_bar", "delta", "value"), rows)
+            measured, gates, ("r", "r_bar", "delta", "value"), rows)
 
 
 def check_schur(ctx: SuiteContext) -> tuple:
@@ -701,18 +710,15 @@ def check_schur(ctx: SuiteContext) -> tuple:
     rows = sg.schur_growth(kn.make_psi_batch(ctx.cutoff), sc["radii"], sc["n_samples"])
     row_growth = rows[-1][1] / rows[-2][1] - 1.0
     col_growth = rows[-1][2] / rows[-2][2] - 1.0
-    failures = []
-    if not (np.isfinite(rows[-1][1]) and np.isfinite(rows[-1][2])):
-        failures.append("non-finite Schur sup")
-    if max(row_growth, col_growth) > sc["stabilization_rel"]:
-        failures.append(
-            f"Psi row/col integrals still growing at last doubling "
-            f"({row_growth:.2%}, {col_growth:.2%})")
+    gates = [Gate("row_sup", rows[-1][1], "finite"),
+             Gate("col_sup", rows[-1][2], "finite"),
+             Gate("row_doubling_growth", row_growth, "<=", sc["stabilization_rel"]),
+             Gate("col_doubling_growth", col_growth, "<=", sc["stabilization_rel"])]
     measured = {"row_sups": [r[1] for r in rows], "col_sups": [r[2] for r in rows],
                 "last_doubling_growth": [row_growth, col_growth]}
     return (f"Psi row/col L1 integrals stabilize in the domain radius "
             f"(< {sc['stabilization_rel']:.0%} per doubling)",
-            measured, failures, ("R_dom", "row_sup", "col_sup"), rows)
+            measured, gates, ("R_dom", "row_sup", "col_sup"), rows)
 
 
 def check_counterexample_linf(ctx: SuiteContext) -> tuple:
@@ -721,34 +727,28 @@ def check_counterexample_linf(ctx: SuiteContext) -> tuple:
     op = CounterexampleOperator(ctx.potential())
     run = counterexample_linf(op, ce["R_list"])
     lo, hi = ce["slope_range"]
-    failures = []
-    for R, val, bound, ok, regime in zip(ce["R_list"], run.values, run.lower_bounds,
-                                         run.bound_satisfied, run.asymptotic_regime):
-        if regime and not ok:
-            failures.append(f"R={R:g}: value {val:.4f} < bound {bound:.4f}")
-    if not np.all(np.diff(run.values) > 0):
-        failures.append("values not increasing in R")
-    if not lo <= run.slope_fit.slope <= hi:
-        failures.append(f"slope {run.slope_fit.slope:.4f} outside [{lo}, {hi}]")
+    # the log lower bound is asserted only in the asymptotic regime
+    gates = [Gate(f"value_R{R:g}", val, ">=", bound) for R, val, bound, regime in
+             zip(ce["R_list"], run.values, run.lower_bounds, run.asymptotic_regime) if regime]
+    gates += [Gate("value_increment_min", float(np.diff(run.values).min()), ">", 0.0),
+              Gate("slope", run.slope_fit.slope, "band", (lo, hi))]
     # Monte Carlo consistency at three spot configurations
     rng = cfg.rng_for("counterexample-linf")
     mc_rows = []
     for R, srad, quad in zip(ce["R_list"][:3], run.x_star_radii, run.values):
         mc, se = op.mc_estimate(srad, R, ce["mc_samples"], rng)
         mc_rows.append((R, quad, mc, se))
-        if abs(quad - mc) > 3.0 * se + 1e-12:
-            failures.append(f"MC mismatch at R={R:g}: quad {quad:.5f} vs mc {mc:.5f} (se {se:.2g})")
+        gates.append(Gate(f"mc_gap_R{R:g}", abs(quad - mc), "<=", 3.0 * se + 1e-12))
     measured = {"values": run.values.tolist(), "bounds": run.lower_bounds.tolist(),
                 "slope": run.slope_fit.slope,
                 "asymptotic_regime": run.asymptotic_regime.tolist(),
                 "mc": [(float(a), float(b), float(c), float(d)) for a, b, c, d in mc_rows]}
-    rows = [(float(R), float(sr), float(v), float(b), bool(ok), bool(reg))
-            for R, sr, v, b, ok, reg in zip(ce["R_list"], run.x_star_radii, run.values,
-                                            run.lower_bounds, run.bound_satisfied,
-                                            run.asymptotic_regime)]
+    rows = [(float(R), float(sr), float(v), float(b), bool(v >= b), bool(reg))
+            for R, sr, v, b, reg in zip(ce["R_list"], run.x_star_radii, run.values,
+                                        run.lower_bounds, run.asymptotic_regime)]
     return ("sup values >= (1/(4 sqrt 2)) log(1+(R-R0)/(2R0+1)) in regime; "
             f"slope in [{lo}, {hi}]",
-            measured, failures,
+            measured, gates,
             ("R", "x_star", "value", "lower_bound", "bound_ok", "in_regime"), rows)
 
 
@@ -757,21 +757,16 @@ def check_counterexample_l1(ctx: SuiteContext) -> tuple:
     ce = cfg.counterexample
     pot = ctx.potential()
     rep = counterexample_l1(pot, R_max=ce["l1_R_max"])
-    failures = []
-    if not rep.fit.slope > 0:
-        failures.append(f"log-growth slope {rep.fit.slope:.4f} not positive")
-    if not rep.fit.r_squared >= cfg.tolerances["l1_r2"]:
-        failures.append(f"log-growth R^2 {rep.fit.r_squared:.5f} < {cfg.tolerances['l1_r2']}")
-    if not np.all(np.diff(rep.masses) > 0):
-        failures.append("shell masses not increasing")
-    if not rep.shell_scaled_min > 0:
-        failures.append("shell integrand lost positivity")
+    gates = [Gate("slope_per_logR", rep.fit.slope, ">", 0.0),
+             Gate("r2", rep.fit.r_squared, ">=", cfg.tolerances["l1_r2"]),
+             Gate("mass_increment_min", float(np.diff(rep.masses).min()), ">", 0.0),
+             Gate("shell_scaled_min", rep.shell_scaled_min, ">", 0.0)]
     measured = {"slope_per_logR": rep.fit.slope, "r2": rep.fit.r_squared,
                 "shell_scaled_range": [rep.shell_scaled_min, rep.shell_scaled_max]}
     rows = list(zip(map(float, rep.R_values), map(float, rep.masses)))
     return ("shell mass of T_G f_1 grows linearly in log R "
             f"(R^2 >= {cfg.tolerances['l1_r2']})",
-            measured, failures, ("R", "shell_mass"), rows)
+            measured, gates, ("R", "shell_mass"), rows)
 
 
 # the acceptance criterion each check answers
@@ -824,23 +819,25 @@ _REPORT_FIELDS = ("criterion", "status", "expected", "measured", "failures")
 
 
 def run_check(ctx: SuiteContext, name: str) -> CheckResult:
-    """Run the named check and record it: its criterion, its runtime and
-    PASS or FAIL from its failures.  A check that raises is recorded as
-    ERROR, so one crash never loses the other checks' reports.
+    """Run the named check and record it: its criterion, its runtime, its
+    gates, one failure per failed gate and PASS or FAIL from them.  A
+    check that raises is recorded as ERROR with no gates, so one crash
+    never loses the other checks' reports.
 
     The check is looked up in ``CHECKS`` at call time, so a rebound
     entry is the one that runs.
     """
     t0 = time.perf_counter()
     try:
-        expected, measured, failures, header, rows = CHECKS[name](ctx)
+        expected, measured, gates, header, rows = CHECKS[name](ctx)
+        failures = [g.failure() for g in gates if not g.passed]
         status = "FAIL" if failures else "PASS"
     except Exception as exc:
         traceback.print_exc()
-        expected, measured, header, rows = "check raised", {}, None, None
+        expected, measured, gates, header, rows = "check raised", {}, [], None, None
         failures, status = [f"{type(exc).__name__}: {exc}"], "ERROR"
     return CheckResult(name=name, criterion=CRITERIA[name], status=status, expected=expected,
-                       measured=measured, failures=failures,
+                       measured=measured, gates=gates, failures=failures,
                        runtime_s=round(time.perf_counter() - t0, 3),
                        csv_header=header, csv_rows=rows)
 
@@ -866,7 +863,9 @@ def run_suite(cfg: Config, names=None, out_dir: str | None = None,
             progress(res)
         if res.csv_rows is not None:
             write_csv(os.path.join(out, f"{name}.csv"), res.csv_header, res.csv_rows)
-        report = {"checks": {r.name: {k: getattr(r, k) for k in _REPORT_FIELDS} for r in results},
+        report = {"checks": {r.name: {**{k: getattr(r, k) for k in _REPORT_FIELDS},
+                                      "gates": {g.label: g.record() for g in r.gates}}
+                             for r in results},
                   "all_pass": all(r.passed for r in results), "seed": cfg.seed}
         with _open_new(os.path.join(out, "report.json")) as fh:
             json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)

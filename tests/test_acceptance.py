@@ -14,7 +14,7 @@ import pytest
 
 from waveop_lab import experiments as xp
 from waveop_lab.cli import main
-from waveop_lab.config import default_config
+from waveop_lab.config import default_config, load_config
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +136,37 @@ def test_criterion_11_determinism(tmp_path):
     r2 = json.loads((outs[1] / "report.json").read_text())
     assert r1 == r2
     print("\n[criterion 11] PASS determinism: byte-identical CSV bodies across runs")
+
+
+# One configured bound per check, tightened until the check must fail,
+# and the gate that bound sets.  k3-bound has no control: its only
+# bounds are the constant slope band 4 +- 0.3 and finiteness.
+NEGATIVE_CONTROLS = [
+    ("identities", "tolerances", "identity_rel", 1e-20, "decomposition_rel"),
+    ("specfun-envelopes", "tolerances", "envelope_stability", 1e-300, "A0_doubling_change"),
+    ("resolvent-expansion", "tolerances", "expansion_slope", [3.0, 1e-9], "slope"),
+    ("projection-gain", "tolerances", "representation_rel", 1e-20, "representation_0.05"),
+    ("kernel-bounds", "tolerances", "sweep_stability", 1e-300, "G11+_stability"),
+    ("kp-compare", "tolerances", "sweep_stability", 1e-300, "KP_diff_stability"),
+    ("counterexample-l1", "tolerances", "l1_r2", 2.0, "r2"),
+    ("weak11", "weak11", "quasi_bound", 1e-9, "family_sup_ratio"),
+    ("hormander", "hormander", "bound", 1e-9, "max_over_triples"),
+    ("schur", "schur", "stabilization_rel", 1e-300, "col_doubling_growth"),
+    ("counterexample-linf", "counterexample", "slope_range", [-1e-9, 1e-9], "slope"),
+]
+
+
+def test_negative_controls_fail_on_the_named_gate():
+    """Each check FAILs when one of its configured bounds is tightened,
+    on the gate that bound sets; every check's gate labels are unique."""
+    assert {c[0] for c in NEGATIVE_CONTROLS} == set(xp.CHECKS) - {"k3-bound"}
+    for name, section, key, value, label in NEGATIVE_CONTROLS:
+        cfg = load_config(None, {**TRIMMED, section: {**TRIMMED.get(section, {}), key: value}})
+        res = xp.run_check(xp.SuiteContext(cfg), name)
+        assert res.status == "FAIL", name
+        gates = {g.label: g for g in res.gates}
+        assert len(gates) == len(res.gates), f"{name}: duplicate gate labels"
+        assert not gates[label].passed and gates[label].margin <= 0.0, (name, label)
+        assert any(f.startswith(f"{label} = ") for f in res.failures), res.failures
+    res = xp.run_check(xp.SuiteContext(load_config(None, TRIMMED)), "k3-bound")
+    assert res.passed and len({g.label for g in res.gates}) == len(res.gates)

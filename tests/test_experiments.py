@@ -113,9 +113,15 @@ def test_run_suite_writes_reports(tmp_path):
     cfg.out_dir = str(tmp_path)
     results = xp.run_suite(cfg, names=["identities", "hormander"])
     assert all(r.passed for r in results)
-    data = json.loads((tmp_path / "report.json").read_text())
+
+    def no_constants(token):
+        raise AssertionError(f"report.json is not strict JSON: {token}")
+
+    data = json.loads((tmp_path / "report.json").read_text(), parse_constant=no_constants)
     assert data["all_pass"] is True
     assert data["checks"]["identities"]["criterion"] == 1
+    gates = data["checks"]["identities"]["gates"]
+    assert len(gates) == 4 and all(g["margin"] > 0 for g in gates.values())
     assert (tmp_path / "hormander.csv").exists()
     assert (tmp_path / "run_meta.json").exists()
     with pytest.raises(InvalidInputError):
@@ -147,3 +153,46 @@ def test_write_csv_numpy_scalars(tmp_path):
         rows = list(csv.reader(fh))
     assert rows == [["kernel", "x1", "ratio"], ["K3", "-0.191854", "0.5"],
                     ["K3", "2.0", "1.25"]]
+
+
+_ONE_SIDED = ["<=", "<", ">=", ">"]
+
+
+def test_gate_semantics():
+    nan, inf = float("nan"), float("inf")
+    # a NaN fails every op and the band
+    for op in _ONE_SIDED:
+        assert not xp.Gate("g", nan, op, 1.0).passed
+    assert not xp.Gate("g", nan, "band", (0.0, 1.0)).passed
+    assert not xp.Gate("g", nan, "finite").passed
+    # the finiteness gate fails on inf and has no bound or margin
+    assert not xp.Gate("g", inf, "finite").passed
+    assert not xp.Gate("g", -inf, "finite").passed
+    assert xp.Gate("g", 1e308, "finite").passed
+    assert xp.Gate("g", 1.0, "finite").margin is None
+    # both ends of a closed band pass
+    assert xp.Gate("g", 2.7, "band", (2.7, 3.3)).passed
+    assert xp.Gate("g", 3.3, "band", (2.7, 3.3)).passed
+    assert not xp.Gate("g", 3.3000001, "band", (2.7, 3.3)).passed
+    # strict ops fail at the bound, the others pass there
+    assert not xp.Gate("g", 0.0, ">", 0.0).passed
+    assert not xp.Gate("g", 0.0, "<", 0.0).passed
+    assert xp.Gate("g", 0.0, ">=", 0.0).passed and xp.Gate("g", 0.0, "<=", 0.0).passed
+    # for finite values the margin's sign agrees with the verdict
+    values = [-2.0, -1.0, -1e-300, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2 ** -52, 3.0]
+    gates = [xp.Gate("g", v, op, b) for v in values for b in (-1.0, 0.0, 1.0)
+             for op in _ONE_SIDED]
+    gates += [xp.Gate("g", v, "band", (0.0, 1.0)) for v in values]
+    for g in gates:
+        m = g.margin
+        assert (m > 0 and g.passed) or (m < 0 and not g.passed) or (
+            m == 0 and g.passed == (g.op in ("<=", ">=", "band"))), g
+    # a margin that is not finite is written as None: report.json stays strict
+    assert xp.Gate("g", inf, "<=", 1.0).margin is None
+    assert xp.Gate("g", nan, "band", (0.0, 1.0)).margin is None
+
+
+def test_gate_failure_names_the_gate():
+    assert xp.Gate("slope", 2.5, "band", (2.7, 3.3)).failure() == "slope = 2.5, not in [2.7, 3.3]"
+    assert xp.Gate("r2", 0.5, ">=", 0.98).failure() == "r2 = 0.5, not >= 0.98"
+    assert xp.Gate("sup", float("inf"), "finite").failure() == "sup = inf, not finite"
