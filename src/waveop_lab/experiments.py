@@ -193,21 +193,13 @@ class CounterexampleOperator:
         return pref * mean, pref * np.sqrt(max(var, 0.0) / seen)
 
 
-@dataclass
-class CounterexampleRun:
-    x_star_radii: np.ndarray
-    values: np.ndarray
-    lower_bounds: np.ndarray
-    slope_fit: object
-    asymptotic_regime: np.ndarray
-
-
-def counterexample_linf(op: CounterexampleOperator, R_list) -> CounterexampleRun:
-    """|T_G f_R| at x* = (R + 2 R0 + 1.5) e1 against the log lower bound.
+def counterexample_linf(op: CounterexampleOperator, R_list) -> tuple:
+    """|T_G f_R| at x* = (R + 2 R0 + 1.5) e1 against the log lower bound:
+    (radii |x*|, values, lower bounds, slope fit in log R, regime flags).
 
     The log bound is asymptotic; R values where even the pointwise
-    bound fails at the band midpoint by construction are flagged via
-    ``asymptotic_regime`` (the bound is only asserted there).
+    bound fails at the band midpoint by construction are flagged False
+    in the regime flags (the bound is only asserted where they are True).
     """
     R0 = op.pot.radius
     R_arr = np.asarray(R_list, dtype=float)
@@ -218,23 +210,13 @@ def counterexample_linf(op: CounterexampleOperator, R_list) -> CounterexampleRun
     # the uniform band bound needs Phi(midpoint) >= (pi/2) log(...); check
     # its own precondition at the least favorable grid-free midpoint value
     regime = phi_radial(radii + R0, 0.0, R_arr) >= log_bounds
-    fit = fit_linear_in_logx(R_arr, vals)
-    return CounterexampleRun(x_star_radii=radii, values=vals,
-                             lower_bounds=bounds, slope_fit=fit,
-                             asymptotic_regime=regime)
+    return radii, vals, bounds, fit_linear_in_logx(R_arr, vals), regime
 
 
-@dataclass
-class L1GrowthReport:
-    R_values: np.ndarray
-    masses: np.ndarray
-    fit: object
-    shell_scaled_min: float
-    shell_scaled_max: float
-
-
-def counterexample_l1(pot: Potential, R_max: float = 1e4) -> L1GrowthReport:
-    """M(R) = integral of |T_G f_1| over the shell 3 R0 + 2 <= |x| <= R.
+def counterexample_l1(pot: Potential, R_max: float = 1e4) -> tuple:
+    """M(R) = integral of |T_G f_1| over the shell 3 R0 + 2 <= |x| <= R:
+    (R at the panel edges, M there, its fit in log R, [min, max] of
+    |x|^3 |T_G f_1| on the inner shell).
 
     The integrand is radial; panels are logarithmic in |x| and M(R) is
     accumulated at panel edges, then fitted linearly in log R.
@@ -253,12 +235,10 @@ def counterexample_l1(pot: Potential, R_max: float = 1e4) -> L1GrowthReport:
         tvals = op.tg_abs_far_batch(nodes[p], 1.0)
         masses[p] = 4.0 * np.pi * half[p] * np.sum(w16 * tvals * nodes[p] ** 2)
     M = np.cumsum(masses)
-    fit = fit_linear_in_logx(edges[1:], M)
     shell = np.geomspace(s_lo, 5.0 * s_lo, 12)
     scaled = op.tg_abs_far_batch(shell, 1.0) * shell ** 3
-    return L1GrowthReport(R_values=edges[1:], masses=M, fit=fit,
-                          shell_scaled_min=float(scaled.min()),
-                          shell_scaled_max=float(scaled.max()))
+    return (edges[1:], M, fit_linear_in_logx(edges[1:], M),
+            [float(scaled.min()), float(scaled.max())])
 
 
 # ----------------------------------------------------------------------
@@ -473,24 +453,22 @@ def check_resolvent_expansion(ctx: SuiteContext) -> tuple:
     terms = ctx.expansion_terms()
     lams = ctx.lambda_window()
     tol = cfg.tolerances
-    rep, rep_a2, rep_pt = rs.expansion_residual(terms, lams,
-                                                drops=((), ("a2",), ("ptilde",)))
+    norms, fits, solve_res = rs.expansion_residual(terms, lams, drops=((), ("a2",), ("ptilde",)))
     fesh = rs.feshbach_consistency(terms, 0.05)
+    solve_max = float(solve_res.max())
     gates = []
     bands = [tol[k] for k in ("expansion_slope", "ablation_a2_slope", "ablation_ptilde_slope")]
-    for label, fit, (target, width) in zip(("", "_drop_a2", "_drop_ptilde"),
-                                           (rep.fit, rep_a2.fit, rep_pt.fit), bands):
+    for label, fit, (target, width) in zip(("", "_drop_a2", "_drop_ptilde"), fits, bands):
         gates += [Gate(f"slope{label}", fit.slope, "band", (target - width, target + width)),
                   Gate(f"r2{label}", fit.r_squared, ">=", tol["expansion_r2"])]
-    gates += [Gate("solve_residual_max", float(rep.solve_residuals.max()), "<=", 1e-9),
+    gates += [Gate("solve_residual_max", solve_max, "<=", 1e-9),
               Gate("feshbach_rel", fesh, "<=", 1e-8)]
-    measured = {"slope": rep.fit.slope, "r2": rep.fit.r_squared,
-                "slope_drop_a2": rep_a2.fit.slope, "slope_drop_ptilde": rep_pt.fit.slope,
-                "feshbach_rel": fesh, "solve_residual_max": float(rep.solve_residuals.max()),
+    measured = {"slope": fits[0].slope, "r2": fits[0].r_squared,
+                "slope_drop_a2": fits[1].slope, "slope_drop_ptilde": fits[2].slope,
+                "feshbach_rel": fesh, "solve_residual_max": solve_max,
                 "cond_QTQ": terms.cond_QTQ,
                 "grid_size": terms.pot.grid.size}
-    rows = [(float(l), float(n), float(na), float(np_)) for l, n, na, np_ in
-            zip(lams, rep.norms, rep_a2.norms, rep_pt.norms)]
+    rows = [(float(lam), *map(float, n)) for lam, n in zip(lams, norms.T)]
     full, a2, pt = (f"{target}+-{width}" for target, width in bands)
     return (f"Gamma3 slope {full} (R2>={tol['expansion_r2']}); ablations {a2} / {pt}",
             measured, gates,
@@ -502,18 +480,17 @@ def check_projection_gain(ctx: SuiteContext) -> tuple:
     tol = cfg.tolerances
     pot = ctx.expansion_potential()
     lams = ctx.lambda_window()
-    rep = rs.projection_gain(pot, lams, rep_lambdas=cfg.projection["rep_lambdas"],
-                             rep_pot=ctx.rep_potential())
+    plain, proj, fit_plain, fit_proj, rep_errors = rs.projection_gain(
+        pot, lams, rep_lambdas=cfg.projection["rep_lambdas"], rep_pot=ctx.rep_potential())
     tp, wp = tol["gain_plain_slope"]
     tq, wq = tol["gain_projected_slope"]
-    gates = [Gate("slope_plain", rep.fit_plain.slope, "band", (tp - wp, tp + wp)),
-             Gate("slope_projected", rep.fit_projected.slope, "band", (tq - wq, tq + wq))]
+    gates = [Gate("slope_plain", fit_plain.slope, "band", (tp - wp, tp + wp)),
+             Gate("slope_projected", fit_proj.slope, "band", (tq - wq, tq + wq))]
     gates += [Gate(f"representation_{k:g}", v, "<=", tol["representation_rel"])
-              for k, v in rep.representation_errors.items()]
-    measured = {"slope_plain": rep.fit_plain.slope,
-                "slope_projected": rep.fit_projected.slope,
-                "representation_errors": {f"{k:g}": v for k, v in rep.representation_errors.items()}}
-    rows = list(zip(map(float, lams), map(float, rep.norm_plain), map(float, rep.norm_projected)))
+              for k, v in rep_errors.items()]
+    measured = {"slope_plain": fit_plain.slope, "slope_projected": fit_proj.slope,
+                "representation_errors": {f"{k:g}": v for k, v in rep_errors.items()}}
+    rows = list(zip(map(float, lams), map(float, plain), map(float, proj)))
     return (f"slopes {tp:g}+-{wp:g} (plain) and {tq:g}+-{wq:g} (projected); "
             f"representation <= {tol['representation_rel']:g}",
             measured, gates, ("lambda", "norm_plain", "norm_projected"), rows)
@@ -532,17 +509,17 @@ def _sweep(name, kernel, env, pairs, stab_tol):
     stability: the measured entry, the pair at the sup, CSV rows and
     gates.
 
-    ``kernel(s, t, refine)`` maps arrays of radii |x|, |y| to kernel
-    values; it is called once for all pairs and, with ``refine = 1``,
-    once for the top-ranked ones.
+    ``kernel(s, t, refine)`` and ``env(s, t)`` map arrays of radii |x|,
+    |y| to kernel and envelope values; the kernel is called once for all
+    pairs and, with ``refine = 1``, once for the top-ranked ones.
     """
     pairs = list(pairs)
     if not pairs:
         raise InvalidInputError("empty sample list")
     x, y = np.array(pairs, dtype=float).transpose(1, 0, 2)
-    # one norm per 3-vector: a row-wise norm can differ in the last bit
+    # one norm per 3-vector for kernel and envelope: a row-wise norm can differ in the last bit
     s, t = (np.array([np.linalg.norm(v) for v in u]) for u in (x, y))
-    envs = env(x, y)
+    envs = env(s, t)
     values = np.asarray(kernel(s, t, 0), dtype=complex)
     # hypot rounds |v| as abs() of one complex does; numpy's array abs may not
     ratios = np.hypot(values.real, values.imag) / envs
@@ -567,14 +544,14 @@ def check_kernel_bounds(ctx: SuiteContext) -> tuple:
     cut = ctx.cutoff
     sweeps = [(f"G11{'+' if sign > 0 else '-'}",
                lambda s, t, refine, b=branch: kn.g_radial(1, 1, b, s, t, cut, refine),
-               kn.EnvelopeSpec("prop22_min", sign=sign),
+               lambda s, t, sign=sign: kn.env_prop22_min(s, t, sign),
                sample_three_regime_pairs(rng, sw["g11_pairs"] // 2,
                                          sw["radius_min"], sw["radius_max"]))
               for branch, sign in ((Branch.plus, +1), (Branch.minus, -1))]
     pairs = sample_three_regime_pairs(rng, sw["ktp_pairs"],
                                       sw["radius_min"], sw["radius_max"])
     sweeps.append(("KtildeP", lambda s, t, refine: kn.ktilde_radial(s, t, cut, refine),
-                   kn.EnvelopeSpec("ktp_envelope"), pairs))
+                   kn.env_ktp, pairs))
     psi_pairs = []
     for i in range(sw["psi2_pairs"]):
         if i % 2 == 0:
@@ -585,7 +562,7 @@ def check_kernel_bounds(ctx: SuiteContext) -> tuple:
             swv = np.exp(rng.uniform(np.log(sw["radius_min"]), np.log(sw["radius_max"])))
         psi_pairs.append((szv * _unit_vectors(rng, 1)[0], swv * _unit_vectors(rng, 1)[0]))
     sweeps.append(("Psi2", lambda s, t, refine: kn.psi2_radial(s, t, cut, refine),
-                   kn.EnvelopeSpec("psi2_envelope"), psi_pairs))
+                   kn.env_psi2, psi_pairs))
 
     gates = []
     measured = {}
@@ -607,7 +584,7 @@ def check_kp_compare(ctx: SuiteContext) -> tuple:
                                       sw["radius_min"], sw["kp_radius_max"])
     measured, arg_max, rows, gates = _sweep(
         "KP_diff", lambda s, t, refine: kp.direct_radial(s, t, refine) - kp.leading_radial(s, t),
-        kn.EnvelopeSpec("prop22_base"), pairs, cfg.tolerances["sweep_stability"])
+        kn.env_prop22_base, pairs, cfg.tolerances["sweep_stability"])
     measured["arg_max_radii"] = [float(np.linalg.norm(v)) for v in arg_max]
     return ("|KP_direct - leading| / base envelope bounded and stable",
             measured, gates, _PAIR_HEADER, rows)
@@ -632,7 +609,7 @@ def check_k3_bound(ctx: SuiteContext) -> tuple:
     all_vals, all_profs = k3.eval_pairs(
         np.concatenate([pairs, np.reshape(spots, (-1, 2, 3))]))
     vals, spot_profs = all_vals[:n_pairs], all_profs[n_pairs:]
-    envs = kn.EnvelopeSpec("k3_envelope")(pairs[:, 0], pairs[:, 1])
+    envs = kn.env_k3(*np.linalg.norm(pairs, axis=-1).T)
     ratios = np.hypot(vals.real, vals.imag) / envs
     slopes = [k3.integrand_slope(p).slope for p in spot_profs]
     # the max of the ratios is finite only if every ratio is
@@ -725,27 +702,25 @@ def check_counterexample_linf(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     ce = cfg.counterexample
     op = CounterexampleOperator(ctx.potential())
-    run = counterexample_linf(op, ce["R_list"])
+    radii, values, bounds, fit, regime = counterexample_linf(op, ce["R_list"])
     lo, hi = ce["slope_range"]
     # the log lower bound is asserted only in the asymptotic regime
-    gates = [Gate(f"value_R{R:g}", val, ">=", bound) for R, val, bound, regime in
-             zip(ce["R_list"], run.values, run.lower_bounds, run.asymptotic_regime) if regime]
-    gates += [Gate("value_increment_min", float(np.diff(run.values).min()), ">", 0.0),
-              Gate("slope", run.slope_fit.slope, "band", (lo, hi))]
+    gates = [Gate(f"value_R{R:g}", val, ">=", bound) for R, val, bound, reg in
+             zip(ce["R_list"], values, bounds, regime) if reg]
+    gates += [Gate("value_increment_min", float(np.diff(values).min()), ">", 0.0),
+              Gate("slope", fit.slope, "band", (lo, hi))]
     # Monte Carlo consistency at three spot configurations
     rng = cfg.rng_for("counterexample-linf")
     mc_rows = []
-    for R, srad, quad in zip(ce["R_list"][:3], run.x_star_radii, run.values):
+    for R, srad, quad in zip(ce["R_list"][:3], radii, values):
         mc, se = op.mc_estimate(srad, R, ce["mc_samples"], rng)
         mc_rows.append((R, quad, mc, se))
         gates.append(Gate(f"mc_gap_R{R:g}", abs(quad - mc), "<=", 3.0 * se + 1e-12))
-    measured = {"values": run.values.tolist(), "bounds": run.lower_bounds.tolist(),
-                "slope": run.slope_fit.slope,
-                "asymptotic_regime": run.asymptotic_regime.tolist(),
+    measured = {"values": values.tolist(), "bounds": bounds.tolist(), "slope": fit.slope,
+                "asymptotic_regime": regime.tolist(),
                 "mc": [(float(a), float(b), float(c), float(d)) for a, b, c, d in mc_rows]}
     rows = [(float(R), float(sr), float(v), float(b), bool(v >= b), bool(reg))
-            for R, sr, v, b, reg in zip(ce["R_list"], run.x_star_radii, run.values,
-                                        run.lower_bounds, run.asymptotic_regime)]
+            for R, sr, v, b, reg in zip(ce["R_list"], radii, values, bounds, regime)]
     return ("sup values >= (1/(4 sqrt 2)) log(1+(R-R0)/(2R0+1)) in regime; "
             f"slope in [{lo}, {hi}]",
             measured, gates,
@@ -756,14 +731,14 @@ def check_counterexample_l1(ctx: SuiteContext) -> tuple:
     cfg = ctx.cfg
     ce = cfg.counterexample
     pot = ctx.potential()
-    rep = counterexample_l1(pot, R_max=ce["l1_R_max"])
-    gates = [Gate("slope_per_logR", rep.fit.slope, ">", 0.0),
-             Gate("r2", rep.fit.r_squared, ">=", cfg.tolerances["l1_r2"]),
-             Gate("mass_increment_min", float(np.diff(rep.masses).min()), ">", 0.0),
-             Gate("shell_scaled_min", rep.shell_scaled_min, ">", 0.0)]
-    measured = {"slope_per_logR": rep.fit.slope, "r2": rep.fit.r_squared,
-                "shell_scaled_range": [rep.shell_scaled_min, rep.shell_scaled_max]}
-    rows = list(zip(map(float, rep.R_values), map(float, rep.masses)))
+    R_values, masses, fit, shell_range = counterexample_l1(pot, R_max=ce["l1_R_max"])
+    gates = [Gate("slope_per_logR", fit.slope, ">", 0.0),
+             Gate("r2", fit.r_squared, ">=", cfg.tolerances["l1_r2"]),
+             Gate("mass_increment_min", float(np.diff(masses).min()), ">", 0.0),
+             Gate("shell_scaled_min", shell_range[0], ">", 0.0)]
+    measured = {"slope_per_logR": fit.slope, "r2": fit.r_squared,
+                "shell_scaled_range": shell_range}
+    rows = list(zip(map(float, R_values), map(float, masses)))
     return ("shell mass of T_G f_1 grows linearly in log R "
             f"(R^2 >= {cfg.tolerances['l1_r2']})",
             measured, gates, ("R", "shell_mass"), rows)
@@ -868,18 +843,21 @@ def run_suite(cfg: Config, names=None, out_dir: str | None = None,
                              for r in results},
                   "all_pass": all(r.passed for r in results), "seed": cfg.seed}
         with _open_new(os.path.join(out, "report.json")) as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+            json.dump(_strict(report), fh, indent=2, sort_keys=True, allow_nan=False)
     with _open_new(os.path.join(out, "run_meta.json")) as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                    "runtimes": {r.name: r.runtime_s for r in results}}, fh, indent=2)
     return results
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _strict(obj):
+    """``obj`` in plain JSON types, with every non-finite number as None:
+    report.json stays strict JSON, and a failed gate's line keeps the
+    number."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj.item() if isinstance(obj, np.generic) else obj

@@ -20,14 +20,13 @@ The adaptive kernels (``g_radial``, ``ktilde_radial``, ``psi2_radial``,
 ``KPDirect.direct_radial``) take broadcastable arrays of radii and run
 every pair, under its own rule, in one batched Gauss-Kronrod call.
 
-``EnvelopeSpec`` names the pointwise bound families; the checks'
-ratio sweeps (``experiments._sweep``) divide |kernel| by them and
-report the sup with its refinement stability.
+The ``env_*`` functions are the pointwise bound families, functions of
+the radii (|x|, |y|); the checks' ratio sweeps (``experiments._sweep``)
+divide |kernel| by them and report the sup with its refinement
+stability.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,48 +53,38 @@ def _jb(t):
     return np.sqrt(1.0 + np.asarray(t, dtype=float) ** 2)
 
 
-@dataclass(frozen=True)
-class EnvelopeSpec:
-    """Named pointwise bound family, evaluated at radii (|x|, |y|).
+def env_prop22_base(s, t):
+    """<x>^-1 <y>^-1 <|x|-|y|>^-2 at radii (s, t) = (|x|, |y|)."""
+    return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** 2)
 
-    kinds:
-      prop22_base   <x>^-1 <y>^-1 <|x|-|y|>^-2
-      prop22_min    min of <x>^-1<y>^-1<|x| (sign) |y|>^-2 and <|x| (sign) |y|>^-4
-      k3_envelope   <x>^-1 <y>^-1 <|x|-|y|>^-5/2
-      ktp_envelope  min{1, 1/|x|, 1/|y|, 1/(|x||y|)}
-      psi2_envelope min of the applicable far-field cases with decay power 2
-    """
 
-    kind: str
-    sign: int = -1
+def env_prop22_min(s, t, sign):
+    """min of <x>^-1 <y>^-1 <u>^-2 and <u>^-4, u = |x| + sign |y|."""
+    u = s + sign * t
+    return np.minimum(1.0 / (_jb(s) * _jb(t) * _jb(u) ** 2), _jb(u) ** -4.0)
 
-    def radial(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if self.kind == "prop22_base":
-            return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** 2)
-        if self.kind == "prop22_min":
-            u = s + self.sign * t
-            return np.minimum(1.0 / (_jb(s) * _jb(t) * _jb(u) ** 2), _jb(u) ** -4.0)
-        if self.kind == "k3_envelope":
-            return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** 2.5)
-        if self.kind == "ktp_envelope":
-            # rounding is monotone, so this is the min of the four reciprocals
-            return 1.0 / np.maximum(np.maximum(1.0, s), np.maximum(t, s * t))
-        if self.kind == "psi2_envelope":
-            gate = np.abs(s - t) >= 1.0
-            cases = np.where(gate & (s > 0) & (t > 0),
-                             1.0 / np.where(s * t > 0, s * t, 1.0) / _jb(s - t) ** 2,
-                             np.inf)
-            cases = np.minimum(cases, np.where(t <= 0.5, _jb(s) ** -2.0, np.inf))
-            cases = np.minimum(cases, np.where(s <= 0.5, _jb(t) ** -2.0, np.inf))
-            return np.where(np.isfinite(cases), cases, 1.0)
-        raise InvalidInputError(f"unknown envelope kind {self.kind!r}")
 
-    def __call__(self, x, y):
-        s = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-        t = np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
-        return self.radial(s, t)
+def env_k3(s, t):
+    """<x>^-1 <y>^-1 <|x|-|y|>^-5/2."""
+    return 1.0 / (_jb(s) * _jb(t) * _jb(s - t) ** 2.5)
+
+
+def env_ktp(s, t):
+    """min{1, 1/|x|, 1/|y|, 1/(|x||y|)}; rounding is monotone, so this is
+    the min of the four reciprocals."""
+    return 1.0 / np.maximum(np.maximum(1.0, s), np.maximum(t, s * t))
+
+
+def env_psi2(s, t):
+    """min of the far-field cases with decay power 2 that apply at (s, t):
+    1/(|x||y| <|x|-|y|>^2) on the gate ||x|-|y|| >= 1, <x>^-2 for
+    |y| <= 1/2 and <y>^-2 for |x| <= 1/2; 1 where none applies."""
+    gate = np.abs(s - t) >= 1.0
+    cases = np.where(gate & (s > 0) & (t > 0),
+                     1.0 / np.where(s * t > 0, s * t, 1.0) / _jb(s - t) ** 2, np.inf)
+    cases = np.minimum(cases, np.where(t <= 0.5, _jb(s) ** -2.0, np.inf))
+    cases = np.minimum(cases, np.where(s <= 0.5, _jb(t) ** -2.0, np.inf))
+    return np.where(np.isfinite(cases), cases, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +343,7 @@ class KPDirect:
 
     def leading_radial(self, sx, sy):
         """Closed-form leading term at (|x|, |y|), 0 near the diagonal
-        |sx - sy| < 1; its error envelope is EnvelopeSpec("prop22_base")."""
+        |sx - sy| < 1; its error envelope is ``env_prop22_base``."""
         sx, sy = np.asarray(sx, dtype=float), np.asarray(sy, dtype=float)
         gx = self.pot.weight_G_radial(sx)
         gy = self.pot.weight_G_radial(sy)

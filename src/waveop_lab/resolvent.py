@@ -48,8 +48,9 @@ Sums, products and inverses act block by block, so ``@`` and
 ``np.linalg.inv`` work on the stacks as they would on the N x N
 matrices; the operator norm is the largest block norm, and the
 Frobenius norm squared is the sum over blocks weighted by their
-multiplicities.  Consumers that need every mode (``mode_apply``,
-``K3Evaluator.eval_pairs``) read mode m from block min(m, n_phi - m).
+multiplicities.  ``K3Evaluator.eval_pairs``, which needs every mode,
+reads mode m from block min(m, n_phi - m).  The projection-gain input
+f = 1 is constant in phi, so only mode 0 acts on it (``vr0_one``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 from .errors import InvalidInputError, RegularityError
 from .potential import Potential
 from .quadrature import BallGrid
-from .reports import SlopeFit, fit_loglog
+from .reports import fit_loglog
 from .specfun import Branch, eval_F, eval_F_diff
 
 # QTQ counts as invertible below this condition number
@@ -126,14 +127,6 @@ def full_mode_index(n_phi: int) -> np.ndarray:
     """Half-spectrum block index of every mode m = 0 ... n_phi - 1."""
     m = np.arange(n_phi)
     return np.minimum(m, n_phi - m)
-
-
-def mode_apply(stack: np.ndarray, f) -> np.ndarray:
-    """The block-circulant operator of ``stack`` applied to grid values f."""
-    nb = stack.shape[1]
-    fh = np.fft.fft(np.asarray(f).reshape(nb, -1), axis=1)
-    full = stack[full_mode_index(fh.shape[1])]
-    return np.fft.ifft(np.einsum("mbc,cm->bm", full, fh), axis=1).reshape(-1)
 
 
 def operator_norm(stack: np.ndarray) -> float:
@@ -310,17 +303,10 @@ def expansion_terms(pot: Potential) -> ExpansionTerms:
                           cond_QTQ=cond)
 
 
-@dataclass
-class ExpansionResidualReport:
-    norms: np.ndarray
-    fit: SlopeFit
-    solve_residuals: np.ndarray
-
-
-def expansion_residual(terms: ExpansionTerms, lambda_list,
-                       drops=((),)) -> list[ExpansionResidualReport]:
-    """||Gamma3(lambda)|| over a lambda list plus its log-log slope fit,
-    one report per drop set.
+def expansion_residual(terms: ExpansionTerms, lambda_list, drops=((),)) -> tuple:
+    """||Gamma3(lambda)|| over a lambda list and its log-log slope fits:
+    (norms, fits, solve_residuals), one norms row (over lambda) and one
+    fit per drop set, and ||M M^{-1} - I|| per lambda.
 
     A drop set may contain "a2" and/or "ptilde" for the ablation runs
     (the dropped expansion term then dominates the residual and the
@@ -337,11 +323,8 @@ def expansion_residual(terms: ExpansionTerms, lambda_list,
 
     from .parallel import pmap
     out = pmap(one, lams)
-    norms = np.array([o[0] for o in out])
-    solve_res = np.array([o[1] for o in out])
-    return [ExpansionResidualReport(norms=norms[:, k], fit=fit_loglog(lams, norms[:, k]),
-                                    solve_residuals=solve_res)
-            for k in range(len(drops))]
+    norms = np.array([o[0] for o in out]).T
+    return norms, [fit_loglog(lams, row) for row in norms], np.array([o[1] for o in out])
 
 
 def feshbach_consistency(terms: ExpansionTerms, lam: float) -> float:
@@ -375,43 +358,31 @@ def _weighted_norm(pot: Potential, f) -> float:
     return float(np.sqrt(np.sum(pot.grid.weights * np.abs(f) ** 2)))
 
 
-def vr0_apply(pot: Potential, lam: float, f) -> np.ndarray:
-    """v(x) * (R0+(lambda^4) f)(x) on the grid."""
-    K = mode_stack(pot.grid, lambda r: r0_kernel_r(Branch.plus, lam, r))
-    return pot.v * mode_apply(K * _per_block(pot, pot.grid.weights), f)
+def vr0_one(pot: Potential, lam: float) -> np.ndarray:
+    """v(x) * (R0+(lambda^4) 1)(x) on the grid.  1 is constant in phi, so
+    only mode 0 acts: per (r, theta) block, the kernel at the row azimuths
+    against the block weights, summed with the azimuths' multiplicities."""
+    grid = pot.grid
+    K = r0_kernel_r(Branch.plus, lam, grid.mode_distances) @ _per_block(pot, grid.weights)
+    return pot.v * np.repeat(K @ mode_multiplicity(grid.n_phi), grid.n_phi)
 
 
-@dataclass
-class ProjectionGainReport:
-    norm_plain: np.ndarray
-    norm_projected: np.ndarray
-    fit_plain: SlopeFit
-    fit_projected: SlopeFit
-    representation_errors: dict
-
-
-def projection_gain(pot: Potential, lambda_list, rep_pot: Potential,
-                    rep_lambdas) -> ProjectionGainReport:
-    """Decay of ||v R0 f|| versus ||Q v R0 f|| for f = 1 as lambda -> 0.
+def projection_gain(pot: Potential, lambda_list, rep_pot: Potential, rep_lambdas) -> tuple:
+    """Decay of ||v R0 f|| versus ||Q v R0 f|| for f = 1 as lambda -> 0:
+    (plain norms, projected norms, their two log-log fits, representation
+    errors by lambda).
 
     Also cross-validates Q v R0 f on ``rep_pot`` against its
     line-integral representation (first-order Taylor form along the
     segment) by explicit theta-quadrature at the given spot lambdas.
     """
     lams = np.asarray(lambda_list, dtype=float)
-    f = np.ones(pot.grid.size)
-    plain = np.empty(lams.size)
-    proj = np.empty(lams.size)
-    for k, lam in enumerate(lams):
-        g = vr0_apply(pot, lam, f)
-        plain[k] = _weighted_norm(pot, g)
-        proj[k] = _weighted_norm(pot, pot.apply_Q(g))
+    gs = [vr0_one(pot, lam) for lam in lams]
+    plain = np.array([_weighted_norm(pot, g) for g in gs])
+    proj = np.array([_weighted_norm(pot, pot.apply_Q(g)) for g in gs])
     rep_lams = [float(lam) for lam in rep_lambdas]
-    rep_errors = dict(zip(rep_lams, representation_check(rep_pot, rep_lams)))
-    return ProjectionGainReport(norm_plain=plain, norm_projected=proj,
-                                fit_plain=fit_loglog(lams, plain),
-                                fit_projected=fit_loglog(lams, proj),
-                                representation_errors=rep_errors)
+    return (plain, proj, fit_loglog(lams, plain), fit_loglog(lams, proj),
+            dict(zip(rep_lams, representation_check(rep_pot, rep_lams))))
 
 
 def _graded_theta_nodes():
@@ -434,10 +405,9 @@ def representation_check(pot: Potential, lams) -> list[float]:
     v R0+ f.
     """
     n_phi = pot.grid.n_phi
-    ones = np.ones(pot.grid.size)
     gaps = []
     for lam, rows in zip(lams, _axis_rows(pot, lams)):
-        direct = pot.apply_Q(vr0_apply(pot, lam, ones))
+        direct = pot.apply_Q(vr0_one(pot, lam))
         rep = pot.apply_Q(-pot.v * np.repeat(rows, n_phi) / (8.0 * np.pi))
         gaps.append(float(_weighted_norm(pot, direct - rep) / _weighted_norm(pot, direct)))
     return gaps

@@ -6,6 +6,10 @@ expansion algebra run on those matrices.  The package works on the
 distinct per-mode blocks instead, built by a cosine table over half the
 azimuths; ``full_mode_stack`` is the FFT over all of them that gives
 every mode.  The tests compare the routes on small grids.
+``mode_apply`` applies a block-circulant operator to any grid function
+by an FFT over the azimuth; the package's v R0 f takes only f = 1, on
+which mode 0 alone acts (``vr0_one``), and ``vr0_apply`` is the dense
+v R0 f it is tested against.
 ``representation_rows`` is the theta representation of the
 projection-gain check for one lambda, at every phi = 0 node and summed
 over every grid column; the package builds the geometry once for all
@@ -62,7 +66,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
-from waveop_lab.resolvent import _graded_theta_nodes, r0_diff_r, r0_kernel_r
+from waveop_lab.resolvent import _graded_theta_nodes, full_mode_index, r0_diff_r, r0_kernel_r
 from waveop_lab.singular import _cell_measures
 from waveop_lab.specfun import (Branch, _bump_cumulative, _bump_hat, _bump_norm,
                                _series_coeffs, eval_F, eval_F_diff)
@@ -92,6 +96,14 @@ def to_dense(stack: np.ndarray, n_phi: int) -> np.ndarray:
     a = np.fft.ifft(full, axis=0)               # a[d][b, c] = A[(b, d), (c, 0)]
     blocks = a[(m[:, None] - m[None, :]) % n_phi]  # [j, k, b, c]
     return blocks.transpose(2, 0, 3, 1).reshape(n_phi * nb, n_phi * nb)
+
+
+def mode_apply(stack: np.ndarray, f) -> np.ndarray:
+    """The block-circulant operator of ``stack`` applied to grid values f."""
+    nb = stack.shape[1]
+    fh = np.fft.fft(np.asarray(f).reshape(nb, -1), axis=1)
+    full = stack[full_mode_index(fh.shape[1])]
+    return np.fft.ifft(np.einsum("mbc,cm->bm", full, fh), axis=1).reshape(-1)
 
 
 def pair_distances(grid) -> np.ndarray:

@@ -71,15 +71,17 @@ def test_counterexample_operator_requires_compact():
 
 def test_counterexample_linf_run(small_pot):
     op = xp.CounterexampleOperator(small_pot)
-    run = xp.counterexample_linf(op, [10.0, 30.0])
-    assert np.all(np.diff(run.values) > 0)
+    radii, values, bounds, _, regime = xp.counterexample_linf(op, [10.0, 30.0])
+    assert np.all(np.diff(values) > 0)
+    assert radii == pytest.approx([10.0 + 2 * small_pot.radius + 1.5,
+                                   30.0 + 2 * small_pot.radius + 1.5])
     # degenerate bound at R ~ R0 stays trivially satisfied
-    tiny = xp.counterexample_linf(op, [1.0])
-    assert tiny.lower_bounds[0] == pytest.approx(0.0, abs=1e-12)
-    assert np.isfinite(tiny.values[0])
+    _, tiny_values, tiny_bounds, _, _ = xp.counterexample_linf(op, [1.0])
+    assert tiny_bounds[0] == pytest.approx(0.0, abs=1e-12)
+    assert np.isfinite(tiny_values[0])
     # at R = 30 the asymptotic bound already holds
-    assert run.asymptotic_regime[1]
-    assert run.values[1] >= run.lower_bounds[1]
+    assert regime[1]
+    assert values[1] >= bounds[1]
 
 
 def test_counterexample_mc_consistency(small_pot, rng):
@@ -92,12 +94,13 @@ def test_counterexample_mc_consistency(small_pot, rng):
 
 
 def test_counterexample_l1_growth(small_pot):
-    rep = xp.counterexample_l1(small_pot, R_max=1e3)
-    assert rep.fit.slope > 0
-    assert rep.fit.r_squared >= 0.98
-    assert np.all(np.diff(rep.masses) > 0)
+    R_values, masses, fit, (scaled_min, scaled_max) = xp.counterexample_l1(small_pot, R_max=1e3)
+    assert R_values[-1] == pytest.approx(1e3)
+    assert fit.slope > 0
+    assert fit.r_squared >= 0.98
+    assert np.all(np.diff(masses) > 0)
     # pointwise scaled integrand on the shell stays positive and tame
-    assert 0 < rep.shell_scaled_min <= rep.shell_scaled_max < 10.0
+    assert 0 < scaled_min <= scaled_max < 10.0
 
 
 def test_sampler_covers_three_regimes(rng):
@@ -108,16 +111,19 @@ def test_sampler_covers_three_regimes(rng):
     assert ((ratios >= 0.5) & (ratios <= 2.0)).any()
 
 
+def _strict_report(out_dir):
+    def no_constants(token):
+        raise AssertionError(f"report.json is not strict JSON: {token}")
+
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=no_constants)
+
+
 def test_run_suite_writes_reports(tmp_path):
     cfg = default_config()
     cfg.out_dir = str(tmp_path)
     results = xp.run_suite(cfg, names=["identities", "hormander"])
     assert all(r.passed for r in results)
-
-    def no_constants(token):
-        raise AssertionError(f"report.json is not strict JSON: {token}")
-
-    data = json.loads((tmp_path / "report.json").read_text(), parse_constant=no_constants)
+    data = _strict_report(tmp_path)
     assert data["all_pass"] is True
     assert data["checks"]["identities"]["criterion"] == 1
     gates = data["checks"]["identities"]["gates"]
@@ -127,6 +133,29 @@ def test_run_suite_writes_reports(tmp_path):
     with pytest.raises(InvalidInputError):
         xp.run_suite(cfg, names=["bogus"])
     assert os.path.exists(tmp_path / "report.json")
+
+
+def test_non_finite_numbers_are_written_as_null(tmp_path, monkeypatch):
+    """A check that measures NaN fails, its failure lines keep the numbers,
+    and report.json writes them as null: the file stays strict JSON."""
+    nan = float("nan")
+
+    def nan_check(ctx):
+        gates = [xp.Gate("value", nan, "<=", 1.0), xp.Gate("top", np.inf, "finite")]
+        measured = {"value": nan, "values": np.array([nan, -np.inf])}
+        return "finite values", measured, gates, None, None
+
+    monkeypatch.setitem(xp.CHECKS, "identities", nan_check)
+    cfg = default_config()
+    cfg.out_dir = str(tmp_path)
+    (res,) = xp.run_suite(cfg, names=["identities"])
+    assert res.status == "FAIL"
+    assert res.failures == ["value = nan, not <= 1", "top = inf, not finite"]
+    check = _strict_report(tmp_path)["checks"]["identities"]
+    assert check["status"] == "FAIL" and check["failures"] == res.failures
+    assert check["measured"] == {"value": None, "values": [None, None]}
+    assert check["gates"]["value"] == {"value": None, "op": "<=", "bound": 1.0, "margin": None}
+    assert check["gates"]["top"]["value"] is None
 
 
 def test_expected_follows_tolerances():

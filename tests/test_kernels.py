@@ -1,3 +1,6 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -83,19 +86,71 @@ def test_cancellation_identity():
     assert kn.cancellation_identity_lhs(sz, sw) == pytest.approx(rhs, rel=1e-13)
 
 
+def _bracket_product(s, t, u):
+    """<s> <t> <u>^2 from hypot and 1 + u^2, not from the package's sqrt."""
+    return math.hypot(1, s) * math.hypot(1, t) * (1.0 + u * u)
+
+
+def _prop22_min_closed_form(s, t, sign):
+    u = s + sign * t
+    return min(1.0 / _bracket_product(s, t, u), 1.0 / (1.0 + u * u) ** 2)
+
+
+def _ktp_closed_form(s, t):
+    return min([1.0] + [1.0 / r for r in (s, t, s * t) if r > 0])
+
+
+def _psi2_closed_form(s, t):
+    cases = []
+    if abs(s - t) >= 1.0 and s > 0 and t > 0:
+        cases.append(1.0 / (s * t * (1.0 + (s - t) ** 2)))
+    if t <= 0.5:
+        cases.append(1.0 / (1.0 + s * s))
+    if s <= 0.5:
+        cases.append(1.0 / (1.0 + t * t))
+    return min(cases, default=1.0)
+
+
+# envelope and its closed form, both as functions of the radii (s, t)
+ENVELOPES = {
+    "prop22_base": (kn.env_prop22_base, lambda s, t: 1.0 / _bracket_product(s, t, s - t)),
+    "prop22_min+": (partial(kn.env_prop22_min, sign=1), partial(_prop22_min_closed_form, sign=1)),
+    "prop22_min-": (partial(kn.env_prop22_min, sign=-1),
+                    partial(_prop22_min_closed_form, sign=-1)),
+    "k3": (kn.env_k3, lambda s, t: 1.0 / (_bracket_product(s, t, s - t)
+                                          * (1.0 + (s - t) ** 2) ** 0.25)),
+    "ktp": (kn.env_ktp, _ktp_closed_form),
+    "psi2": (kn.env_psi2, _psi2_closed_form),
+}
+
+
+@pytest.mark.parametrize("name", list(ENVELOPES))
+def test_envelopes_match_closed_forms(name):
+    """Each envelope against its closed form, point by point, on radii
+    with s = 0, s or t <= 1/2 (0.5 itself included), |s - t| = 1
+    exactly (0 and 1, 0.5 and 1.5, 40 and 41) and far-apart pairs."""
+    radii = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.5, 40.0, 41.0, 900.0]
+    s, t = (a.ravel() for a in np.meshgrid(radii, radii, indexing="ij"))
+    env, closed = ENVELOPES[name]
+    got = env(s, t)
+    want = np.array([closed(a, b) for a, b in zip(s, t)])
+    assert got.shape == s.shape
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    # a scalar pair gives the same value as in the batch
+    assert env(40.0, 41.0) == got[(s == 40.0) & (t == 41.0)][0]
+
+
 def test_ktilde_bound(cutoff):
-    env = kn.EnvelopeSpec("ktp_envelope")
     for sz, sw in ((0.0, 0.0), (5.0, 0.2), (0.2, 5.0), (30.0, 40.0), (200.0, 10.0)):
         v = abs(kn.ktilde_radial(sz, sw, cutoff))
-        assert v <= 0.5 * env.radial(sz, sw)
+        assert v <= 0.5 * kn.env_ktp(sz, sw)
 
 
 def test_psi2_cases(cutoff):
-    env = kn.EnvelopeSpec("psi2_envelope")
     # far field with |w| <= 1/2: decay at least like <z>^-2
     for sz in (10.0, 100.0, 1000.0):
         v = abs(kn.psi2_radial(sz, 0.3, cutoff))
-        assert v <= 10.0 * env.radial(sz, 0.3)
+        assert v <= 10.0 * kn.env_psi2(sz, 0.3)
     # vanishes off the gate
     assert kn.psi2_radial(3.0, 2.5, cutoff) == 0.0
     # Psi equals KtildeP inside the band and Psi2 on the gate
@@ -152,7 +207,7 @@ def test_kp_leading(small_pot, cutoff):
     kp = kn.KPDirect(small_pot, cutoff)
     assert kp.leading_radial(5.0, 4.5) == 0.0      # truncated near the diagonal
     lead = kp.leading_radial(50.0, 10.0)
-    env = kn.EnvelopeSpec("prop22_base").radial(50.0, 10.0)
+    env = kn.env_prop22_base(50.0, 10.0)
     gx = small_pot.weight_G_radial(50.0)
     gy = small_pot.weight_G_radial(10.0)
     expect = -(1 + 1j) / (4 * np.pi) * gx * (50.0 / (50.0 ** 4 - 10.0 ** 4)) * gy
@@ -169,7 +224,7 @@ def test_kp_leading_agreement_sweep(small_pot, cutoff, rng):
         sy = np.exp(rng.uniform(np.log(0.5), np.log(300.0)))
         d = kp.direct_radial(sx, sy)
         lead = kp.leading_radial(sx, sy)
-        ratios.append(abs(d - lead) / kn.EnvelopeSpec("prop22_base").radial(sx, sy))
+        ratios.append(abs(d - lead) / kn.env_prop22_base(sx, sy))
     assert np.isfinite(max(ratios))
     assert max(ratios) < 50.0
 
@@ -193,7 +248,6 @@ def test_k3_zero_gamma_gives_zero(strong_terms, cutoff):
 
 def test_k3_envelope_and_slope(strong_terms, cutoff, rng):
     k3 = kn.K3Evaluator(strong_terms, cutoff, n_lambda=24)
-    env = kn.EnvelopeSpec("k3_envelope")
     pairs = []
     for _ in range(8):
         sx = np.exp(rng.uniform(np.log(0.5), np.log(100.0)))
@@ -202,7 +256,7 @@ def test_k3_envelope_and_slope(strong_terms, cutoff, rng):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         pairs.append(np.stack([sx * u[0], sy * u[1]]))
     vals, profs = k3.eval_pairs(np.array(pairs))
-    ratios = [abs(v) / float(env(p[0], p[1])) for v, p in zip(vals, np.array(pairs))]
+    ratios = [abs(v) / float(kn.env_k3(*np.linalg.norm(p, axis=-1))) for v, p in zip(vals, pairs)]
     assert np.all(np.isfinite(ratios))
     # spot integrand slope at small radii
     spots = np.array([[[1.2, 0, 0], [0, 0.9, 0]], [[0, 2.0, 0], [1.5, 0, 0]]])
@@ -216,7 +270,7 @@ def test_bound_ratio_sweep_zero_field():
     def zero(s, t, refine):
         return np.zeros_like(s)
 
-    env = kn.EnvelopeSpec("prop22_base")
+    env = kn.env_prop22_base
     measured, _, _, _ = xp._sweep("zero", zero, env, [(np.ones(3), np.zeros(3))], 0.05)
     assert measured["sup"] == 0.0
     assert measured["stability"] == 0.0

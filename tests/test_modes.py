@@ -110,12 +110,15 @@ def test_gamma3_matches_dense(both, lam):
     assert _rel(terms.gamma3_tilde(lam), dense.gamma3_tilde(ref, lam)) <= TOL
 
 
-def test_vr0_apply_matches_dense(both):
-    pot = both[0].pot
-    x = pot.grid.nodes
-    f = np.cos(x[:, 0]) + x[:, 1] * np.exp(-x[:, 2])     # not axisymmetric
+@pytest.mark.parametrize("grid_shape", [(12, 8, 16), (8, 6, 10), (6, 4, 7)],
+                         ids=["12x8x16", "8x6x10", "6x4x7"])
+def test_vr0_apply_matches_dense(grid_shape):
+    """The mode-0 route of vr0_one against the dense v R0 1 on the
+    default grid, the default representation grid and an odd n_phi."""
+    pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=grid_shape)
+    ones = np.ones(pot.grid.size)
     for lam in (1e-3, 0.05):
-        assert _rel(rs.vr0_apply(pot, lam, f), dense.vr0_apply(pot, lam, f)) <= TOL
+        assert _rel(rs.vr0_one(pot, lam), dense.vr0_apply(pot, lam, ones)) <= TOL
 
 
 def test_feshbach_matches_dense(both):
@@ -160,6 +163,6 @@ def test_refined_grid_gamma3_slope():
     """(16, 12, 24) has 4608 nodes: 340 MB per dense complex matrix,
     24 blocks of 192 here."""
     pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=(16, 12, 24))
-    (rep,) = rs.expansion_residual(rs.expansion_terms(pot), np.geomspace(1e-3, 1e-1, 8))
-    assert abs(rep.fit.slope - 3.0) <= 0.3
-    assert rep.fit.r_squared >= 0.98
+    _, (fit,), _ = rs.expansion_residual(rs.expansion_terms(pot), np.geomspace(1e-3, 1e-1, 8))
+    assert abs(fit.slope - 3.0) <= 0.3
+    assert fit.r_squared >= 0.98

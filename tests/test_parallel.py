@@ -9,9 +9,9 @@ from waveop_lab.potential import PotentialSpec, build_potential
 
 
 def _run(terms, cutoff, pairs):
-    rep = rs.expansion_residual(terms, np.geomspace(1e-3, 1e-1, 6))[0]
+    norms, _, solve_residuals = rs.expansion_residual(terms, np.geomspace(1e-3, 1e-1, 6))
     vals, profs = kn.K3Evaluator(terms, cutoff, n_lambda=6).eval_pairs(pairs)
-    return rep.norms, rep.solve_residuals, vals, profs
+    return norms, solve_residuals, vals, profs
 
 
 def test_results_identical_for_any_thread_count(cutoff):

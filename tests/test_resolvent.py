@@ -120,17 +120,18 @@ def test_expansion_structure(strong_terms):
 
 
 def test_expansion_residual_slopes(strong_terms):
-    rep, rep2, rep3 = rs.expansion_residual(strong_terms, LAMS,
-                                            drops=((), ("a2",), ("ptilde",)))
-    assert abs(rep.fit.slope - 3.0) <= 0.3
-    assert rep.fit.r_squared >= 0.98
-    assert np.all(rep.solve_residuals < 1e-9)
-    assert abs(rep2.fit.slope - 2.0) <= 0.3
-    assert abs(rep3.fit.slope - 1.0) <= 0.3
-    # one report per drop set, in order (the slopes above tell them
-    # apart), from the same inverses
-    assert rep2.solve_residuals is rep.solve_residuals
-    assert rep3.solve_residuals is rep.solve_residuals
+    norms, (fit, fit2, fit3), solve_residuals = rs.expansion_residual(
+        strong_terms, LAMS, drops=((), ("a2",), ("ptilde",)))
+    assert abs(fit.slope - 3.0) <= 0.3
+    assert fit.r_squared >= 0.98
+    assert np.all(solve_residuals < 1e-9)
+    assert solve_residuals.shape == LAMS.shape
+    # one norms row and one fit per drop set, in order (the slopes above
+    # tell them apart)
+    assert norms.shape == (3, LAMS.size)
+    assert abs(fit2.slope - 2.0) <= 0.3
+    assert abs(fit3.slope - 1.0) <= 0.3
+    assert fit3.slope == fit_loglog(LAMS, norms[2]).slope
 
 
 def test_feshbach_consistency(strong_terms):
@@ -154,7 +155,7 @@ def test_gamma0_grid_refinement_stability():
                                                    + cf[2] * x[:, 1] + cf[3] * x[:, 2] ** 2)
             g = np.exp(-0.5 * np.sum(x ** 2, axis=1)) * (cg[0] + cg[1] * x[:, 2]
                                                          + cg[2] * x[:, 0] + cg[3] * x[:, 1])
-            u = rs.mode_apply(terms.D0, s * f) / s      # value-frame action of D0
+            u = dense.mode_apply(terms.D0, s * f) / s   # value-frame action of D0
             out.append(np.sum(w * u * g))
         return np.array(out)
 
@@ -164,10 +165,12 @@ def test_gamma0_grid_refinement_stability():
 
 
 def test_projection_gain_slopes(strong_pot):
-    rep = rs.projection_gain(strong_pot, LAMS, strong_pot, (0.05,))
-    assert abs(rep.fit_plain.slope + 1.0) <= 0.1
-    assert abs(rep.fit_projected.slope) <= 0.15
-    assert rep.representation_errors[0.05] <= 1e-6
+    plain, proj, fit_plain, fit_proj, rep_errors = rs.projection_gain(
+        strong_pot, LAMS, strong_pot, (0.05,))
+    assert plain.shape == proj.shape == LAMS.shape
+    assert abs(fit_plain.slope + 1.0) <= 0.1
+    assert abs(fit_proj.slope) <= 0.15
+    assert list(rep_errors) == [0.05] and rep_errors[0.05] <= 1e-6
 
 
 def test_representation_axisymmetric_rows(strong_pot):
@@ -177,7 +180,7 @@ def test_representation_axisymmetric_rows(strong_pot):
     phi0 = rs._axis_rows(pot, [lam])[0]
     phi3 = rs._representation_rows(pot, [lam], np.arange(3, n, n_phi))[0]
     assert np.max(np.abs(phi3 - phi0)) <= 1e-12 * np.max(np.abs(phi0))
-    direct = pot.apply_Q(rs.vr0_apply(pot, lam, np.ones(n)))
+    direct = pot.apply_Q(rs.vr0_one(pot, lam))
     rep = pot.apply_Q(-pot.v * np.repeat(phi0, n_phi) / (8.0 * np.pi))
     gap = rs._weighted_norm(pot, direct - rep) / rs._weighted_norm(pot, direct)
     assert rs.representation_check(pot, [lam])[0] == pytest.approx(gap, rel=1e-12)
