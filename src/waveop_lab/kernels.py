@@ -18,7 +18,10 @@ special functions F, A, B against free-resolvent factors:
 
 The adaptive kernels (``g_radial``, ``ktilde_radial``, ``psi2_radial``,
 ``KPDirect.direct_radial``) take broadcastable arrays of radii and run
-every pair, under its own rule, in one batched Gauss-Kronrod call.
+every pair, under its own rule, in one batched Gauss-Kronrod call,
+``_lambda_sweep``.  It holds their refine policy: each level asks a 100x
+tighter relative tolerance than 1e-9 (1e-8 for K_P), and level r seeds
+(1 + r) times the panels of the phase bound, twice as many at level 1.
 
 The ``env_*`` functions are the pointwise bound families, functions of
 the radii (|x|, |y|); the checks' ratio sweeps (``experiments._sweep``)
@@ -91,22 +94,20 @@ def env_psi2(s, t):
 # G_{alpha beta}
 # ----------------------------------------------------------------------
 
-def _g_tols(refine):
-    return (1e-9 / 100.0 ** refine, 1e-19)
-
-
-def _radii(sx, sy):
-    """Flat float copies of the broadcast radii, and their common shape."""
+def _lambda_sweep(integrand, sx, sy, cutoff: Cutoff, refine: int, rel_tol: float = 1e-9,
+                  reach: float = 0.0, lo: float = 0.0):
+    """``integrand(sx, sy)(k, lambda)`` over [lo, lambda0], split at
+    lambda0/2, for each pair k of the broadcast radii (flattened; the
+    values take their shape), at relative tolerance rel_tol/100^refine on
+    panels seeded by the phase bound (sx + sy + reach)(1 + refine)."""
     sx, sy = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sy, dtype=float))
-    return sx.ravel(), sy.ravel(), sx.shape
-
-
-def _lambda_integrals(f, cutoff, rel_tol, abs_tol, freq):
-    """Problem k of ``f(k, lambda)`` over [0, lambda0], split at lambda0/2
-    where the cutoff starts to fall, for every phase hint freq[k]."""
-    lam0, n = cutoff.lambda0, freq.size
-    return integrate_batch(f, np.zeros(n), np.full(n, lam0), rel_tol=rel_tol, abs_tol=abs_tol,
-                           freq=freq, breakpoints=np.full((n, 1), lam0 / 2.0))[0]
+    shape, sx, sy = sx.shape, sx.ravel(), sy.ravel()
+    lam0, n = cutoff.lambda0, sx.size
+    vals, _ = integrate_batch(integrand(sx, sy), np.full(n, lo), np.full(n, lam0),
+                              rel_tol=rel_tol / 100.0 ** refine, abs_tol=1e-19,
+                              freq=(sx + sy + reach) * (1 + refine),
+                              breakpoints=np.full((n, 1), lam0 / 2.0))
+    return vals.reshape(shape)[()]
 
 
 def g_radial(alpha: int, beta: int, branch: Branch, sx, sy, cutoff: Cutoff,
@@ -116,16 +117,13 @@ def g_radial(alpha: int, beta: int, branch: Branch, sx, sy, cutoff: Cutoff,
     if alpha not in (0, 1) or beta not in (0, 1):
         raise InvalidInputError("alpha and beta must be 0 or 1")
     power = 5 - alpha - beta
-    rel, floor = _g_tols(refine)
-    sx, sy, shape = _radii(sx, sy)
 
-    def integrand(k, lam):
-        return (lam ** power * cutoff(lam)
-                * eval_F(Branch.plus, lam * sx[k], alpha)
-                * eval_F(branch, lam * sy[k], beta))
+    def integrand(sx, sy):
+        return lambda k, lam: (lam ** power * cutoff(lam)
+                               * eval_F(Branch.plus, lam * sx[k], alpha)
+                               * eval_F(branch, lam * sy[k], beta))
 
-    return _lambda_integrals(integrand, cutoff, rel, floor,
-                             (sx + sy) * (1 + refine)).reshape(shape)[()]
+    return _lambda_sweep(integrand, sx, sy, cutoff, refine)
 
 
 # ----------------------------------------------------------------------
@@ -134,15 +132,11 @@ def g_radial(alpha: int, beta: int, branch: Branch, sx, sy, cutoff: Cutoff,
 
 def ktilde_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     """Core kernel: integral of chi(lambda) lambda^2 F(lambda sz) (F+ - F-)(lambda sw)."""
-    rel, floor = _g_tols(refine)
-    sz, sw, shape = _radii(sz, sw)
+    def integrand(sz, sw):
+        return lambda k, lam: (cutoff(lam) * lam ** 2
+                               * eval_F(Branch.plus, lam * sz[k]) * eval_F_diff(lam * sw[k]))
 
-    def integrand(k, lam):
-        return (cutoff(lam) * lam ** 2
-                * eval_F(Branch.plus, lam * sz[k]) * eval_F_diff(lam * sw[k]))
-
-    return _lambda_integrals(integrand, cutoff, rel, floor,
-                             (sz + sw) * (1 + refine)).reshape(shape)[()]
+    return _lambda_sweep(integrand, sz, sw, cutoff, refine)
 
 
 def cancellation_identity_lhs(sz, sw):
@@ -166,11 +160,9 @@ def psi2_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     C = (e^{iLz} - e^{-Lz})/(z^2+w^2) - 2z^2 e^{iLz}/(z^4-w^4) (by expm1).
     Only the pairs on the gate are integrated.
     """
-    sz, sw, shape = _radii(sz, sw)
-    out = np.zeros(sz.size, dtype=complex)
+    sz, sw = np.broadcast_arrays(np.asarray(sz, dtype=float), np.asarray(sw, dtype=float))
+    out = np.zeros(sz.shape, dtype=complex)
     gate = np.abs(sz - sw) >= 1.0
-    rel, floor = _g_tols(refine)
-    lo, hi = cutoff.transition_band
     z, w = np.maximum(sz[gate], 1e-12), np.maximum(sw[gate], 1e-12)
     zz, dm = z * z + w * w, (z - w) * (z + w)
 
@@ -183,10 +175,10 @@ def psi2_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
         b = -2.0 * z[k] * np.sin(lam * w[k]) * a + 2j * w[k] * np.cos(lam * w[k]) * c
         return cutoff(lam, 1) * b
 
-    vals, _ = integrate_batch(integrand, np.full(z.size, lo), np.full(z.size, hi),
-                              rel_tol=rel, abs_tol=floor, freq=(sz + sw)[gate] * (1 + refine))
-    out[gate] = vals / (z * w)
-    return out.reshape(shape)[()]
+    # chi' vanishes below the band; the phase bound reads the unclamped radii
+    out[gate] = _lambda_sweep(lambda *_: integrand, sz[gate], sw[gate], cutoff, refine,
+                              lo=cutoff.t0) / (z * w)
+    return out[()]
 
 
 def _psi_panels(a: float, b: float, freq: float):
@@ -335,11 +327,8 @@ class KPDirect:
 
     def direct_radial(self, sx, sy, refine: int = 0):
         """K_P at radii (|x|, |y|) by adaptive lambda-quadrature."""
-        sx, sy, shape = _radii(sx, sy)
-        vals = _lambda_integrals(self._integrand(sx, sy), self.cutoff,
-                                 1e-8 / 100.0 ** refine, 1e-19,
-                                 (sx + sy + 2 * self.pot.radius) * (1 + refine))
-        return (self.prefactor * vals).reshape(shape)[()]
+        return self.prefactor * _lambda_sweep(self._integrand, sx, sy, self.cutoff, refine,
+                                              rel_tol=1e-8, reach=2 * self.pot.radius)
 
     def leading_radial(self, sx, sy):
         """Closed-form leading term at (|x|, |y|), 0 near the diagonal

@@ -89,13 +89,6 @@ class RadialProfile:
     support: tuple
     label: str = ""
 
-    def mass_omega(self) -> float:
-        """Integral of |g| r^2 dr over the support (omega-measure mass)."""
-        lo, hi = self.support
-        val, _ = integrate_adaptive(lambda r: np.abs(self.fn(r)) * r ** 2,
-                                    lo, hi, rel_tol=1e-11)
-        return float(val.real)
-
 
 def smooth_bump_profile(center: float, width: float) -> RadialProfile:
     """C-infinity bump at the given center/width, of unit omega-mass."""
@@ -106,9 +99,9 @@ def smooth_bump_profile(center: float, width: float) -> RadialProfile:
         tt = np.where(inside, t, 0.0)
         return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - tt ** 2)), 0.0)
 
-    support = (max(center - width, 0.0), center + width)
-    m = RadialProfile(raw, support).mass_omega()
-    return RadialProfile(lambda r: raw(r) / m, support, label=f"bump(c={center},h={width})/mass")
+    lo, hi = max(center - width, 0.0), center + width
+    m = float(integrate_adaptive(lambda r: raw(r) * r ** 2, lo, hi, rel_tol=1e-11)[0].real)
+    return RadialProfile(lambda r: raw(r) / m, (lo, hi), label=f"bump(c={center},h={width})/mass")
 
 
 # ----------------------------------------------------------------------

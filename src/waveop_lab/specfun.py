@@ -33,7 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedOrderError
-from .quadrature import _leggauss, integrate_adaptive, panel_rule
+from .quadrature import _leggauss, panel_rule
+# unused here, but perfbench/tracer.py rebinds it in every module that held it
+from .quadrature import integrate_adaptive  # noqa: F401
 
 _SERIES_CROSSOVER = 0.5
 _N_SERIES = 36
@@ -250,17 +252,11 @@ def _bump_hat(t: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(-1.0 / (ts * (1.0 - ts))), 0.0)
 
 
-@lru_cache(maxsize=1)
-def _bump_norm() -> float:
-    val, _ = integrate_adaptive(_bump_hat, 0.0, 1.0, rel_tol=1e-14)
-    return float(val.real)
-
-
 @lru_cache(maxsize=4)
 def _bump_cumulative():
     """Panelized cumulative integral of the bump on [0, 1], at the panel
     edges: 256 panels of width 2^-8, so the half-width folds into the
-    weights without rounding."""
+    weights without rounding.  Its last entry is the cutoff's normaliser."""
     edges = np.linspace(0.0, 1.0, 257)
     nodes, weights = panel_rule(edges, _BUMP_GL)
     panel = (_bump_hat(nodes) * weights).sum(axis=1)
@@ -275,7 +271,8 @@ class Cutoff:
     minus the normalized partial integral of the bump exp(-1/(t(1-t)))
     up to t = (lambda - t0)/h: the tabulated integral up to the panel
     edge below t plus a 16-point Gauss-Legendre rule from that edge to
-    t, taken only inside the band.
+    t, taken only inside the band.  The normaliser is the table's own
+    total, so chi reaches 0 at the band's end with no rounding jump.
     """
 
     def __init__(self, lambda0: float):
@@ -309,8 +306,8 @@ class Cutoff:
             half = 0.5 * (ti - lo)
             nodes = (lo + half)[:, None] + half[:, None] * x16
             part = (_bump_hat(nodes) * w16).sum(axis=-1) * half
-            step[inside] = (cum[k] + part) / _bump_norm()
+            step[inside] = (cum[k] + part) / cum[-1]
             out = 1.0 - step
         else:
-            out = -(_bump_hat(t) / (_bump_norm() * self._h))
+            out = -(_bump_hat(t) / (_bump_cumulative()[1][-1] * self._h))
         return out.reshape(lam_arr.shape) if lam_arr.ndim else float(out[0])

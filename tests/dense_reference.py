@@ -19,7 +19,9 @@ mu >= 0 rows.
 Batched adaptive quadrature: ``apply_W``, ``phi_radial``, ``tg_abs`` and
 ``level_set_masses`` are the per-point routes, one scalar adaptive call
 per s, per (a0, d) and per cell piece, and one level-set pass per
-threshold; the package runs each as one batched call.
+threshold; the package runs each as one batched call.  ``mc_estimate``
+is the Monte Carlo route of ``tg_abs`` with |u1| and |u2| taken as the
+norms of the drawn points; the package reuses the radii it drew.
 
 Per-pair lambda integrals: ``g_radial``, ``ktilde_radial``,
 ``psi2_radial`` and ``kp_direct_radial`` make one scalar adaptive call
@@ -65,10 +67,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from waveop_lab.experiments import _unit_vectors
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
 from waveop_lab.resolvent import _graded_theta_nodes, full_mode_index, r0_diff_r, r0_kernel_r
 from waveop_lab.singular import _cell_measures
-from waveop_lab.specfun import (Branch, _bump_cumulative, _bump_hat, _bump_norm,
+from waveop_lab.specfun import (Branch, _bump_cumulative, _bump_hat,
                                _series_coeffs, eval_F, eval_F_diff)
 
 
@@ -428,6 +431,38 @@ def tg_abs(op, s: float, R: float, rel_tol: float = 1e-8) -> float:
     return float((op.w1 * phi).sum()) / (2.0 * np.sqrt(2.0) * np.pi * op.pot.normV_L1 ** 2)
 
 
+def mc_estimate(op, s: float, R: float, n_samples: int, rng) -> tuple:
+    """CounterexampleOperator.mc_estimate with the same draws in the same
+    order, taking the norms of the drawn points u1 and u2."""
+    R0 = op.pot.radius
+    x = np.array([s, 0.0, 0.0])
+
+    def ball(n, radius):
+        v = _unit_vectors(rng, n)
+        u = rng.random(n) ** (1.0 / 3.0)
+        return radius * u[:, None] * v
+
+    total = total2 = 0.0
+    seen = 0
+    while seen < n_samples:
+        m = min(50000, n_samples - seen)
+        u1, u2, y = ball(m, R0), ball(m, R0), ball(m, R)
+        a0 = np.linalg.norm(x - u1, axis=1)
+        rho = np.linalg.norm(y - u2, axis=1)
+        gate = np.abs(a0 - rho) >= 1.0
+        w = (op.pot.abs_profile(np.linalg.norm(u1, axis=1))
+             * op.pot.abs_profile(np.linalg.norm(u2, axis=1)))
+        vals = np.where(gate, w * a0 / ((a0 - rho) * (a0 + rho) * (a0 ** 2 + rho ** 2)), 0.0)
+        total += vals.sum()
+        total2 += (vals ** 2).sum()
+        seen += m
+    vol = (4.0 * np.pi / 3.0) ** 3 * R0 ** 6 * R ** 3
+    mean = total / seen
+    var = total2 / seen - mean ** 2
+    pref = vol / (2.0 * np.sqrt(2.0) * np.pi * op.pot.normV_L1 ** 2)
+    return pref * mean, pref * np.sqrt(max(var, 0.0) / seen)
+
+
 def level_set_masses(op_abs, thresholds, s_min: float, s_max: float,
                      n_cells: int = 4096, measure: str = "omega") -> np.ndarray:
     """singular.level_set_masses one threshold, and one switching cell, at a time."""
@@ -618,8 +653,9 @@ def phi_lower_bound_chain(a0: float, R: float, R0: float) -> float:
 def smooth_step_everywhere(t0: float, h: float, x) -> np.ndarray:
     """The smooth step on the band [t0, t0 + h] (1 minus Cutoff at order
     0, for t0 = h = lambda0/2) with the partial bump integral taken at
-    every abscissa, clipped to [0, 1], and then overwritten by 0 below
-    the band and 1 above it."""
+    every abscissa, clipped to [0, 1], normalised by the table's total
+    as the package normalises it, and then overwritten by 0 below the
+    band and 1 above it."""
     t = np.atleast_1d((np.asarray(x, dtype=float) - t0) / h)
     edges, cum = _bump_cumulative()
     x16, w16 = _leggauss(16)
@@ -628,7 +664,7 @@ def smooth_step_everywhere(t0: float, h: float, x) -> np.ndarray:
     lo = edges[k]
     half = 0.5 * (tc - lo)
     nodes = (lo + half)[..., None] + half[..., None] * x16
-    out = (cum[k] + (_bump_hat(nodes) * w16).sum(axis=-1) * half) / _bump_norm()
+    out = (cum[k] + (_bump_hat(nodes) * w16).sum(axis=-1) * half) / cum[-1]
     return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))
 
 

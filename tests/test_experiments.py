@@ -93,6 +93,17 @@ def test_counterexample_mc_consistency(small_pot, rng):
     assert abs(quad - mc) <= 3.0 * se
 
 
+def test_mc_estimate_matches_norm_route(small_pot):
+    # the drawn radii stand in for the norms of the drawn points; at these
+    # spots the estimates and standard errors keep every bit
+    op = xp.CounterexampleOperator(small_pot)
+    for R in (10.0, 100.0):
+        s = R + 2 * small_pot.radius + 1.5
+        got = op.mc_estimate(s, R, 60000, np.random.default_rng(11))
+        want = dense.mc_estimate(op, s, R, 60000, np.random.default_rng(11))
+        assert got == want
+
+
 def test_counterexample_l1_growth(small_pot):
     R_values, masses, fit, (scaled_min, scaled_max) = xp.counterexample_l1(small_pot, R_max=1e3)
     assert R_values[-1] == pytest.approx(1e3)

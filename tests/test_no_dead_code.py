@@ -200,3 +200,16 @@ def test_every_stored_field_is_read():
     assert not extra, f"stored but never read in src/: {extra}"
     stale = sorted(kept - unread)
     assert not stale, f"kept fields that src/ now reads: {stale}"
+
+
+def test_tracer_only_imports_of_integrate_adaptive():
+    # perfbench/tracer.py rebinds integrate_adaptive in these modules, which
+    # import it without calling it; the imports go together, when the
+    # tracer stops rebinding them
+    trees = _trees()
+    importers = {mod for mod, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and any(a.name == "integrate_adaptive" for a in node.names)}
+    callers = {mod for mod, tree in trees.items()
+               for name, _, _ in _calls(tree) if name == "integrate_adaptive"}
+    assert sorted(importers - callers) == ["experiments.py", "kernels.py", "specfun.py"]

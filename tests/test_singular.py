@@ -3,6 +3,7 @@ import pytest
 
 import dense_reference as dense
 from waveop_lab import singular as sg
+from waveop_lab.config import default_config
 from waveop_lab.errors import InvalidInputError, SingularityError
 from waveop_lab.quadrature import ball_grid, cap_area, integrate_adaptive
 from waveop_lab.reports import fit_loglog
@@ -122,12 +123,22 @@ def test_decomposition_exact_at_random_points(rng):
 
 def test_apply_w_indicator_far_field():
     ind = sg.RadialProfile(lambda r: np.ones_like(r), (1.0, 2.0), "ind")
-    assert ind.mass_omega() == pytest.approx(7.0 / 3.0, rel=1e-12)
     svals = np.array([10.0, 30.0, 100.0, 300.0])
     w = np.abs(sg.apply_W(ind, svals))
     fit = fit_loglog(svals, w)
     assert abs(fit.slope + 3.0) < 0.06
     assert w[-1] * 4 * svals[-1] ** 3 == pytest.approx(7.0 / 3.0, rel=0.01)
+
+
+def test_default_weak11_bumps_have_unit_mass():
+    # check_weak11 reads each bump's quasi-norm as its ratio to the mass
+    cfg = default_config().weak11
+    for c in cfg["centers"]:
+        for h in cfg["widths"]:
+            prof = sg.smooth_bump_profile(c, h)
+            mass, _ = integrate_adaptive(lambda r: np.abs(prof.fn(r)) * r ** 2, *prof.support,
+                                         rel_tol=1e-13)
+            assert mass.real == pytest.approx(1.0, abs=1e-12), prof.label
 
 
 @pytest.mark.parametrize("center,width", [(2.0, 1.0), (5.0, 0.25), (10.0, 0.0625)])

@@ -201,6 +201,15 @@ def test_cutoff_plateaus_match_full_evaluation():
     assert np.array_equal(chi(lam), 1.0 - dense.smooth_step_everywhere(chi.t0, chi._h, lam))
 
 
+def test_cutoff_is_continuous_at_lambda0():
+    # normalised by its own table's total, chi has no rounding jump where
+    # the band ends
+    chi = Cutoff(0.1)
+    assert chi(np.nextafter(0.1, 0.0)) == 0.0
+    assert chi(0.1 * (1.0 - 1e-12)) == 0.0
+    assert chi(0.1) == 0.0
+
+
 def test_bump_table_has_the_bits_of_the_unfolded_sum():
     # the panel half-width 2^-9 is folded into the weights; a power of two
     # scales without rounding, so the table keeps the sum-then-scale bits
