@@ -1,17 +1,21 @@
 """Scalar special functions of the fourth-order free resolvent.
 
-The building blocks are
+The module evaluates F, A and B up to their third derivatives, and a
+C-infinity cutoff chi that is 1 on [0, lambda0/2] and 0 beyond lambda0.
+Each of F, A and B is defined once, as s^-p * sum_t (a + b s) e^{alpha s}
+over the terms t of one table (sigma = +1 or -1, q = -1 - sigma*i):
 
-    F(s)  = (e^{sigma*i*s} - e^{-s}) / s          (sigma = +1 or -1)
-    A(s)  = e^{-sigma*i*s} * F'(s)
-    B(s)  = e^{-sigma*i*s} * F(s) = (1 - e^{(-1-sigma*i)s}) / s
+                                            p   terms (a, b, alpha)
+    F(s) = (e^{sigma*i*s} - e^{-s}) / s     1   (1, 0, sigma*i), (-1, 0, -1)
+    A(s) = e^{-sigma*i*s} F'(s)             2   (-1, sigma*i, 0), (1, 1, q)
+    B(s) = e^{-sigma*i*s} F(s)              1   (1, 0, 0), (-1, 0, q)
 
-together with their derivatives up to order 3, and a C-infinity cutoff
-chi that is 1 on [0, lambda0/2] and 0 beyond lambda0.
-
-All removable singularities at s = 0 are evaluated by truncated Taylor
-series; the closed forms take over from s = 0.5, where cancellation is
-harmless.  Both branches agree to 1e-12 relative on [0.4, 1].
+Both evaluation branches derive from the table.  Below the seam s = 0.5
+the removable singularity at 0 is a Taylor series whose coefficient of
+s^m is sum_t (a alpha^n + n b alpha^(n-1)) / n!, n = m + p.  From the
+seam on, where cancellation is harmless, the closed form is the Leibniz
+sum of d^l(s^-p) against the terms' derivatives.  The branches agree to
+1e-12 relative on [0.4, 1].
 
 The series has complex coefficients but a real argument, so it runs as
 two real Horner loops, on the coefficients' real and imaginary parts,
@@ -28,7 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -69,24 +74,24 @@ def _as_s_array(s):
 
 
 # ----------------------------------------------------------------------
-# Series coefficients (coefficient of s^m, m = 0.., for each function)
+# The table, and the series and closed form derived from it
 # ----------------------------------------------------------------------
+
+def _table(kind: str, sigma: int):
+    # a real alpha stays a float, so that its exponential is a real exp
+    q = -1.0 - 1j * sigma
+    return {"F": (1, ((1, 0, 1j * sigma), (-1, 0, -1.0))),
+            "A": (2, ((-1, 1j * sigma, 0), (1, 1, q))),
+            "B": (1, ((1, 0, 0), (-1, 0, q)))}[kind]
+
 
 @lru_cache(maxsize=None)
 def _series_coeffs(kind: str, sigma: int) -> np.ndarray:
-    m = np.arange(_N_SERIES)
-    fact = np.array([math.factorial(int(k)) for k in m + 2], dtype=float)
-    if kind == "F":
-        si = (1j * sigma) ** (m + 1)
-        return (si - (-1.0) ** (m + 1)) / np.array(
-            [math.factorial(int(k)) for k in m + 1], dtype=float)
-    q = -1.0 - 1j * sigma
-    if kind == "A":
-        return q ** (m + 1) * (q + m + 2) / fact
-    if kind == "B":
-        return -(q ** (m + 1)) / np.array(
-            [math.factorial(int(k)) for k in m + 1], dtype=float)
-    raise ValueError(kind)
+    """Coefficient of s^m, m = 0.., of the table's entry for kind."""
+    p, terms = _table(kind, sigma)
+    n = np.arange(p, _N_SERIES + p)
+    fact = np.array([math.factorial(int(k)) for k in n], dtype=float)
+    return sum(a * alpha ** n + n * b * alpha ** (n - 1) for a, b, alpha in terms) / fact
 
 
 @lru_cache(maxsize=None)
@@ -131,54 +136,31 @@ def _series_eval(kind: str, sigma: int, s: np.ndarray, order: int) -> np.ndarray
     return out
 
 
-# ----------------------------------------------------------------------
-# Closed forms (Leibniz expansions of s^-p * entire(s))
-# ----------------------------------------------------------------------
-
-def _closed_F(sigma: int, s: np.ndarray, order: int) -> np.ndarray:
-    eo = np.exp(1j * sigma * s)
-    ee = np.exp(-s)
-    out = np.zeros(s.shape, dtype=complex)
-    for l in range(order + 1):
-        binom = math.comb(order, l)
-        dpow = (-1.0) ** l * math.factorial(l) * s ** (-1.0 - l)
-        m = order - l
-        out += binom * dpow * ((1j * sigma) ** m * eo - (-1.0) ** m * ee)
-    return out
-
-
-def _closed_A(sigma: int, s: np.ndarray, order: int) -> np.ndarray:
-    q = -1.0 - 1j * sigma
-    eq = np.exp(q * s)
-    out = np.zeros(s.shape, dtype=complex)
-    for l in range(order + 1):
-        binom = math.comb(order, l)
-        dpow = (-1.0) ** l * math.factorial(l + 1) * s ** (-2.0 - l)
-        m = order - l
-        if m == 0:
-            g = (1j * sigma * s - 1.0) + (s + 1.0) * eq
+def _term_derivatives(terms, j: int, s: np.ndarray):
+    """The nonzero j-th derivatives (alpha^j (a + b s) + j b alpha^(j-1))
+    e^{alpha s} of the terms (a, b, alpha, e^{alpha s} or None if alpha = 0)."""
+    for a, b, alpha, e in terms:
+        lin = alpha ** j
+        const = j * b * alpha ** max(j - 1, 0)
+        if b == 0 or lin == 0:
+            poly = a * lin + const
+            if poly == 0:
+                continue
         else:
-            g = (q ** m * (s + 1.0) + m * q ** (m - 1)) * eq
-            if m == 1:
-                g = g + 1j * sigma
-        out += binom * dpow * g
-    return out
+            poly = a + b * s if j == 0 else lin * (a + b * s) + const
+        yield poly if e is None else poly * e
 
 
-def _closed_B(sigma: int, s: np.ndarray, order: int) -> np.ndarray:
-    q = -1.0 - 1j * sigma
-    eq = np.exp(q * s)
-    out = np.zeros(s.shape, dtype=complex)
-    for l in range(order + 1):
-        binom = math.comb(order, l)
-        dpow = (-1.0) ** l * math.factorial(l) * s ** (-1.0 - l)
-        m = order - l
-        h = (1.0 - eq) if m == 0 else -(q ** m) * eq
-        out += binom * dpow * h
-    return out
+def _closed(kind: str, sigma: int, s: np.ndarray, order: int) -> np.ndarray:
+    p, terms = _table(kind, sigma)
+    terms = [(a, b, alpha, None if alpha == 0 else np.exp(alpha * s)) for a, b, alpha in terms]
 
+    # reduce sums temporaries only, which numpy adds into in place
+    def leibniz(l):
+        dpow = (-1.0) ** l * math.perm(p + l - 1, l) * s ** (-p - l)
+        return math.comb(order, l) * dpow * reduce(add, _term_derivatives(terms, order - l, s))
 
-_CLOSED = {"F": _closed_F, "A": _closed_A, "B": _closed_B}
+    return reduce(add, map(leibniz, range(order + 1)))
 
 
 def _eval_kind(kind: str, branch: Branch, s, order: int):
@@ -197,7 +179,7 @@ def _eval_kind(kind: str, branch: Branch, s, order: int):
         small = arr < _SERIES_CROSSOVER
         if small.any():
             out[small] = _series_eval(kind, branch.sign, arr[small], order)
-        out[~small] = _CLOSED[kind](branch.sign, arr[~small], order)
+        out[~small] = _closed(kind, branch.sign, arr[~small], order)
     return out[0] if scalar else out
 
 

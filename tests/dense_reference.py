@@ -53,6 +53,9 @@ Special functions: ``series_horner_complex`` is the small-argument
 series of F, A and B as all 36 tabulated terms of a complex Horner loop;
 the package runs real Horner loops on the real and imaginary parts,
 with as many terms as the batch's largest argument needs.
+``series_coeffs_by_formula`` and ``closed_form`` are the hand-derived
+series coefficients and Leibniz expansions of F, A and B, one formula
+per function; the package derives both from one table of terms.
 
 Paper objects with no check of their own: ``dyadic_phi`` is the
 homogeneous dyadic partition of unity behind the band estimates.
@@ -62,6 +65,7 @@ Nothing in the package imports this module.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from types import SimpleNamespace
 
@@ -693,3 +697,66 @@ def series_horner_complex(kind: str, sigma: int, s, order: int) -> np.ndarray:
     for ck in (c * fall)[order:][::-1]:
         out = out * s + ck
     return out
+
+
+def series_coeffs_by_formula(kind: str, sigma: int) -> np.ndarray:
+    """Coefficient of s^m, m = 0..35, of F, A or B, one formula each."""
+    m = np.arange(36)
+    fact1 = np.array([math.factorial(int(k)) for k in m + 1], dtype=float)
+    fact2 = np.array([math.factorial(int(k)) for k in m + 2], dtype=float)
+    q = -1.0 - 1j * sigma
+    if kind == "F":
+        return ((1j * sigma) ** (m + 1) - (-1.0) ** (m + 1)) / fact1
+    if kind == "A":
+        return q ** (m + 1) * (q + m + 2) / fact2
+    return -(q ** (m + 1)) / fact1
+
+
+def _closed_F(sigma: int, s: np.ndarray, order: int) -> np.ndarray:
+    eo = np.exp(1j * sigma * s)
+    ee = np.exp(-s)
+    out = np.zeros(s.shape, dtype=complex)
+    for l in range(order + 1):
+        binom = math.comb(order, l)
+        dpow = (-1.0) ** l * math.factorial(l) * s ** (-1.0 - l)
+        m = order - l
+        out += binom * dpow * ((1j * sigma) ** m * eo - (-1.0) ** m * ee)
+    return out
+
+
+def _closed_A(sigma: int, s: np.ndarray, order: int) -> np.ndarray:
+    q = -1.0 - 1j * sigma
+    eq = np.exp(q * s)
+    out = np.zeros(s.shape, dtype=complex)
+    for l in range(order + 1):
+        binom = math.comb(order, l)
+        dpow = (-1.0) ** l * math.factorial(l + 1) * s ** (-2.0 - l)
+        m = order - l
+        if m == 0:
+            g = (1j * sigma * s - 1.0) + (s + 1.0) * eq
+        else:
+            g = (q ** m * (s + 1.0) + m * q ** (m - 1)) * eq
+            if m == 1:
+                g = g + 1j * sigma
+        out += binom * dpow * g
+    return out
+
+
+def _closed_B(sigma: int, s: np.ndarray, order: int) -> np.ndarray:
+    q = -1.0 - 1j * sigma
+    eq = np.exp(q * s)
+    out = np.zeros(s.shape, dtype=complex)
+    for l in range(order + 1):
+        binom = math.comb(order, l)
+        dpow = (-1.0) ** l * math.factorial(l) * s ** (-1.0 - l)
+        m = order - l
+        h = (1.0 - eq) if m == 0 else -(q ** m) * eq
+        out += binom * dpow * h
+    return out
+
+
+def closed_form(kind: str, sigma: int, s, order: int) -> np.ndarray:
+    """The order-th derivative of F, A or B at s > 0 by the Leibniz rule
+    on s^-p times an entire function, written out for each function."""
+    closed = {"F": _closed_F, "A": _closed_A, "B": _closed_B}[kind]
+    return closed(sigma, np.asarray(s, dtype=float), order)

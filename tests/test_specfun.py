@@ -53,13 +53,27 @@ def test_conjugation_symmetry():
 
 
 def test_seam_agreement():
-    # both evaluation branches agree on the crossover band
+    # both evaluation branches agree on the crossover band, for sigma = +1 and -1
     s = np.linspace(0.4, 1.0, 31)
     for kind in "FAB":
         for order in range(4):
-            a = sf._series_eval(kind, 1, s, order)
-            b = sf._CLOSED[kind](1, s, order)
-            assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12, (kind, order)
+            for sigma in (1, -1):
+                a = sf._series_eval(kind, sigma, s, order)
+                b = sf._closed(kind, sigma, s, order)
+                assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12, (kind, order, sigma)
+
+
+def test_table_matches_hand_derived_forms():
+    # the series coefficients and closed forms derived from the one table
+    # have the bits of the formulas written out for each function
+    s = np.concatenate([np.linspace(0.5, 1e4, 50_001), np.geomspace(0.5, 1e4, 2_000)])
+    for kind in "FAB":
+        for sigma in (1, -1):
+            assert np.array_equal(sf._series_coeffs(kind, sigma),
+                                  dense.series_coeffs_by_formula(kind, sigma)), (kind, sigma)
+            for order in range(4):
+                assert np.array_equal(sf._closed(kind, sigma, s, order),
+                                      dense.closed_form(kind, sigma, s, order)), (kind, sigma, order)
 
 
 # (kind, derivative order) of every function the series serves
@@ -87,13 +101,14 @@ def test_series_matches_complex_horner(kind, order):
 def _mp_value(mpmath, kind, sigma, s, order):
     """The order-th derivative of F, A or B at s, by quadrature of the
     integral over t in [0, 1] of sum_j w_j(t) e^{a_j(t) s} that equals
-    each function; F(s) = int (i sigma e^{i sigma s t} + e^{-st}) dt."""
+    each function; F(s) = int (i sigma e^{i sigma s t} + e^{-st}) dt.
+    The phase runs through s radians, so [0, 1] is cut about every 3."""
     i = mpmath.mpc(0, sigma)
     pieces = {"F": lambda t: ((i, i * t), (1, -t)),
               "B": lambda t: ((i, i * (t - 1)), (1, -t - i)),
               "A": lambda t: ((-t, i * (t - 1)), (-t, -t - i))}[kind]
     return mpmath.quad(lambda t: sum(w * a ** order * mpmath.exp(a * s) for w, a in pieces(t)),
-                       [0, 1])
+                       mpmath.linspace(0, 1, 2 + int(s / 3)))
 
 
 @pytest.mark.parametrize("kind, order", SERIES_CASES)
@@ -106,6 +121,18 @@ def test_series_matches_30_digit_values(kind, order):
             want = np.array([complex(_mp_value(mpmath, kind, branch.sign, mpmath.mpf(x), order))
                              for x in s])
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (kind, order, branch)
+
+
+@pytest.mark.parametrize("kind, order", SERIES_CASES)
+def test_closed_form_matches_30_digit_values(kind, order):
+    mpmath = pytest.importorskip("mpmath")
+    s = np.array([0.5, 1.7, 6.0, 30.0])
+    with mpmath.workdps(30):
+        for branch in Branch:
+            got = _public(kind, branch, s, order)
+            want = np.array([complex(_mp_value(mpmath, kind, branch.sign, mpmath.mpf(x), order))
+                             for x in s])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (kind, order, branch)
 
 
 def test_series_length_is_trimmed():
@@ -142,7 +169,7 @@ def test_eval_F_shapes_and_batches():
     assert got.shape == s.shape and 0 < small.sum() < s.size
     want = dense.series_horner_complex("F", 1, s[small], 2)
     assert np.all(np.abs(got[small] - want) <= 1e-15 * np.abs(want))
-    assert np.array_equal(got[~small], sf._CLOSED["F"](1, s[~small], 2))
+    assert np.array_equal(got[~small], sf._closed("F", 1, s[~small], 2))
 
 
 def test_derivative_consistency():
