@@ -35,7 +35,7 @@ from . import kernels as kn
 from . import resolvent as rs
 from . import singular as sg
 from .config import K3_RADIUS_MIN, Config
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SingularityError
 from .potential import Potential, PotentialSpec, build_potential
 from .quadrature import _leggauss, cap_area, gauss_rule, panel_rule
 # unused here, but perfbench/tracer.py rebinds it in every module that held it
@@ -385,19 +385,57 @@ class SuiteContext:
 # header and rows None when it writes no CSV; run_check makes the record
 # and derives the failures and the status from the gates.
 
+def _cancellation_im(s, r, sp, sm):
+    """Imaginary part of the boundary-term combination
+    (1/(s r)) (i/(s+r) - i/(s-r) + 1/(s+ir) - 1/(s-ir)), whose closed form
+    is -4s/(s^4 - r^4); its real part is exactly 0.  sp, sm = s + r, s - r.
+
+    Every step rounds as numpy's complex arithmetic on the same terms
+    does.  c = Im 1/(s+ir) is its Smith division: with mn, mx = min, max
+    of (s, r), -(mn/mx) / (mx + mn (mn/mx)) for s >= r and
+    -1 / (mx + mn (mn/mx)) below, each through the reciprocal; mn/s is
+    mn/mx in the first case and exactly 1 in the second.
+    """
+    mn, mx = np.minimum(s, r), np.maximum(s, r)
+    c = -((1.0 / (mx + mn * (mn / mx))) * (mn / s))
+    return (1.0 / (s * r)) * (((1.0 / sp - 1.0 / sm) + c) + c)
+
+
 def _identity_residuals_block(s, r) -> np.ndarray:
     """Scale-relative residuals of the decomposition, adjoint and
-    cancellation identities, each the max over the points (s, r)."""
-    K, K1, K2, K3 = sg.model_kernel_decomp(s, r)
-    scale = np.maximum.reduce([np.abs(K), np.abs(K1), np.abs(K2), np.abs(K3)])
-    rel_decomp = np.max(np.abs(K - (K1 + K2 + K3)) / scale)
-    Ka, J1, J2, J3 = sg.adjoint_kernel_decomp(s, r)
-    scale_a = np.maximum.reduce([np.abs(Ka), np.abs(J1), np.abs(J2), np.abs(J3)])
-    rel_adj = np.max(np.abs(Ka - (J1 + J2 + J3)) / scale_a)
-    lhs = kn.cancellation_identity_lhs(s, r)
-    rhs = -4j * s / ((s - r) * (s + r) * (s ** 2 + r ** 2))
-    scale_c = np.maximum(np.abs(lhs), 1.0 / (s * r * np.abs(s - r)))
-    rel_canc = np.max(np.abs(lhs - rhs) / scale_c)
+    cancellation identities, each the max over the points (s, r).
+
+    With D = (s-r)(s+r)(s^2+r^2) and K2, K3 = 1/(4s^2(s+-r)), they are
+    s/D = 1/(2s(s^2+r^2)) + K2 + K3, the adjoint kernel
+    -r/D = -r/(2s^2(s^2+r^2)) + K2 - K3, and ``_cancellation_im`` = -4s/D.
+    All three share one set of real temporaries, each piece rounded as its
+    direct formula rounds it (numpy divides a complex number by a real D
+    as a product with 1/D), so the residuals keep the bits of the complex
+    oracle in tests/dense_reference.py.
+    """
+    if np.any(s <= 0.0):
+        raise InvalidInputError("s must be positive")
+    if np.any(s == r):
+        raise SingularityError("model kernel evaluated on the diagonal s = r")
+    s2 = s * s
+    sp, sm = s + r, s - r
+    q = s2 + r * r
+    D = sm * sp * q
+    s4 = 4.0 * s2
+    K = s / D
+    K1 = 1.0 / (2.0 * s * q)
+    K2 = 1.0 / (s4 * sp)
+    K3 = 1.0 / (s4 * sm)
+    scale23 = np.maximum(np.abs(K2), np.abs(K3))
+    rel_decomp = np.max(np.abs(K - ((K1 + K2) + K3))
+                        / np.maximum(np.maximum(np.abs(K), np.abs(K1)), scale23))
+    Ka = -(r / D)
+    J1 = -r / (2.0 * s2 * q)
+    rel_adj = np.max(np.abs(Ka - ((J1 + K2) - K3))
+                     / np.maximum(np.maximum(np.abs(Ka), np.abs(J1)), scale23))
+    lhs = _cancellation_im(s, r, sp, sm)
+    rhs = (-4.0 * s) * (1.0 / D)
+    rel_canc = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0 / (s * r * np.abs(sm))))
     return np.array([rel_decomp, rel_adj, rel_canc])
 
 
@@ -417,7 +455,7 @@ def check_identities(ctx: SuiteContext) -> tuple:
     s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     rel_decomp, rel_adj, rel_canc = identity_residuals(s, r)
-    spot = abs(kn.cancellation_identity_lhs(2.0, 1.0) - (-8j / 15.0))
+    spot = abs(_cancellation_im(2.0, 1.0, 3.0, 1.0) - (-8.0 / 15.0))
     residuals = {"decomposition_rel": rel_decomp, "adjoint_rel": rel_adj,
                  "cancellation_rel": rel_canc, "spot_residual": float(spot)}
     gates = [Gate(label, val, "<=", tol) for label, val in residuals.items()]

@@ -139,14 +139,6 @@ def ktilde_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     return _lambda_sweep(integrand, sz, sw, cutoff, refine)
 
 
-def cancellation_identity_lhs(sz, sw):
-    """The boundary-term combination whose closed form is -4i sz/(sz^4 - sw^4)."""
-    sz = np.asarray(sz, dtype=float)
-    sw = np.asarray(sw, dtype=float)
-    return (1.0 / (sz * sw)) * (-1.0 / (1j * (sz + sw)) + 1.0 / (1j * (sz - sw))
-                                + 1.0 / (sz + 1j * sw) - 1.0 / (sz - 1j * sw))
-
-
 def psi2_radial(sz, sw, cutoff: Cutoff, refine: int = 0):
     """Far-field remainder via the cutoff-derivative representation.
 
@@ -348,10 +340,10 @@ class KPDirect:
 class K3Evaluator:
     """K_3(x, y) integrated on a fixed log-lambda grid.
 
-    Each lambda node costs one inversion of the mode blocks of
-    M(lambda); the node set is shared by all (x, y) pairs, and
-    evaluation walks the nodes once per batch so only one Gamma3 stack
-    is alive at a time.
+    Each lambda node where chi > 0 costs one inversion of the mode blocks
+    of M(lambda); the last node, lambda0, has chi = 0 and profile 0.  The
+    node set is shared by all (x, y) pairs, and evaluation walks the nodes
+    once per batch so only one Gamma3 stack is alive at a time.
     """
 
     def __init__(self, terms: ExpansionTerms, cutoff: Cutoff,
@@ -390,7 +382,9 @@ class K3Evaluator:
             return lam ** 3 * self.cutoff(lam) * contr
 
         from .parallel import pmap
-        profiles = np.stack(pmap(one, self.lambdas), axis=1)
+        live = self.cutoff(self.lambdas) > 0.0
+        profiles = np.zeros((len(pairs), self.lambdas.size), dtype=complex)
+        profiles[:, live] = np.stack(pmap(one, self.lambdas[live]), axis=1)
         values = profiles @ self.weights
         return values, profiles
 

@@ -8,7 +8,6 @@ order, so values are identical whatever the thread count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 _THREADS = 1
 
@@ -25,5 +24,7 @@ def pmap(fn, items):
     items = list(items)
     if _THREADS <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here, so that serial runs skip its import (queue, logging)
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=min(_THREADS, len(items))) as ex:
         return list(ex.map(fn, items))

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularityError
+from .errors import InvalidInputError
 from .quadrature import integrate_adaptive, integrate_batch, panel_rule
 
 # weak11_profile counts level sets on this many log cells from this radius
@@ -33,49 +33,6 @@ _WEAK11_S_MIN = 1e-3
 _WEAK11_CELLS = 4096
 # smallest outer radius that schur_growth samples
 SCHUR_S_MIN = 0.05
-
-# ----------------------------------------------------------------------
-# Exact kernel decompositions
-# ----------------------------------------------------------------------
-
-def model_kernel_decomp(s, r):
-    """K = s/(s^4-r^4) and its three exact pieces (K1, K2, K3).
-
-    Vectorized; raises if any s == r (callers apply the |s-r| >= 1
-    truncation) or s <= 0.
-    """
-    s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(s <= 0.0):
-        raise InvalidInputError("s must be positive")
-    if np.any(s == r):
-        raise SingularityError("model kernel evaluated on the diagonal s = r")
-    # factored quartic difference: conditioned like the pieces themselves
-    K = s / ((s - r) * (s + r) * (s ** 2 + r ** 2))
-    K1 = 1.0 / (2.0 * s * (s ** 2 + r ** 2))
-    K2 = 1.0 / (4.0 * s ** 2 * (s + r))
-    K3 = 1.0 / (4.0 * s ** 2 * (s - r))
-    return K, K1, K2, K3
-
-
-def adjoint_kernel_decomp(s, r):
-    """Kernel of the adjoint, K*(s, r) = r/(r^4 - s^4), with its pieces.
-
-    The exact identity is K* = -r/(2s^2(s^2+r^2)) + 1/(4s^2(s+r))
-    - 1/(4s^2(s-r)); the last two pieces match K2 and K3 up to sign.
-    """
-    s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(s <= 0.0):
-        raise InvalidInputError("s must be positive")
-    if np.any(s == r):
-        raise SingularityError("adjoint kernel evaluated on the diagonal s = r")
-    Kadj = r / ((r - s) * (r + s) * (r ** 2 + s ** 2))
-    J1 = -r / (2.0 * s ** 2 * (s ** 2 + r ** 2))
-    J2 = 1.0 / (4.0 * s ** 2 * (s + r))
-    J3 = -1.0 / (4.0 * s ** 2 * (s - r))
-    return Kadj, J1, J2, J3
-
 
 # ----------------------------------------------------------------------
 # Radial profiles

@@ -57,6 +57,12 @@ with as many terms as the batch's largest argument needs.
 series coefficients and Leibniz expansions of F, A and B, one formula
 per function; the package derives both from one table of terms.
 
+Identity residuals: ``model_kernel_decomp``, ``adjoint_kernel_decomp``
+and ``cancellation_identity_lhs`` evaluate the three identities of the
+identities check straight from their formulas, the last in complex
+arithmetic, and ``identity_residuals_block`` takes their residuals; the
+package evaluates all three on one set of shared real temporaries.
+
 Paper objects with no check of their own: ``dyadic_phi`` is the
 homogeneous dyadic partition of unity behind the band estimates.
 
@@ -71,6 +77,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from waveop_lab.errors import InvalidInputError, SingularityError
 from waveop_lab.experiments import _unit_vectors
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
 from waveop_lab.resolvent import _graded_theta_nodes, full_mode_index, r0_diff_r, r0_kernel_r
@@ -760,3 +767,66 @@ def closed_form(kind: str, sigma: int, s, order: int) -> np.ndarray:
     on s^-p times an entire function, written out for each function."""
     closed = {"F": _closed_F, "A": _closed_A, "B": _closed_B}[kind]
     return closed(sigma, np.asarray(s, dtype=float), order)
+
+
+def model_kernel_decomp(s, r):
+    """K = s/(s^4-r^4) and its three exact pieces (K1, K2, K3).
+
+    Vectorized; raises if any s == r (callers apply the |s-r| >= 1
+    truncation) or s <= 0.
+    """
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if np.any(s <= 0.0):
+        raise InvalidInputError("s must be positive")
+    if np.any(s == r):
+        raise SingularityError("model kernel evaluated on the diagonal s = r")
+    # factored quartic difference: conditioned like the pieces themselves
+    K = s / ((s - r) * (s + r) * (s ** 2 + r ** 2))
+    K1 = 1.0 / (2.0 * s * (s ** 2 + r ** 2))
+    K2 = 1.0 / (4.0 * s ** 2 * (s + r))
+    K3 = 1.0 / (4.0 * s ** 2 * (s - r))
+    return K, K1, K2, K3
+
+
+def adjoint_kernel_decomp(s, r):
+    """Kernel of the adjoint, K*(s, r) = r/(r^4 - s^4), with its pieces.
+
+    The exact identity is K* = -r/(2s^2(s^2+r^2)) + 1/(4s^2(s+r))
+    - 1/(4s^2(s-r)); the last two pieces match K2 and K3 up to sign.
+    """
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if np.any(s <= 0.0):
+        raise InvalidInputError("s must be positive")
+    if np.any(s == r):
+        raise SingularityError("adjoint kernel evaluated on the diagonal s = r")
+    Kadj = r / ((r - s) * (r + s) * (r ** 2 + s ** 2))
+    J1 = -r / (2.0 * s ** 2 * (s ** 2 + r ** 2))
+    J2 = 1.0 / (4.0 * s ** 2 * (s + r))
+    J3 = -1.0 / (4.0 * s ** 2 * (s - r))
+    return Kadj, J1, J2, J3
+
+
+def cancellation_identity_lhs(sz, sw):
+    """The boundary-term combination whose closed form is -4i sz/(sz^4 - sw^4)."""
+    sz = np.asarray(sz, dtype=float)
+    sw = np.asarray(sw, dtype=float)
+    return (1.0 / (sz * sw)) * (-1.0 / (1j * (sz + sw)) + 1.0 / (1j * (sz - sw))
+                                + 1.0 / (sz + 1j * sw) - 1.0 / (sz - 1j * sw))
+
+
+def identity_residuals_block(s, r) -> np.ndarray:
+    """Scale-relative residuals of the decomposition, adjoint and
+    cancellation identities, each the max over the points (s, r)."""
+    K, K1, K2, K3 = model_kernel_decomp(s, r)
+    scale = np.maximum.reduce([np.abs(K), np.abs(K1), np.abs(K2), np.abs(K3)])
+    rel_decomp = np.max(np.abs(K - (K1 + K2 + K3)) / scale)
+    Ka, J1, J2, J3 = adjoint_kernel_decomp(s, r)
+    scale_a = np.maximum.reduce([np.abs(Ka), np.abs(J1), np.abs(J2), np.abs(J3)])
+    rel_adj = np.max(np.abs(Ka - (J1 + J2 + J3)) / scale_a)
+    lhs = cancellation_identity_lhs(s, r)
+    rhs = -4j * s / ((s - r) * (s + r) * (s ** 2 + r ** 2))
+    scale_c = np.maximum(np.abs(lhs), 1.0 / (s * r * np.abs(s - r)))
+    rel_canc = np.max(np.abs(lhs - rhs) / scale_c)
+    return np.array([rel_decomp, rel_adj, rel_canc])

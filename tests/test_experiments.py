@@ -8,7 +8,7 @@ import pytest
 import dense_reference as dense
 from waveop_lab import experiments as xp
 from waveop_lab.config import default_config
-from waveop_lab.errors import InvalidInputError
+from waveop_lab.errors import InvalidInputError, SingularityError
 from waveop_lab.potential import PotentialSpec, build_potential
 
 
@@ -43,14 +43,62 @@ def test_tg_abs_batch_matches_per_point(small_pot):
     assert op.tg_abs(s, R) == pytest.approx(dense.tg_abs(op, s, R), rel=1e-12)
 
 
-def test_identity_residuals_blocked_match_whole_array(rng):
-    # three full slices and a partial one give the bits of one whole pass
-    n = 3 * xp._IDENTITY_BLOCK + 17
+def _identity_points(rng, n):
     s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+    return s, r
+
+
+def test_identity_residuals_blocked_match_whole_array(rng):
+    # three full slices and a partial one give the bits of one whole pass
+    s, r = _identity_points(rng, 3 * xp._IDENTITY_BLOCK + 17)
     whole = tuple(float(v) for v in xp._identity_residuals_block(s, r))
     assert xp.identity_residuals(s, r) == whole
     assert all(v > 0.0 for v in whole)
+
+
+def test_identity_residuals_match_complex_oracle():
+    # the check's own 1e6 points at the default seed, slice by slice
+    s, r = _identity_points(default_config().rng_for("identities"), 10 ** 6)
+    for i in range(0, s.size, xp._IDENTITY_BLOCK):
+        sl = slice(i, i + xp._IDENTITY_BLOCK)
+        assert np.array_equal(xp._identity_residuals_block(s[sl], r[sl]),
+                              dense.identity_residuals_block(s[sl], r[sl]))
+
+
+def test_identity_residuals_match_oracle_at_adversarial_points(rng):
+    # |s - r| of 1 to 4 ulps on both sides of the diagonal, s/r = 1e+-6,
+    # and random points; each point on its own, then each half s >= r,
+    # s < r as one block
+    base = np.array([1e-3, 0.37, 1.0, 2.5, 7.0, 1e3])
+    near = [base]
+    for _ in range(4):
+        near.append(np.nextafter(near[-1], np.inf))
+    below = [base]
+    for _ in range(4):
+        below.append(np.nextafter(below[-1], 0.0))
+    s = np.concatenate([*near[1:], *below[1:], base, base, base * 1e6, base * 1e-6])
+    r = np.concatenate([base] * 8 + [*near[1:3], base, base])
+    rs, rr = _identity_points(rng, 2000)
+    s, r = np.concatenate([s, rs]), np.concatenate([r, rr])
+    assert np.all(s != r)
+    for a, b in zip(s, r):
+        a, b = np.array([a]), np.array([b])
+        assert np.array_equal(xp._identity_residuals_block(a, b),
+                              dense.identity_residuals_block(a, b))
+    lhs = dense.cancellation_identity_lhs(s, r)
+    assert np.all(lhs.real == 0.0)
+    assert np.array_equal(xp._cancellation_im(s, r, s + r, s - r), lhs.imag)
+    for half in (s >= r, s < r):
+        assert np.array_equal(xp._identity_residuals_block(s[half], r[half]),
+                              dense.identity_residuals_block(s[half], r[half]))
+
+
+def test_identity_residuals_reject_bad_points():
+    with pytest.raises(InvalidInputError):
+        xp._identity_residuals_block(np.array([2.0, 0.0]), np.array([1.0, 1.0]))
+    with pytest.raises(SingularityError):
+        xp._identity_residuals_block(np.array([2.0, 1.5]), np.array([1.0, 1.5]))
 
 
 def test_phi_dominates_chain_bound():

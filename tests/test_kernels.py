@@ -79,11 +79,11 @@ def test_minus_branch_conjugation(cutoff):
 
 
 def test_cancellation_identity():
-    got = kn.cancellation_identity_lhs(2.0, 1.0)
+    got = dense.cancellation_identity_lhs(2.0, 1.0)
     assert got == pytest.approx(-8j / 15, abs=1e-15)
     sz, sw = 7.3, 2.1
     rhs = -4j * sz / (sz ** 4 - sw ** 4)
-    assert kn.cancellation_identity_lhs(sz, sw) == pytest.approx(rhs, rel=1e-13)
+    assert dense.cancellation_identity_lhs(sz, sw) == pytest.approx(rhs, rel=1e-13)
 
 
 def _bracket_product(s, t, u):
@@ -244,6 +244,36 @@ def test_k3_zero_gamma_gives_zero(strong_terms, cutoff):
     pairs = np.array([[[1.0, 0, 0], [0, 2.0, 0]]])
     vals, _ = k3.eval_pairs(pairs)
     assert vals[0] == 0.0
+
+
+@pytest.mark.parametrize("n_lambda, n_live", [(4, 3), (24, 23)])
+def test_k3_skips_nodes_where_cutoff_vanishes(strong_terms, cutoff, n_lambda, n_live):
+    calls = []
+
+    class CountingTerms:
+        pot = strong_terms.pot
+
+        @staticmethod
+        def gamma3_value_frame(lam):
+            calls.append(lam)
+            return strong_terms.gamma3_value_frame(lam)
+
+    class EveryNodeLive:
+        """The cutoff, but every node of a lambda array counts as live."""
+        lambda0 = cutoff.lambda0
+
+        def __call__(self, lam):
+            return np.ones(np.shape(lam)) if np.ndim(lam) else cutoff(lam)
+
+    pairs = np.array([[[1.2, 0, 0], [0, 0.9, 0]], [[3.0, -1.0, 2.0], [0.5, 0.2, -0.1]]])
+    k3 = kn.K3Evaluator(CountingTerms(), cutoff, n_lambda=n_lambda)
+    vals, profs = k3.eval_pairs(pairs)
+    assert len(calls) == n_live
+    assert cutoff(k3.lambdas[-1]) == 0.0 and np.all(profs[:, -1] == 0.0)
+    want_vals, want_profs = kn.K3Evaluator(strong_terms, EveryNodeLive(),
+                                           n_lambda=n_lambda).eval_pairs(pairs)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(profs, want_profs)
 
 
 def test_k3_envelope_and_slope(strong_terms, cutoff, rng):

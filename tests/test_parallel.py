@@ -1,4 +1,10 @@
-"""The lambda-node thread pool gives the serial results bit for bit."""
+"""The lambda-node thread pool gives the serial results bit for bit, and
+serial runs never import it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,3 +34,12 @@ def test_results_identical_for_any_thread_count(cutoff):
         parallel.set_threads(0)
     for got, want in zip(threaded, serial):
         assert np.array_equal(got, want)
+
+
+def test_serial_import_skips_the_thread_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, waveop_lab.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -90,30 +90,30 @@ def model_kernel_batch(s, rho):
 
 
 def test_model_decomposition_values():
-    K, K1, K2, K3 = sg.model_kernel_decomp(2.0, 1.0)
+    K, K1, K2, K3 = dense.model_kernel_decomp(2.0, 1.0)
     assert K == pytest.approx(2.0 / 15.0, abs=1e-15)
     assert (K1, K2, K3) == (pytest.approx(1 / 20), pytest.approx(1 / 48), pytest.approx(1 / 16))
-    K, *_ = sg.model_kernel_decomp(1.0, 2.0)
+    K, *_ = dense.model_kernel_decomp(1.0, 2.0)
     assert K == pytest.approx(-1.0 / 15.0, abs=1e-15)
-    K, K1, K2, K3 = sg.model_kernel_decomp(10.0, 1.0)
+    K, K1, K2, K3 = dense.model_kernel_decomp(10.0, 1.0)
     assert K == pytest.approx(10.0 / 9999.0, rel=1e-13)
     assert max(K1, K2, K3) < 2.0 * 10.0 ** -3
 
 
 def test_model_decomposition_errors():
     with pytest.raises(SingularityError):
-        sg.model_kernel_decomp(1.0, 1.0)
+        dense.model_kernel_decomp(1.0, 1.0)
     with pytest.raises(InvalidInputError):
-        sg.model_kernel_decomp(0.0, 1.0)
+        dense.model_kernel_decomp(0.0, 1.0)
 
 
 def test_decomposition_exact_at_random_points(rng):
     s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 10 ** 5))
     r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 10 ** 5))
-    K, K1, K2, K3 = sg.model_kernel_decomp(s, r)
+    K, K1, K2, K3 = dense.model_kernel_decomp(s, r)
     scale = np.maximum.reduce([np.abs(K), np.abs(K1), np.abs(K2), np.abs(K3)])
     assert np.max(np.abs(K - (K1 + K2 + K3)) / scale) < 1e-13
-    Ka, J1, J2, J3 = sg.adjoint_kernel_decomp(s, r)
+    Ka, J1, J2, J3 = dense.adjoint_kernel_decomp(s, r)
     scale = np.maximum.reduce([np.abs(Ka), np.abs(J1), np.abs(J2), np.abs(J3)])
     assert np.max(np.abs(Ka - (J1 + J2 + J3)) / scale) < 1e-13
     # the adjoint's last two pieces match K2, K3 in modulus
