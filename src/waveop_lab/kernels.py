@@ -11,8 +11,9 @@ special functions F, A, B against free-resolvent factors:
 * ``make_psi_batch`` Psi(s, rho) and Psi(rho, s) together (KtildeP off
                      the gate, Psi2 on it) for the Schur integrals,
 * ``KPDirect``       the rank-one-projection kernel K_P, both by direct
-                     quadrature (factorized through the radial potential
-                     profile) and through its closed-form leading term,
+                     quadrature (two lambda-only sums over the radial
+                     potential profile per lambda node) and through its
+                     closed-form leading term,
 * ``K3Evaluator``    the cubic-remainder kernel K_3, contracted through
                      cached Gamma3(lambda) matrices.
 
@@ -263,24 +264,22 @@ def make_psi_batch(cutoff: Cutoff):
 # K_P: direct quadrature and closed-form leading term
 # ----------------------------------------------------------------------
 
-def _by_t(fn, t):
-    """fn(t)/t for fn = sin, sinh and t >= 0: both keep full relative
-    precision as t -> 0, so only t = 0 needs the clamp."""
-    t = np.maximum(t, 1e-300)
-    return fn(t) / t
-
-
 class KPDirect:
     """Evaluator for the projection kernel K_P of a radial potential.
 
     The two inner potential integrals factorize through the radial
-    profile; each is a 1D Gauss rule over r against the exactly
-    integrated e^{mu t} on the chord range [| |x|-r |, |x|+r] (midpoint
-    m, half-width h): 2h e^{mu m} sinhc(mu h).  For mu = +-i lambda and
-    -lambda all else is real, so the -i lambda shell is the conjugate
-    of the +i lambda one, sinhc(i lambda h) = sin(lambda h)/(lambda h)
-    and the -lambda shell is real: the integrand needs only real cos,
-    sin, exp and sinh tables, on chords built once per call.
+    profile; each is a 1D Gauss rule over r, weights c_r, against the
+    exactly integrated e^{mu t} on the chord range [|s - r|, s + r],
+    s = |x|: with h, m = min, max(s, r) it is 2h e^{mu m} sinhc(mu h).
+    For mu = +-i lambda and -lambda all else is real, and
+    sin(lambda h) sin(lambda m) = sin(lambda s) sin(lambda r), so the
+    imaginary shells are (4 pi/(s lambda)) sin(lambda s) S(lambda) at
+    every radius.  Where s >= max(rn) every chord has h = r, m = s and
+    the real part is (4 pi/(s lambda)) (cos(lambda s) S - e^{-lambda s} Sh).
+    S = sum c_r sin(lambda r) and Sh = sum c_r sinh(lambda r) do not
+    depend on the pair: each lambda node costs two sums over the nodes.
+    Only points of pairs with s < max(rn) build cos and exp(-lambda r)
+    tables, for the nodes r > s, where h = s and m = r.
     """
 
     def __init__(self, pot: Potential, cutoff: Cutoff):
@@ -290,29 +289,36 @@ class KPDirect:
         self.core = weights * self.rn * pot.abs_profile(self.rn)
         self.prefactor = 1.0 / (8.0 * np.pi * (1.0 + 1j) * pot.normV_L1 ** 2)
 
-    def _chords(self, s):
-        """Midpoints m = max(s, r), half-widths h = min(s, r) and weights
-        (2 pi/s) 2h core of the chord ranges [|s - r|, s + r] at |x| = s,
-        one row per radius s."""
-        s = np.maximum(np.atleast_1d(np.asarray(s, dtype=float)), 1e-12)[:, None]
-        h = np.minimum(s, self.rn)
-        return np.maximum(s, self.rn), h, (4.0 * np.pi / s) * h * self.core
-
     def _integrand(self, sx, sy):
         """The lambda-integrand f(k, lambda) of K_P / prefactor at radii
         (sx[k], sy[k])."""
-        mx, hx, gx = self._chords(sx)
-        my, hy, gy = self._chords(sy)
+        sx = np.maximum(np.atleast_1d(np.asarray(sx, dtype=float)), 1e-12)
+        sy = np.maximum(np.atleast_1d(np.asarray(sy, dtype=float)), 1e-12)
+        near_x = sx < self.rn.max()
 
         def integrand(k, lam):
-            # shell(x, +i) - shell(x, -1) = cre + i cim; shell(y, +i) - shell(y, -i) = i dy
-            col = lam[:, None]
-            sinc = _by_t(np.sin, col * hx[k])
-            tx = col * mx[k]
-            cre = ((sinc * np.cos(tx) - np.exp(-tx) * _by_t(np.sinh, col * hx[k]))
-                   * gx[k]).sum(axis=1)
-            cim = (sinc * np.sin(tx) * gx[k]).sum(axis=1)
-            dy = 2.0 * (_by_t(np.sin, col * hy[k]) * np.sin(col * my[k]) * gy[k]).sum(axis=1)
+            s = sx[k]
+            lr = lam[:, None] * self.rn
+            sin_r, sinh_r = np.sin(lr), np.sinh(lr)
+            # einsum sums each row alone; a BLAS mat-vec rounds a row by its place in the batch
+            S = np.einsum("pj,j->p", sin_r, self.core)
+            ls = lam * s
+            sin_s, cos_s, exp_s = np.sin(ls), np.cos(ls), np.exp(-ls)
+            # shell(x, +i) - shell(x, -1) = cre + i cim, shell(y, +i) - shell(y, -i) = i dy
+            re = cos_s * S - exp_s * np.einsum("pj,j->p", sinh_r, self.core)
+            near = np.flatnonzero(near_x[k])
+            if near.size:
+                # nodes r <= s keep h = r, m = s; nodes r > s have h = s, m = r
+                w_out = np.where(self.rn > s[near, None], self.core, 0.0)
+                w_in, lo = self.core - w_out, lr[near]
+                re[near] = (cos_s[near] * np.einsum("pj,pj->p", sin_r[near], w_in)
+                            - exp_s[near] * np.einsum("pj,pj->p", sinh_r[near], w_in)
+                            + sin_s[near] * np.einsum("pj,pj->p", np.cos(lo), w_out)
+                            - np.sinh(ls[near]) * np.einsum("pj,pj->p", np.exp(-lo), w_out))
+            cre = 4.0 * np.pi / (s * lam) * re
+            cim = 4.0 * np.pi / (s * lam) * sin_s * S
+            t = sy[k]
+            dy = 8.0 * np.pi / (t * lam) * np.sin(lam * t) * S
             return self.cutoff(lam) * dy * (-cim + 1j * cre)
 
         return integrand

@@ -26,8 +26,8 @@ norms of the drawn points; the package reuses the radii it drew.
 Per-pair lambda integrals: ``g_radial``, ``ktilde_radial``,
 ``psi2_radial`` and ``kp_direct_radial`` make one scalar adaptive call
 per radius pair, under the tolerances, phase hint and breakpoint the
-package's batched kernels give that pair (the K_P integrand contracts
-its chord tables by matrix-vector products).
+package's batched kernels give that pair (the K_P integrand writes the
+split of the radial nodes at |x| out for its one pair).
 
 Kernel integrals: ``psi_gate_batch`` evaluates the gated Psi with all
 four exponentials on the full (rho, lambda) table, and
@@ -40,7 +40,10 @@ phases.
 ``psi_radial`` assembles Psi from the per-pair routes above,
 ``kp_shell`` evaluates the K_P shell integrals in complex arithmetic
 (``kp_integrand`` is the direct K_P integrand built from four of them,
-``kp_pieces`` integrates the four exponential pieces of K_P one by one),
+``kp_pieces`` integrates the four exponential pieces of K_P one by one,
+and ``kp_chord_integrand`` builds it from real chord tables, one radial
+node at a time, where the package takes two sums over the nodes;
+``kp_direct_extended`` integrates it in long double on fixed panels),
 ``hormander_quadrature`` is the Hormander modulus by adaptive quadrature,
 ``kp_smeared_reference`` smears KtildeP over a coarse potential grid,
 and ``phi_lower_bound_chain`` is the analytic lower bound for Phi.
@@ -544,26 +547,80 @@ def psi2_radial(sz: float, sw: float, cutoff, refine: int = 0) -> complex:
 
 
 def kp_direct_radial(kp, sx: float, sy: float, refine: int = 0) -> complex:
-    """KPDirect.direct_radial at one radius pair."""
+    """KPDirect.direct_radial at one radius pair, from the factored
+    integrand with the node split written out for this pair:
+    (s lambda/4 pi) (shell(x, +i) - shell(x, -1)) is
+    sum_r c_r (sin(lambda h) cos(lambda m) - e^{-lambda m} sinh(lambda h))
+    + i sin(lambda s) S, h, m = min, max(s, r), S = sum_r c_r sin(lambda r),
+    with h = r on the nodes r <= s and h = s on the nodes r > s (none
+    when s >= max r).  Each sum is an einsum, as in the package, so the
+    two routes meet the same rounding."""
+    s, t = max(sx, 1e-12), max(sy, 1e-12)
+    w_out = np.where(kp.rn > s, kp.core, 0.0)
+    w_in = kp.core - w_out
+
+    def integrand(lam):
+        lr = lam[:, None] * kp.rn
+        sin_r = np.sin(lr)
+        S = np.einsum("pj,j->p", sin_r, kp.core)
+        sin_s, cos_s, exp_s = np.sin(lam * s), np.cos(lam * s), np.exp(-lam * s)
+        re = (cos_s * np.einsum("pj,j->p", sin_r, w_in)
+              - exp_s * np.einsum("pj,j->p", np.sinh(lr), w_in)
+              + sin_s * np.einsum("pj,j->p", np.cos(lr), w_out)
+              - np.sinh(lam * s) * np.einsum("pj,j->p", np.exp(-lr), w_out))
+        cre = 4.0 * np.pi / (s * lam) * re
+        cim = 4.0 * np.pi / (s * lam) * sin_s * S
+        dy = 8.0 * np.pi / (t * lam) * np.sin(lam * t) * S
+        return kp.cutoff(lam) * dy * (-cim + 1j * cre)
+
+    return kp.prefactor * _lambda_integral(integrand, kp.cutoff, 1e-8 / 100.0 ** refine, 1e-19,
+                                           (sx + sy + 2 * kp.pot.radius) * (1 + refine))
+
+
+def kp_chord_integrand(kp, lam, sx: float, sy: float):
+    """The K_P lambda-integrand on the chord tables, one node r at a time:
+    midpoints m = max(s, r), half-widths h = min(s, r), weights
+    (2 pi/s) 2h c_r, and the shells 2h e^{mu m} sinhc(mu h) in real
+    arithmetic; sin(t)/t and sinh(t)/t keep full precision as t -> 0.
+    The tables take the floating type of lam, so long double lam gives a
+    long double integrand (the cutoff stays float64)."""
     def chords(s):
         s = max(s, 1e-12)
         h = np.minimum(s, kp.rn)
         return np.maximum(s, kp.rn), h, (4.0 * np.pi / s) * h * kp.core
 
+    def by_t(fn, t):
+        t = np.maximum(t, 1e-300)
+        return fn(t) / t
+
     (mx, hx, gx), (my, hy, gy) = chords(sx), chords(sy)
-    by_t = lambda fn, t: fn(np.maximum(t, 1e-300)) / np.maximum(t, 1e-300)
+    col = np.asarray(lam)[:, None]
+    sinc = by_t(np.sin, col * hx)
+    tx = col * mx
+    cre = ((sinc * np.cos(tx) - np.exp(-tx) * by_t(np.sinh, col * hx)) * gx).sum(axis=1)
+    cim = (sinc * np.sin(tx) * gx).sum(axis=1)
+    dy = 2.0 * (by_t(np.sin, col * hy) * np.sin(col * my) * gy).sum(axis=1)
+    return kp.cutoff(col[:, 0]) * dy * (-cim + 1j * cre)
 
-    def integrand(lam):
-        col = lam[:, None]
-        sinc = by_t(np.sin, col * hx)
-        tx = col * mx
-        cre = (sinc * np.cos(tx) - np.exp(-tx) * by_t(np.sinh, col * hx)) @ gx
-        cim = (sinc * np.sin(tx)) @ gx
-        dy = 2.0 * (by_t(np.sin, col * hy) * np.sin(col * my)) @ gy
-        return kp.cutoff(lam) * dy * (-cim + 1j * cre)
 
-    return kp.prefactor * _lambda_integral(integrand, kp.cutoff, 1e-8 / 100.0 ** refine, 1e-19,
-                                           (sx + sy + 2 * kp.pot.radius) * (1 + refine))
+def kp_direct_extended(kp, sx: float, sy: float, panels=(64, 512)) -> complex:
+    """K_P at one radius pair with no adaptive rule and no absolute floor:
+    the chord integrand in long double on fixed 32-point Gauss panels,
+    panels[0] of them on [0, lambda0/2] and panels[1] on the cutoff's
+    band, whose bump needs the finer split near its ends.  The nodes and
+    weights are float64 values lifted to long double.  On x86 long double
+    carries 11 more bits, so the lambda-integral's cancellation, about
+    2e6-fold at (0.0893, 940.2), costs 2000x less than in float64."""
+    x, w = _leggauss(32)
+    lam0 = kp.cutoff.lambda0
+    total = 0.0
+    for a, b, n in ((0.0, 0.5 * lam0, panels[0]), (0.5 * lam0, lam0, panels[1])):
+        edges = np.linspace(a, b, n + 1)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        lam = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+        total = total + (kp_chord_integrand(kp, lam.astype(np.longdouble), sx, sy)
+                         * (0.5 * (hi - lo) * w).ravel().astype(np.longdouble)).sum()
+    return kp.prefactor * complex(total)
 
 
 def psi_radial(sz: float, sw: float, cutoff) -> complex:

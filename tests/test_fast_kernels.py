@@ -140,6 +140,69 @@ def test_kp_real_shells_match_complex(small_pot, cutoff, sx):
         assert abs(kp.direct_radial(sx, sy) - kp.prefactor * val) <= 1e-12 * abs(val * kp.prefactor)
 
 
+def _kp_oracle_radii(kp):
+    """KP_RADII, a Gauss node, radii between the two largest nodes and
+    between max(rn) and the potential's radius, and max(rn) with its two
+    neighbouring doubles."""
+    rn = np.sort(kp.rn)
+    top = rn[-1]
+    return KP_RADII + [rn[7], 0.5 * (rn[-2] + top), np.nextafter(top, 0.0), top,
+                       np.nextafter(top, np.inf), 0.5 * (top + kp.pot.radius)]
+
+
+def test_kp_integrand_matches_chord_oracle(small_pot, cutoff):
+    """The two-sum integrand against the chord tables node by node,
+    relative to the largest integrand value of the pair, on both sides of
+    the near/far split |x| < max(rn)."""
+    kp = kn.KPDirect(small_pot, cutoff)
+    radii = _kp_oracle_radii(kp)
+    for sx in radii:
+        for sy in radii + [7.0, 120.0]:
+            got = kp._integrand(sx, sy)(np.zeros(KP_LAMBDA.size, dtype=int), KP_LAMBDA)
+            ref = dense.kp_chord_integrand(kp, KP_LAMBDA, sx, sy)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_kp_mixed_call_matches_per_pair_calls(small_pot, cutoff):
+    """Near (|x| < max(rn)) and far pairs interleaved in one call give the
+    bits of one call per pair, so the near subset is indexed right."""
+    kp = kn.KPDirect(small_pot, cutoff)
+    radii = np.array(_kp_oracle_radii(kp))
+    gen = np.random.default_rng(27)
+    sx, sy = gen.permutation(radii), gen.permutation(radii)
+    near = np.maximum(sx, 1e-12) < kp.rn.max()
+    assert 0 < np.count_nonzero(near) < sx.size
+    assert np.count_nonzero(near[1:] != near[:-1]) >= 4
+    # every pair at every lambda, the points in a shuffled order
+    order = gen.permutation(sx.size * KP_LAMBDA.size)
+    k, j = np.divmod(order, KP_LAMBDA.size)
+    got = np.empty((sx.size, KP_LAMBDA.size), dtype=complex)
+    got[k, j] = kp._integrand(sx, sy)(k, KP_LAMBDA[j])
+    for i in range(sx.size):
+        one = kp._integrand(sx[i], sy[i])(np.zeros(KP_LAMBDA.size, dtype=int), KP_LAMBDA)
+        assert np.array_equal(got[i], one)
+
+
+@pytest.mark.parametrize("sx, sy", [(0.08927654572853447, 940.2282516360756), (0.3, 1000.0)])
+def test_kp_floor_pairs_refinement_stable(small_pot, cutoff, sx, sy):
+    """At small |x| and large |y| the 1e-19 absolute floor of the K_P rule
+    exceeds 1e-8 |K_P| / |prefactor|; refine levels 0 and 1 still agree
+    to 1e-8 relative, and to 1e-11 of the base envelope, whose ratio
+    criterion 6 reports.  Both levels are also that close to the long
+    double reference, which has neither the floor nor the package's
+    formula."""
+    kp = kn.KPDirect(small_pot, cutoff)
+    v0, v1 = kp.direct_radial(sx, sy, 0), kp.direct_radial(sx, sy, 1)
+    assert abs(v1 - v0) <= 1e-8 * abs(v1)
+    assert abs(v1 - v0) <= 1e-11 * kn.env_prop22_base(sx, sy)
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than float64 here")
+    ref = dense.kp_direct_extended(kp, sx, sy)
+    for v in (v0, v1):
+        assert abs(v - ref) <= 1e-8 * abs(ref)
+        assert abs(v - ref) <= 1e-11 * kn.env_prop22_base(sx, sy)
+
+
 def test_hormander_closed_form_matches_quadrature(rng):
     inside = 0
     for _ in range(60):
