@@ -14,8 +14,9 @@ special functions F, A, B against free-resolvent factors:
                      quadrature (two lambda-only sums over the radial
                      potential profile per lambda node) and through its
                      closed-form leading term,
-* ``K3Evaluator``    the cubic-remainder kernel K_3, contracted through
-                     cached Gamma3(lambda) matrices.
+* ``K3Evaluator``    the cubic-remainder kernel K_3, contracted with the
+                     mode blocks of Gamma3(lambda), one lambda node at a
+                     time.
 
 The adaptive kernels (``g_radial``, ``ktilde_radial``, ``psi2_radial``,
 ``KPDirect.direct_radial``) take broadcastable arrays of radii and run
@@ -36,11 +37,12 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .potential import Potential
-from .quadrature import _leggauss, gauss_rule, integrate_batch, log_trapezoid_rule, panel_rule
+from .quadrature import (_leggauss, distances, gauss_rule, integrate_batch, log_trapezoid_rule,
+                         panel_rule)
 # unused here, but perfbench/tracer.py rebinds it in every module that held it
 from .quadrature import integrate_adaptive  # noqa: F401
 from .reports import SlopeFit, fit_loglog
-from .resolvent import ExpansionTerms, full_mode_index, r0_diff_r, r0_kernel_r
+from .resolvent import ExpansionTerms, r0_diff_r, r0_kernel_r
 from .specfun import Branch, Cutoff, eval_F, eval_F_diff
 
 # Gauss-Legendre nodes per panel of the fixed Psi rules
@@ -365,26 +367,37 @@ class K3Evaluator:
         pairs: array-like of shape (p, 2, 3).
         Returns (values (p,), profiles (p, n_lambda)).
 
-        Gamma3 comes as its distinct mode blocks, so the row and column
-        vectors of each pair are taken to azimuthal modes too (ifft for
-        the rows, fft for the columns); mode m uses block min(m, n_phi - m),
-        and the rows of all pairs meet the blocks in one batched matmul.
+        Gamma3 comes as its distinct mode blocks in the tilde frame
+        S A S^{-1}, S = diag(sqrt(w)).  The row vector of a pair carries
+        the weights w and meets S^{-1}, its column vector meets S, so both
+        carry sqrt(w) v and no value-frame blocks are built.  The rows and
+        columns are taken to azimuthal modes (ifft for the rows, fft for
+        the columns).  Modes m and n_phi - m share block m, so the rows of
+        all pairs meet the blocks in two batched matmuls: modes
+        0 ... n_phi//2 with blocks 0 ... n_phi//2, and modes
+        n_phi - 1 ... n_phi//2 + 1 with blocks 1 ... (n_phi - 1)//2.
         """
         pairs = np.asarray(pairs, dtype=float)
         grid = self.pot.grid
-        nodes = grid.nodes
-        v = self.pot.v
-        shape = (len(pairs), grid.size // grid.n_phi, grid.n_phi)
-        modes = full_mode_index(grid.n_phi)
-        rx = np.linalg.norm(pairs[:, 0, None, :] - nodes[None, :, :], axis=-1)
-        ry = np.linalg.norm(pairs[:, 1, None, :] - nodes[None, :, :], axis=-1)
+        n_phi = grid.n_phi
+        half = n_phi // 2 + 1
+        shape = (len(pairs), grid.size // n_phi, n_phi)
+        vt = np.sqrt(grid.weights) * self.pot.v
+        rx = distances(pairs[:, 0, None], grid.nodes)
+        ry = distances(pairs[:, 1, None], grid.nodes)
 
         def one(lam):
-            gamma = self.terms.gamma3_value_frame(lam)
-            rows = r0_kernel_r(Branch.plus, lam, rx) * (grid.weights * v)[None, :]
-            cols = r0_diff_r(lam, ry) * v[None, :]
-            left = np.fft.ifft(rows.reshape(shape), axis=-1).transpose(2, 0, 1) @ gamma[modes]
-            contr = np.einsum("mpb,pbm->p", left, np.fft.fft(cols.reshape(shape), axis=-1))
+            gamma = self.terms.gamma3_tilde(lam)
+            rows = r0_kernel_r(Branch.plus, lam, rx)
+            rows *= vt
+            cols = r0_diff_r(lam, ry)
+            cols *= vt
+            rows = np.fft.ifft(rows.reshape(shape).transpose(2, 0, 1), axis=0)
+            cols = np.fft.fft(cols.reshape(shape).transpose(2, 0, 1), axis=0)
+            contr = np.einsum("mpb,mpb->p", rows[:half] @ gamma, cols[:half])
+            mirror = slice(n_phi - 1, half - 1, -1)
+            contr += np.einsum("mpb,mpb->p", rows[mirror] @ gamma[1:n_phi - half + 1],
+                               cols[mirror])
             return lam ** 3 * self.cutoff(lam) * contr
 
         from .parallel import pmap

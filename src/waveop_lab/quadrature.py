@@ -246,6 +246,19 @@ def log_trapezoid_rule(a: float, b: float, n: int):
 # Ball grids
 # ----------------------------------------------------------------------
 
+def distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| for broadcastable arrays of points (..., 3), summed one
+    component at a time as sqrt((dx dx + dy dy) + dz dz): the order, and
+    so the bits, of np.linalg.norm(x - y, axis=-1), with no (..., 3)
+    temporary."""
+    r = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+    for k in range(3):
+        d = x[..., k] - y[..., k]
+        d *= d
+        r += d
+    return np.sqrt(r, out=r)
+
+
 @dataclass(frozen=True)
 class BallGrid:
     """Product quadrature grid on the ball |x| <= radius.
@@ -274,7 +287,7 @@ class BallGrid:
         nodes at azimuths 0 ... n_phi//2 to the phi = 0 nodes, with
         nb = n_r * n_theta: every mode stack on the grid is built on it."""
         x = self.nodes.reshape(-1, self.n_phi, 3)
-        r = np.linalg.norm(x[:, :self.n_phi // 2 + 1, None] - x[None, None, :, 0], axis=-1)
+        r = distances(x[:, :self.n_phi // 2 + 1, None], x[None, None, :, 0])
         r.flags.writeable = False
         return r
 

@@ -40,17 +40,18 @@ with w_j = 1 at j = 0 and, for even n_phi, at j = n_phi/2, and w_j = 2
 otherwise; these are also the multiplicities of the blocks in the full
 spectrum.  A real symmetric kernel gives real symmetric blocks (block m
 transposed is block -m, that is block m): U, T, G1, P, Q, D0 and QTQ.  So
-the expansion algebra runs on 11 real block products and their
-transposes, the complex constants a, a1 enter only its final
-combinations, and singular values come from ``eigvalsh``: of the QTQ
-blocks, and of the Hermitian Gram blocks A^H A for the operator norm.
-Sums, products and inverses act block by block, so ``@`` and
-``np.linalg.inv`` work on the stacks as they would on the N x N
-matrices; the operator norm is the largest block norm, and the
+the expansion algebra runs on 10 real block products of T, G1, D0 and
+F = I - T D0 and their transposes, the complex constants a, a1 enter
+only its final combinations, and singular values come from
+``eigvalsh``: of the QTQ blocks, and of the Hermitian Gram blocks A^H A
+for the operator norm.  Sums, products and inverses act block by block,
+so ``@`` and ``np.linalg.inv`` work on the stacks as they would on the
+N x N matrices; the operator norm is the largest block norm, and the
 Frobenius norm squared is the sum over blocks weighted by their
 multiplicities.  ``K3Evaluator.eval_pairs``, which needs every mode,
-reads mode m from block min(m, n_phi - m).  The projection-gain input
-f = 1 is constant in phi, so only mode 0 acts on it (``vr0_one``).
+takes Gamma3 in the tilde frame and meets the rows and columns of modes
+m and n_phi - m with block m.  The projection-gain input f = 1 is
+constant in phi, so only mode 0 acts on it (``vr0_one``).
 """
 
 from __future__ import annotations
@@ -121,12 +122,6 @@ def mode_stack(grid: BallGrid, kernel) -> np.ndarray:
     j = np.arange(n_phi // 2 + 1)
     table = mode_multiplicity(n_phi) * np.cos(2.0 * np.pi * (np.outer(j, j) % n_phi) / n_phi)
     return np.tensordot(table, kernel(grid.mode_distances), axes=([1], [1]))
-
-
-def full_mode_index(n_phi: int) -> np.ndarray:
-    """Half-spectrum block index of every mode m = 0 ... n_phi - 1."""
-    m = np.arange(n_phi)
-    return np.minimum(m, n_phi - m)
 
 
 def operator_norm(stack: np.ndarray) -> float:
@@ -250,14 +245,13 @@ class ExpansionTerms:
         return out
 
     def gamma3_tilde(self, lam: float) -> np.ndarray:
-        """Gamma3(lambda) = M^{-1}(lambda) - [D0 + lambda C1 + lambda^2 A2]."""
-        minv = np.linalg.inv(m_tilde(self.pot, lam))
-        return minv - self.expansion_value(lam)
-
-    def gamma3_value_frame(self, lam: float) -> np.ndarray:
-        """Gamma3 in the value frame (weights baked), for kernel contractions."""
-        s = _per_block(self.pot, np.sqrt(self.pot.grid.weights))
-        return (1.0 / s[:, None]) * self.gamma3_tilde(lam) * s[None, :]
+        """Gamma3(lambda) = M^{-1}(lambda) - [D0 + lambda C1 + lambda^2 A2],
+        each term subtracted from M^{-1} in place."""
+        gamma = np.linalg.inv(m_tilde(self.pot, lam))
+        gamma -= self.D0
+        gamma -= lam * self.C1
+        gamma -= lam ** 2 * self.A2
+        return gamma
 
 
 def expansion_terms(pot: Potential) -> ExpansionTerms:
@@ -283,22 +277,30 @@ def expansion_terms(pot: Potential) -> ExpansionTerms:
     # inversion, written in x = lambda/a with c = a1 * a:
     #   (x Mtilde + Q)^{-1} = I + x E1 + x^2 E2 + ...,  E1 = -T, E2 = T^2 - c G1
     #   W = x^{-1} D0 + W0 + x W1    (Q-subspace inverse, extended by 0)
-    # T, G1 and D0 are real symmetric per block: with E = T D0, D0 T = E^T
-    # and D0 T^2 D0 = E^T E; P + Q = I.
+    # T, G1 and D0 are real symmetric per block, and P + Q = I: with
+    # E = T D0 and F = I - E, D0 T = E^T and I - E - E^T + D0 T^2 D0 = F^T F
+    # (the 1/a part of C1); the lambda^2 terms free of G1 sum to
+    # R0 = -T + T D0 T + F^T S + S^T with S = F T E, and those linear in
+    # G1 to -(F^T F G1 D0 + its transpose).
     c = a1 * a
-    eye = np.eye(T.shape[-1])
     E = T @ D0
-    ET = E.transpose(0, 2, 1)
+    F = np.eye(T.shape[-1]) - E
+    FT = F.transpose(0, 2, 1)
     GD0 = G1 @ D0
-    T2D0 = T @ E
-    D0T2D0 = ET @ E
     D0GD0 = D0 @ GD0
+    X = FT @ F
+    XGD0 = X @ GD0
+    S = F @ (T @ E)
 
-    C1 = (eye - E - ET + D0T2D0) / a - a1 * D0GD0
-    B = (E + ET - D0T2D0 - eye) @ GD0
-    S = T2D0 - E @ T2D0
-    R0 = -T + E @ T + D0T2D0 @ T2D0 - ET @ T2D0 + S + S.transpose(0, 2, 1)
-    A2 = (R0 + c * (B + B.transpose(0, 2, 1)) + c * c * (D0GD0 @ GD0)) / a ** 2
+    C1 = X / a
+    C1 -= a1 * D0GD0
+    R0 = E @ T
+    R0 -= T
+    R0 += FT @ S
+    R0 += S.transpose(0, 2, 1)
+    A2 = R0 - c * (XGD0 + XGD0.transpose(0, 2, 1))
+    A2 += c * c * (D0GD0 @ GD0)
+    A2 /= a ** 2
     return ExpansionTerms(pot=pot, a=a, D0=D0, C1=C1, A2=A2, ptilde=qs.P / a, qsplit=qs,
                           cond_QTQ=cond)
 

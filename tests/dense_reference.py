@@ -6,6 +6,12 @@ expansion algebra run on those matrices.  The package works on the
 distinct per-mode blocks instead, built by a cosine table over half the
 azimuths; ``full_mode_stack`` is the FFT over all of them that gives
 every mode.  The tests compare the routes on small grids.
+``expansion_terms_modes`` runs the expansion algebra on the package's
+mode blocks as 11 block products, where the package writes it on
+F = I - E in 10, and ``k3_eval_pairs_modes`` is the K3 contraction with
+Gamma3 taken to the value frame and gathered over the full spectrum of
+modes, where the package keeps the tilde frame, folds S^{-1} and S into
+the row and column weights and meets the half spectrum directly.
 ``mode_apply`` applies a block-circulant operator to any grid function
 by an FFT over the azimuth; the package's v R0 f takes only f = 1, on
 which mode 0 alone acts (``vr0_one``), and ``vr0_apply`` is the dense
@@ -83,10 +89,17 @@ import numpy as np
 from waveop_lab.errors import InvalidInputError, SingularityError
 from waveop_lab.experiments import _unit_vectors
 from waveop_lab.quadrature import _leggauss, cap_area, gauss_rule, integrate_adaptive
-from waveop_lab.resolvent import _graded_theta_nodes, full_mode_index, r0_diff_r, r0_kernel_r
+from waveop_lab import resolvent as rs
+from waveop_lab.resolvent import _graded_theta_nodes, r0_diff_r, r0_kernel_r
 from waveop_lab.singular import _cell_measures
 from waveop_lab.specfun import (Branch, _bump_cumulative, _bump_hat,
                                _series_coeffs, eval_F, eval_F_diff)
+
+
+def full_mode_index(n_phi: int) -> np.ndarray:
+    """Half-spectrum block index of every mode m = 0 ... n_phi - 1."""
+    m = np.arange(n_phi)
+    return np.minimum(m, n_phi - m)
 
 
 def full_mode_stack(grid, kernel) -> np.ndarray:
@@ -279,6 +292,68 @@ def k3_eval_pairs(k3, terms, pairs):
         contr = np.einsum("pi,ij,pj->p", rows, gamma, cols, optimize=True)
         profiles.append(lam ** 3 * k3.cutoff(lam) * contr)
     profiles = np.stack(profiles, axis=1)
+    return profiles @ k3.weights, profiles
+
+
+def expansion_terms_modes(pot) -> SimpleNamespace:
+    """D0, C1 and A2 on the package's mode blocks, from 11 real block
+    products: C1 from I - E - E^T + D0 T^2 D0 and A2 from
+    R0 = -T + E T + D0T2D0 T2D0 - E^T T2D0 + S + S^T, S = T2D0 - E T2D0,
+    with E = T D0 and T2D0 = T E; the package writes the same sums on
+    F = I - E in 10."""
+    qs = rs.QSplit(pot)
+    T = rs.t_tilde(pot)
+    G1 = rs.vg1v_tilde(pot)
+    a = (1.0 + 1j) * pot.normV_grid / (8.0 * np.pi)
+    a1 = (1.0 - 1j) / (48.0 * np.pi)
+    head, tail = qs.restrict(T)
+    D0 = qs.extend(np.linalg.inv(head), np.linalg.inv(tail))
+
+    c = a1 * a
+    eye = np.eye(T.shape[-1])
+    E = T @ D0
+    ET = E.transpose(0, 2, 1)
+    GD0 = G1 @ D0
+    T2D0 = T @ E
+    D0T2D0 = ET @ E
+    D0GD0 = D0 @ GD0
+
+    C1 = (eye - E - ET + D0T2D0) / a - a1 * D0GD0
+    B = (E + ET - D0T2D0 - eye) @ GD0
+    S = T2D0 - E @ T2D0
+    R0 = -T + E @ T + D0T2D0 @ T2D0 - ET @ T2D0 + S + S.transpose(0, 2, 1)
+    A2 = (R0 + c * (B + B.transpose(0, 2, 1)) + c * c * (D0GD0 @ GD0)) / a ** 2
+    return SimpleNamespace(pot=pot, D0=D0, C1=C1, A2=A2)
+
+
+def k3_eval_pairs_modes(k3, terms, pairs):
+    """K3Evaluator.eval_pairs on the mode blocks of ``terms`` as whole
+    value-frame stacks: Gamma3 = M^{-1} - (D0 + lambda C1 + lambda^2 A2)
+    taken to the value frame S^{-1} Gamma3 S, rows weighted by w v and
+    columns by v, distances from np.linalg.norm, and every mode m of the
+    full spectrum meeting block min(m, n_phi - m) gathered into one
+    (n_phi, nb, nb) stack."""
+    pairs = np.asarray(pairs, dtype=float)
+    grid = k3.pot.grid
+    nodes = grid.nodes
+    v = k3.pot.v
+    shape = (len(pairs), grid.size // grid.n_phi, grid.n_phi)
+    modes = full_mode_index(grid.n_phi)
+    s = np.sqrt(grid.weights)[::grid.n_phi]
+    rx = np.linalg.norm(pairs[:, 0, None, :] - nodes[None, :, :], axis=-1)
+    ry = np.linalg.norm(pairs[:, 1, None, :] - nodes[None, :, :], axis=-1)
+    profiles = np.zeros((len(pairs), k3.lambdas.size), dtype=complex)
+    for i, lam in enumerate(k3.lambdas):
+        if k3.cutoff(lam) == 0.0:
+            continue
+        minv = np.linalg.inv(rs.m_tilde(k3.pot, lam))
+        gamma = minv - (terms.D0 + lam * terms.C1 + lam ** 2 * terms.A2)
+        gamma = (1.0 / s[:, None]) * gamma * s[None, :]
+        rows = r0_kernel_r(Branch.plus, lam, rx) * (grid.weights * v)[None, :]
+        cols = r0_diff_r(lam, ry) * v[None, :]
+        left = np.fft.ifft(rows.reshape(shape), axis=-1).transpose(2, 0, 1) @ gamma[modes]
+        contr = np.einsum("mpb,pbm->p", left, np.fft.fft(cols.reshape(shape), axis=-1))
+        profiles[:, i] = lam ** 3 * k3.cutoff(lam) * contr
     return profiles @ k3.weights, profiles
 
 

@@ -237,7 +237,7 @@ def test_k3_zero_gamma_gives_zero(strong_terms, cutoff):
         pot = strong_terms.pot
 
         @staticmethod
-        def gamma3_value_frame(lam):
+        def gamma3_tilde(lam):
             return np.zeros(shape, dtype=complex)
 
     k3.terms = ZeroTerms()
@@ -254,9 +254,9 @@ def test_k3_skips_nodes_where_cutoff_vanishes(strong_terms, cutoff, n_lambda, n_
         pot = strong_terms.pot
 
         @staticmethod
-        def gamma3_value_frame(lam):
+        def gamma3_tilde(lam):
             calls.append(lam)
-            return strong_terms.gamma3_value_frame(lam)
+            return strong_terms.gamma3_tilde(lam)
 
     class EveryNodeLive:
         """The cutoff, but every node of a lambda array counts as live."""

@@ -3,6 +3,9 @@
 The grids are small enough for whole N x N matrices; (6, 4, 7) has an
 odd number of azimuth nodes, where a reversed or shifted mode index
 would no longer cancel by symmetry, and no self-paired mode n_phi/2.
+The expansion algebra and the K3 contraction are also held to their
+earlier forms on the same mode blocks (``expansion_terms_modes``,
+``k3_eval_pairs_modes``), which differ from them only in rounding.
 """
 
 import copy
@@ -16,9 +19,13 @@ import dense_reference as dense
 from waveop_lab import kernels as kn
 from waveop_lab import resolvent as rs
 from waveop_lab.potential import PotentialSpec, build_potential
+from waveop_lab.quadrature import distances
 from waveop_lab.specfun import Branch
 
 TOL = 1e-10
+# the same operators on the same mode blocks, in other arithmetic
+MODES_TOL = 1e-12
+GRIDS = {"12x8x16": (12, 8, 16), "8x6x10": (8, 6, 10), "6x4x7": (6, 4, 7)}
 
 
 def _rel(stack_or_vec, ref):
@@ -157,6 +164,57 @@ def test_k3_values_match_dense(both, cutoff):
     ref_vals, ref_profs = dense.k3_eval_pairs(k3, ref, pairs)
     assert _rel(vals, ref_vals) <= TOL
     assert _rel(profs, ref_profs) <= TOL
+
+
+@pytest.mark.parametrize("grid_shape", list(GRIDS.values()), ids=list(GRIDS))
+def test_expansion_terms_match_eleven_products(grid_shape):
+    """C1 and A2 from the 10 products on F = I - E against the 11 of
+    the earlier algebra, block by block.  Each block is held to the
+    stack's largest entry: blocks m >= 2 are zero up to rounding (about
+    1e-18 against an O(1) mode-0 block), so their own scale is noise."""
+    pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=grid_shape)
+    terms, ref = rs.expansion_terms(pot), dense.expansion_terms_modes(pot)
+    assert np.array_equal(terms.D0, ref.D0)
+    for name in ("C1", "A2"):
+        got, want = getattr(terms, name), getattr(ref, name)
+        scale = np.max(np.abs(want))
+        for m in range(want.shape[0]):
+            assert np.max(np.abs(got[m] - want[m])) <= MODES_TOL * scale, (name, m)
+
+
+@pytest.mark.parametrize("grid_shape", list(GRIDS.values()), ids=list(GRIDS))
+@pytest.mark.parametrize("n_lambda", [4, 24])
+def test_k3_matches_value_frame_route(grid_shape, cutoff, n_lambda):
+    """eval_pairs in the tilde frame on the half spectrum against the
+    value-frame contraction over every mode, each on its own expansion
+    algebra: values per pair, profiles per pair against their largest
+    node."""
+    pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=grid_shape)
+    k3 = kn.K3Evaluator(rs.expansion_terms(pot), cutoff, n_lambda=n_lambda)
+    rng = np.random.default_rng(5)
+    pairs = rng.standard_normal((12, 2, 3)) * rng.uniform(0.2, 30.0, (12, 2, 1))
+    vals, profs = k3.eval_pairs(pairs)
+    ref_vals, ref_profs = dense.k3_eval_pairs_modes(k3, dense.expansion_terms_modes(pot), pairs)
+    assert np.max(np.abs(vals - ref_vals) / np.abs(ref_vals)) <= MODES_TOL
+    gap = np.max(np.abs(profs - ref_profs), axis=1) / np.max(np.abs(ref_profs), axis=1)
+    assert np.max(gap) <= MODES_TOL
+
+
+@pytest.mark.parametrize("grid_shape", [(12, 8, 16), (16, 12, 24)], ids=["12x8x16", "16x12x24"])
+def test_distance_tables_equal_norm(grid_shape):
+    """The distance tables summed by components have the bits of
+    np.linalg.norm over a last axis of 3: the grid's mode table, and the
+    tables from the x and y of K3 pairs to every node."""
+    grid = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=grid_shape).grid
+    x = grid.nodes.reshape(-1, grid.n_phi, 3)
+    want = np.linalg.norm(x[:, :grid.n_phi // 2 + 1, None] - x[None, None, :, 0], axis=-1)
+    assert np.array_equal(grid.mode_distances, want)
+    rng = np.random.default_rng(6)
+    pairs = rng.standard_normal((40, 2, 3)) * rng.uniform(0.1, 50.0, (40, 2, 1))
+    pairs[0] = grid.nodes[:2]                  # zero distances
+    for k in (0, 1):
+        want = np.linalg.norm(pairs[:, k, None, :] - grid.nodes[None, :, :], axis=-1)
+        assert np.array_equal(distances(pairs[:, k, None], grid.nodes), want)
 
 
 def test_refined_grid_gamma3_slope():
