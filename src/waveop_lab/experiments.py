@@ -80,9 +80,9 @@ def phi_radial(a0, d, R, rel_tol: float = 1e-9):
                               abs_tol=1e-15).reshape(shape)[()]
 
 
-def phi_log_bound(R: float, R0: float) -> float:
-    """(pi/2) log(1 + (R-R0)/(2 R0+1)): the uniform band lower bound."""
-    return float(0.5 * np.pi * np.log1p((R - R0) / (2.0 * R0 + 1.0)))
+def phi_log_bound(R, R0: float):
+    """(pi/2) log(1 + (R-R0)/(2 R0+1)): the uniform band lower bound, per R."""
+    return 0.5 * np.pi * np.log1p((R - R0) / (2.0 * R0 + 1.0))
 
 
 class CounterexampleOperator:
@@ -111,10 +111,12 @@ class CounterexampleOperator:
             s ** 2 - 2.0 * s * self.r1[:, None] * self.mu[None, :] + (self.r1 ** 2)[:, None],
             0.0))
 
-    def tg_abs(self, s: float, R: float) -> float:
-        """|T_G f_R| at |x| = s (the operator output has constant phase)."""
+    def tg_abs(self, s, R):
+        """|T_G f_R| at |x| = s (the operator output has constant phase); s
+        and R broadcast, and all their Phi run in one batched quadrature."""
+        R = np.asarray(R, dtype=float)[..., None, None, None]
         phi = phi_radial(self.a0_grid(s)[..., None], self.d, R, _TG_REL_TOL) @ self.w2
-        dbl = float((self.w1 * phi).sum())
+        dbl = (self.w1 * phi).sum(axis=(-2, -1))
         return dbl / (2.0 * np.sqrt(2.0) * np.pi * self.pot.normV_L1 ** 2)
 
     def tg_abs_far_batch(self, s_values: np.ndarray, R: float) -> np.ndarray:
@@ -204,8 +206,8 @@ def counterexample_linf(op: CounterexampleOperator, R_list) -> tuple:
     R0 = op.pot.radius
     R_arr = np.asarray(R_list, dtype=float)
     radii = R_arr + 2.0 * R0 + 1.5
-    vals = np.array([op.tg_abs(sr, R) for sr, R in zip(radii, R_arr)])
-    log_bounds = np.array([phi_log_bound(R, R0) for R in R_arr])
+    vals = op.tg_abs(radii, R_arr)
+    log_bounds = phi_log_bound(R_arr, R0)
     bounds = log_bounds / (2.0 * np.sqrt(2.0) * np.pi)
     # the uniform band bound needs Phi(midpoint) >= (pi/2) log(...); check
     # its own precondition at the least favorable grid-free midpoint value
@@ -250,23 +252,18 @@ def _unit_vectors(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def sample_three_regime_pairs(rng, n: int, r_min: float, r_max: float):
-    """Point pairs covering |x| ~ |y|, |x| >> |y| and |x| << |y|."""
-    pairs = []
+def sample_three_regime_pairs(rng, n: int, r_min: float, r_max: float) -> np.ndarray:
+    """Point pairs covering |x| ~ |y|, |x| >> |y| and |x| << |y| in turn,
+    as an array (n, 2, 3) of the x and y of each pair."""
     kinds = np.arange(n) % 3
+    lo = np.array([np.log(0.5), np.log(1e-3), np.log(2.5)])[kinds]
+    hi = np.array([np.log(2.0), np.log(0.4), np.log(1e3)])[kinds]
     rx = np.exp(rng.uniform(np.log(r_min), np.log(r_max), n))
     ux = _unit_vectors(rng, n)
     uy = _unit_vectors(rng, n)
-    for i in range(n):
-        if kinds[i] == 0:
-            ry = rx[i] * np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
-        elif kinds[i] == 1:
-            ry = rx[i] * np.exp(rng.uniform(np.log(1e-3), np.log(0.4)))
-        else:
-            ry = min(rx[i] * np.exp(rng.uniform(np.log(2.5), np.log(1e3))), r_max * 2.0)
-        ry = max(ry, r_min * 1e-2)
-        pairs.append((rx[i] * ux[i], ry * uy[i]))
-    return pairs
+    # only |x| << |y| can pass 2 r_max
+    ry = np.clip(rx * np.exp(rng.uniform(lo, hi)), r_min * 1e-2, r_max * 2.0)
+    return np.stack([rx[:, None] * ux, ry[:, None] * uy], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +488,7 @@ def check_resolvent_expansion(ctx: SuiteContext) -> tuple:
     terms = ctx.expansion_terms()
     lams = ctx.lambda_window()
     tol = cfg.tolerances
-    norms, fits, solve_res = rs.expansion_residual(terms, lams, drops=((), ("a2",), ("ptilde",)))
+    norms, fits, solve_res = rs.expansion_residual(terms, lams)
     fesh = rs.feshbach_consistency(terms, 0.05)
     solve_max = float(solve_res.max())
     gates = []
@@ -551,10 +548,10 @@ def _sweep(name, kernel, env, pairs, stab_tol):
     |y| to kernel and envelope values; the kernel is called once for all
     pairs and, with ``refine = 1``, once for the top-ranked ones.
     """
-    pairs = list(pairs)
-    if not pairs:
+    pairs = np.asarray(pairs, dtype=float)
+    if len(pairs) == 0:
         raise InvalidInputError("empty sample list")
-    x, y = np.array(pairs, dtype=float).transpose(1, 0, 2)
+    x, y = pairs[:, 0], pairs[:, 1]
     # one norm per 3-vector for kernel and envelope: a row-wise norm can differ in the last bit
     s, t = (np.array([np.linalg.norm(v) for v in u]) for u in (x, y))
     envs = env(s, t)
@@ -636,8 +633,7 @@ def check_k3_bound(ctx: SuiteContext) -> tuple:
     k3 = kn.K3Evaluator(terms, ctx.cutoff, n_lambda=k3cfg["n_lambda"],
                         lam_min=k3cfg["lambda_min"])
     n_pairs = k3cfg["n_pairs"]
-    pairs3 = sample_three_regime_pairs(rng, n_pairs, K3_RADIUS_MIN, k3cfg["radius_max"])
-    pairs = np.array([np.stack(p) for p in pairs3])
+    pairs = sample_three_regime_pairs(rng, n_pairs, K3_RADIUS_MIN, k3cfg["radius_max"])
     spots = []
     for _ in range(k3cfg["n_spot"]):
         sx = rng.uniform(K3_RADIUS_MIN, k3cfg["spot_radius"])

@@ -114,7 +114,7 @@ def build_potential(spec: PotentialSpec, grid_shape=(12, 8, 16)) -> Potential:
     """Build the potential and its quadrature grid.
 
     grid_shape is (n_r, n_theta, n_phi).  For the decay shape the grid
-    radius is the truncation radius where the profile drops below 1e-12
+    radius is the truncation radius where the profile falls below 1e-12
     of the amplitude.
     """
     if spec.amplitude == 0.0:

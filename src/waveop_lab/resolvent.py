@@ -39,7 +39,8 @@ real cosine sum
 with w_j = 1 at j = 0 and, for even n_phi, at j = n_phi/2, and w_j = 2
 otherwise; these are also the multiplicities of the blocks in the full
 spectrum.  A real symmetric kernel gives real symmetric blocks (block m
-transposed is block -m, that is block m): U, T, G1, P, Q, D0 and QTQ.  So
+transposed is block -m, that is block m): U, T, G1, D0 and QTQ.  P is
+u u^T in mode 0 and zero elsewhere, held as the unit vector u.  So
 the expansion algebra runs on 10 real block products of T, G1, D0 and
 F = I - T D0 and their transposes, the complex constants a, a1 enter
 only its final combinations, and singular values come from
@@ -176,22 +177,20 @@ class QSplit:
     """Orthonormal complement of v in the weighted inner product.
 
     v is radial, so span{v} lies in azimuthal mode 0: P is the rank-one
-    projection onto u (v normalized per block) there and zero in every
-    other mode, where Q = I.  The mode-0 complement comes from a single
-    Householder reflection, so restriction to it is numerically stable.
+    projection u u^T onto the unit vector u (v normalized per block)
+    there and zero in every other mode, where Q = I.  P is held only as
+    u.  The mode-0 complement comes from a single Householder
+    reflection, so restriction to it is numerically stable.
     """
 
     def __init__(self, pot: Potential):
         vt = _vt(pot)
-        u = vt / np.linalg.norm(vt)
-        h = u.copy()
-        h[0] += 1.0 if u[0] >= 0 else -1.0
+        self.u = vt / np.linalg.norm(vt)
+        h = self.u.copy()
+        h[0] += 1.0 if self.u[0] >= 0 else -1.0
         h /= np.linalg.norm(h)
-        H = np.eye(u.size) - 2.0 * np.outer(h, h)
+        H = np.eye(h.size) - 2.0 * np.outer(h, h)
         self.basis = H[:, 1:]          # (nb, nb-1), columns orthonormal, span u-perp
-        self.P = np.zeros((pot.grid.n_phi // 2 + 1, u.size, u.size))
-        self.P[0] = np.outer(u, u)
-        self.Q = np.eye(u.size) - self.P
 
     def restrict(self, stack: np.ndarray):
         """Q A Q on the Q-subspace: the mode-0 block on u-perp, and the
@@ -223,35 +222,27 @@ def zero_regularity_check(pot: Potential, qsplit: QSplit | None = None,
 @dataclass
 class ExpansionTerms:
     """lambda-independent operators of the inverse expansion (tilde frame,
-    mode blocks)."""
+    mode blocks).  C1 carries the (1/a) P part; P itself is ``qsplit.u``."""
 
     pot: Potential
     a: complex
     D0: np.ndarray = field(repr=False)          # (QTQ)^{-1} extended by zero
     C1: np.ndarray = field(repr=False)          # full lambda^1 coefficient
     A2: np.ndarray = field(repr=False)          # lambda^2 coefficient
-    ptilde: np.ndarray = field(repr=False)      # (1/a) P part of C1
     qsplit: QSplit = field(repr=False)
     cond_QTQ: float                             # condition number of QTQ
 
-    def expansion_value(self, lam: float, drop=()) -> np.ndarray:
-        """D0 + lambda C1 + lambda^2 A2 with optional dropped terms."""
-        c1 = self.C1
-        if "ptilde" in drop:
-            c1 = c1 - self.ptilde
-        out = self.D0 + lam * c1
-        if "a2" not in drop:
-            out = out + lam ** 2 * self.A2
-        return out
+    def gamma3(self, minv: np.ndarray, lam: float) -> np.ndarray:
+        """Gamma3(lambda) = M^{-1}(lambda) - [D0 + lambda C1 + lambda^2 A2]
+        from M^{-1}(lambda), each term subtracted from ``minv`` in place."""
+        minv -= self.D0
+        minv -= lam * self.C1
+        minv -= lam ** 2 * self.A2
+        return minv
 
     def gamma3_tilde(self, lam: float) -> np.ndarray:
-        """Gamma3(lambda) = M^{-1}(lambda) - [D0 + lambda C1 + lambda^2 A2],
-        each term subtracted from M^{-1} in place."""
-        gamma = np.linalg.inv(m_tilde(self.pot, lam))
-        gamma -= self.D0
-        gamma -= lam * self.C1
-        gamma -= lam ** 2 * self.A2
-        return gamma
+        """Gamma3(lambda), with M(lambda) assembled and inverted here."""
+        return self.gamma3(np.linalg.inv(m_tilde(self.pot, lam)), lam)
 
 
 def expansion_terms(pot: Potential) -> ExpansionTerms:
@@ -301,27 +292,28 @@ def expansion_terms(pot: Potential) -> ExpansionTerms:
     A2 = R0 - c * (XGD0 + XGD0.transpose(0, 2, 1))
     A2 += c * c * (D0GD0 @ GD0)
     A2 /= a ** 2
-    return ExpansionTerms(pot=pot, a=a, D0=D0, C1=C1, A2=A2, ptilde=qs.P / a, qsplit=qs,
-                          cond_QTQ=cond)
+    return ExpansionTerms(pot=pot, a=a, D0=D0, C1=C1, A2=A2, qsplit=qs, cond_QTQ=cond)
 
 
-def expansion_residual(terms: ExpansionTerms, lambda_list, drops=((),)) -> tuple:
-    """||Gamma3(lambda)|| over a lambda list and its log-log slope fits:
-    (norms, fits, solve_residuals), one norms row (over lambda) and one
-    fit per drop set, and ||M M^{-1} - I|| per lambda.
+def expansion_residual(terms: ExpansionTerms, lambda_list) -> tuple:
+    """Norms of Gamma3(lambda) and of its two ablations over a lambda list,
+    their log-log slope fits and ||M M^{-1} - I||: (norms, fits, solve_residuals).
 
-    A drop set may contain "a2" and/or "ptilde" for the ablation runs
-    (the dropped expansion term then dominates the residual and the
-    slope degrades accordingly).  M(lambda) is inverted once per lambda
-    for all drop sets.
-    """
+    The rows of norms are ||Gamma3||, ||Gamma3 + lambda^2 A2|| and
+    ||Gamma3 + (lambda/a) P||, P = u u^T in mode 0: the term added back
+    dominates, and the slope falls from 3 to 2 or 1.  M(lambda) is
+    inverted once per lambda."""
     lams = np.asarray(lambda_list, dtype=float)
+    u = terms.qsplit.u
 
     def one(lam):
         mt = m_tilde(terms.pot, lam)
         minv = np.linalg.inv(mt)
         res = operator_norm(mt @ minv - np.eye(mt.shape[-1]))
-        return [operator_norm(minv - terms.expansion_value(lam, drop=d)) for d in drops], res
+        gamma = terms.gamma3(minv, lam)
+        norms = [operator_norm(gamma), operator_norm(gamma + lam ** 2 * terms.A2)]
+        gamma[0] += (lam / terms.a) * np.outer(u, u)
+        return norms + [operator_norm(gamma)], res
 
     from .parallel import pmap
     out = pmap(one, lams)
@@ -332,13 +324,16 @@ def expansion_residual(terms: ExpansionTerms, lambda_list, drops=((),)) -> tuple
 def feshbach_consistency(terms: ExpansionTerms, lam: float) -> float:
     """Relative gap between the block-inversion route and direct inversion.
 
-    Inverts Mtime = (lambda/a) M(lambda) via E = (Mtime + Q)^{-1} and the
-    Q-subspace operator Q - Q E Q, then compares with a direct inverse
-    (Frobenius, relative; each block counted with its multiplicity).
+    Inverts Mtime = (lambda/a) M(lambda) via E = (Mtime + I - P)^{-1},
+    P = u u^T in mode 0, and the Q-subspace operator Q - Q E Q, then
+    compares with a direct inverse (Frobenius, relative; each block
+    counted with its multiplicity).
     """
     qs = terms.qsplit
     mt = (lam / terms.a) * m_tilde(terms.pot, lam)
-    E = np.linalg.inv(mt + qs.Q)
+    shifted = mt + np.eye(mt.shape[-1])
+    shifted[0] -= np.outer(qs.u, qs.u)
+    E = np.linalg.inv(shifted)
     head, tail = qs.restrict(E)
     inv_small = qs.extend(np.linalg.inv(np.eye(head.shape[-1]) - head),
                           np.linalg.inv(np.eye(tail.shape[-1]) - tail))

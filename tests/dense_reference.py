@@ -12,6 +12,12 @@ F = I - E in 10, and ``k3_eval_pairs_modes`` is the K3 contraction with
 Gamma3 taken to the value frame and gathered over the full spectrum of
 modes, where the package keeps the tilde frame, folds S^{-1} and S into
 the row and column weights and meets the half spectrum directly.
+``expansion_value`` is D0 + lambda C1 + lambda^2 A2 on the package's
+mode blocks, out of place, with lambda^2 A2 or lambda Ptilde left out by
+drop set (Ptilde = P/a, P from ``projection_stack``), and
+``expansion_residual_norms`` takes M^{-1} minus it; the package
+subtracts all three terms from M^{-1} in place once and adds
+lambda^2 A2, or (lambda/a) u u^T in block 0, back.
 ``mode_apply`` applies a block-circulant operator to any grid function
 by an FFT over the azimuth; the package's v R0 f takes only f = 1, on
 which mode 0 alone acts (``vr0_one``), and ``vr0_apply`` is the dense
@@ -71,6 +77,10 @@ and ``cancellation_identity_lhs`` evaluate the three identities of the
 identities check straight from their formulas, the last in complex
 arithmetic, and ``identity_residuals_block`` takes their residuals; the
 package evaluates all three on one set of shared real temporaries.
+
+Samples: ``sample_three_regime_pairs`` draws each pair's ratio |y|/|x|
+by one scalar call; the package draws all of them in one array call,
+with the same stream and bits.
 
 Paper objects with no check of their own: ``dyadic_phi`` is the
 homogeneous dyadic partition of unity behind the band estimates.
@@ -242,8 +252,8 @@ def feshbach_consistency(terms, lam: float) -> float:
     qs = terms.qsplit
     mt = (lam / terms.a) * m_tilde(terms.pot, lam)
     E = np.linalg.inv(mt + qs.Q)
-    small = np.eye(qs.basis.shape[1]) - qs.basis.T @ E @ qs.basis
-    route = E + E @ qs.basis @ np.linalg.inv(small) @ qs.basis.T @ E
+    small = np.eye(qs.basis.shape[1]) - qs.restrict(E)
+    route = E + E @ qs.extend(np.linalg.inv(small)) @ E
     direct = np.linalg.inv(mt)
     return float(np.linalg.norm(route - direct) / np.linalg.norm(direct))
 
@@ -324,6 +334,36 @@ def expansion_terms_modes(pot) -> SimpleNamespace:
     R0 = -T + E @ T + D0T2D0 @ T2D0 - ET @ T2D0 + S + S.transpose(0, 2, 1)
     A2 = (R0 + c * (B + B.transpose(0, 2, 1)) + c * c * (D0GD0 @ GD0)) / a ** 2
     return SimpleNamespace(pot=pot, D0=D0, C1=C1, A2=A2)
+
+
+def projection_stack(terms) -> np.ndarray:
+    """The mode blocks of P: u u^T in mode 0, zero in every other mode."""
+    P = np.zeros_like(terms.D0)
+    P[0] = np.outer(terms.qsplit.u, terms.qsplit.u)
+    return P
+
+
+def expansion_value(terms, lam: float, drop=()) -> np.ndarray:
+    """D0 + lambda C1 + lambda^2 A2 on the package's mode blocks, out of
+    place, without the terms named in ``drop``: "a2" for lambda^2 A2 and
+    "ptilde" for the lambda Ptilde part of lambda C1, Ptilde = P / a."""
+    c1 = terms.C1
+    if "ptilde" in drop:
+        c1 = c1 - projection_stack(terms) / terms.a
+    out = terms.D0 + lam * c1
+    if "a2" not in drop:
+        out = out + lam ** 2 * terms.A2
+    return out
+
+
+def expansion_residual_norms(terms, lams, drops=((), ("a2",), ("ptilde",))) -> np.ndarray:
+    """The norms of resolvent.expansion_residual, one row per drop set:
+    ||M^{-1} - expansion_value(drop)|| over lambda."""
+    rows = []
+    for lam in lams:
+        minv = np.linalg.inv(rs.m_tilde(terms.pot, lam))
+        rows.append([rs.operator_norm(minv - expansion_value(terms, lam, d)) for d in drops])
+    return np.array(rows).T
 
 
 def k3_eval_pairs_modes(k3, terms, pairs):
@@ -962,3 +1002,23 @@ def identity_residuals_block(s, r) -> np.ndarray:
     scale_c = np.maximum(np.abs(lhs), 1.0 / (s * r * np.abs(s - r)))
     rel_canc = np.max(np.abs(lhs - rhs) / scale_c)
     return np.array([rel_decomp, rel_adj, rel_canc])
+
+
+def sample_three_regime_pairs(rng, n: int, r_min: float, r_max: float):
+    """experiments.sample_three_regime_pairs one pair at a time, as a list
+    of (x, y), with one scalar ratio draw per pair."""
+    pairs = []
+    kinds = np.arange(n) % 3
+    rx = np.exp(rng.uniform(np.log(r_min), np.log(r_max), n))
+    ux = _unit_vectors(rng, n)
+    uy = _unit_vectors(rng, n)
+    for i in range(n):
+        if kinds[i] == 0:
+            ry = rx[i] * np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
+        elif kinds[i] == 1:
+            ry = rx[i] * np.exp(rng.uniform(np.log(1e-3), np.log(0.4)))
+        else:
+            ry = min(rx[i] * np.exp(rng.uniform(np.log(2.5), np.log(1e3))), r_max * 2.0)
+        ry = max(ry, r_min * 1e-2)
+        pairs.append((rx[i] * ux[i], ry * uy[i]))
+    return pairs

@@ -7,7 +7,7 @@ import pytest
 
 import dense_reference as dense
 from waveop_lab import experiments as xp
-from waveop_lab.config import default_config
+from waveop_lab.config import K3_RADIUS_MIN, default_config
 from waveop_lab.errors import InvalidInputError, SingularityError
 from waveop_lab.potential import PotentialSpec, build_potential
 
@@ -41,6 +41,19 @@ def test_tg_abs_batch_matches_per_point(small_pot):
     op, R = xp.CounterexampleOperator(small_pot), 10.0
     s = R + 2.0 * small_pot.radius + 1.5
     assert op.tg_abs(s, R) == pytest.approx(dense.tg_abs(op, s, R), rel=1e-12)
+
+
+def test_tg_abs_over_radii_matches_per_radius_calls(small_pot):
+    """One batched quadrature over every (s, R) of the default R_list gives
+    the bits of one call per radius: each problem refines on its own."""
+    op = xp.CounterexampleOperator(small_pot)
+    R = np.array(default_config().counterexample["R_list"])
+    s = R + 2.0 * small_pot.radius + 1.5
+    got = op.tg_abs(s, R)
+    assert got.shape == R.shape
+    assert np.array_equal(got, [op.tg_abs(sr, r) for sr, r in zip(s, R)])
+    bounds = xp.phi_log_bound(R, small_pot.radius)
+    assert np.array_equal(bounds, [xp.phi_log_bound(r, small_pot.radius) for r in R])
 
 
 def _identity_points(rng, n):
@@ -168,6 +181,20 @@ def test_sampler_covers_three_regimes(rng):
     ratios = np.array([np.linalg.norm(y) / np.linalg.norm(x) for x, y in pairs])
     assert (ratios < 0.5).any() and (ratios > 2.0).any()
     assert ((ratios >= 0.5) & (ratios <= 2.0)).any()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 2024])
+@pytest.mark.parametrize("radii", [(0.05, 1e3), (0.05, 300.0), (K3_RADIUS_MIN, 200.0)],
+                         ids=["kernel-bounds", "kp-compare", "k3"])
+def test_sampler_matches_per_pair_draws(seed, radii):
+    """The array draws give the pairs of one scalar ratio draw per pair,
+    bit for bit, and leave the generator in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = xp.sample_three_regime_pairs(rng, 200, *radii)
+    want = dense.sample_three_regime_pairs(ref_rng, 200, *radii)
+    assert got.shape == (200, 2, 3)
+    assert np.array_equal(got, np.array(want))
+    assert rng.random() == ref_rng.random()
 
 
 def _strict_report(out_dir):

@@ -63,11 +63,15 @@ def test_real_kernels_give_real_blocks(both):
     terms = both[0]
     n_half = terms.pot.grid.n_phi // 2 + 1
     T = rs.t_tilde(terms.pot)
-    for stack in (T, rs.vg1v_tilde(terms.pot), terms.D0, terms.qsplit.Q):
+    for stack in (T, rs.vg1v_tilde(terms.pot), terms.D0):
         assert stack.dtype == np.float64
         assert stack.shape[0] == n_half
     for blocks in terms.qsplit.restrict(T):                # QTQ: mode-0 head, other modes
         assert blocks.dtype == np.float64
+    # P is u u^T in mode 0: one real unit vector per (r, theta) block
+    u = terms.qsplit.u
+    assert u.dtype == np.float64 and u.shape == T.shape[1:2]
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
     assert np.iscomplexobj(rs.m_tilde(terms.pot, 0.05))
 
 
@@ -90,14 +94,16 @@ def test_blocks_are_symmetric(grid_shape):
     assert np.max(np.abs(grid.mode_distances - want)) <= 1e-15 * np.max(want)
 
 
-# the operators expansion_terms builds but does not keep
-BUILT = {"T": rs.t_tilde, "G1": rs.vg1v_tilde}
+# the operators expansion_terms builds but does not keep; Ptilde = P / a
+# comes from the unit vector u
+BUILT = {"T": lambda t: rs.t_tilde(t.pot), "G1": lambda t: rs.vg1v_tilde(t.pot),
+         "ptilde": lambda t: dense.projection_stack(t) / t.a}
 
 
 @pytest.mark.parametrize("name", ["T", "G1", "D0", "C1", "A2", "ptilde"])
 def test_expansion_terms_match_dense(both, name):
     terms, ref = both
-    got = BUILT[name](terms.pot) if name in BUILT else getattr(terms, name)
+    got = BUILT[name](terms) if name in BUILT else getattr(terms, name)
     assert _rel(got, getattr(ref, name)) <= TOL
 
 
@@ -138,17 +144,23 @@ def test_feshbach_matches_dense(both):
 
 
 def test_feshbach_counts_block_multiplicities(both):
-    """A Q that disagrees with its restriction in mode 1 (and so n_phi - 1)
-    puts a real gap between the block-inversion route and the direct
-    inverse; the relative Frobenius gap matches the dense one only when
-    every stored block counts as often as it occurs."""
+    """A restriction to the Q-subspace that disagrees with M + Q in mode 1
+    (and so n_phi - 1) puts a real gap between the block-inversion route
+    and the direct inverse; the relative Frobenius gap matches the dense
+    one only when every stored block counts as often as it occurs."""
     terms, ref = both
-    bump = np.zeros_like(terms.qsplit.Q)
+    bump = np.zeros_like(terms.D0)
     bump[1] = 0.1 * np.eye(bump.shape[-1])
     qs = copy.copy(terms.qsplit)
-    qs.Q = terms.qsplit.Q + bump
+
+    def restrict(stack):
+        head, tail = terms.qsplit.restrict(stack)
+        return head, tail + bump[1:]
+
+    qs.restrict = restrict
     ref_qs = copy.copy(ref.qsplit)
-    ref_qs.Q = ref.qsplit.Q + dense.to_dense(bump, terms.pot.grid.n_phi)
+    dense_bump = ref_qs.restrict(dense.to_dense(bump, terms.pot.grid.n_phi))
+    ref_qs.restrict = lambda mat: ref.qsplit.restrict(mat) + dense_bump
     got = rs.feshbach_consistency(dataclasses.replace(terms, qsplit=qs), 0.05)
     want = dense.feshbach_consistency(SimpleNamespace(**{**vars(ref), "qsplit": ref_qs}), 0.05)
     assert want > 1e-3
@@ -221,6 +233,25 @@ def test_refined_grid_gamma3_slope():
     """(16, 12, 24) has 4608 nodes: 340 MB per dense complex matrix,
     24 blocks of 192 here."""
     pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=(16, 12, 24))
-    _, (fit,), _ = rs.expansion_residual(rs.expansion_terms(pot), np.geomspace(1e-3, 1e-1, 8))
+    _, (fit, _, _), _ = rs.expansion_residual(rs.expansion_terms(pot),
+                                              np.geomspace(1e-3, 1e-1, 8))
     assert abs(fit.slope - 3.0) <= 0.3
     assert fit.r_squared >= 0.98
+
+
+@pytest.mark.parametrize("grid_shape", list(GRIDS.values()), ids=list(GRIDS))
+def test_expansion_residual_matches_drop_sets(grid_shape):
+    """The three rows of expansion_residual, Gamma3 and Gamma3 with
+    lambda^2 A2 or (lambda/a) P added back, against M^{-1} minus the
+    out-of-place expansion with a drop set.  The ablation rows are
+    O(lambda^2) and O(lambda) and agree to 1e-12 relative; the full row
+    is what is left after O(1) terms cancel, so its gap is held to the
+    rounding of M^{-1}."""
+    pot = build_potential(PotentialSpec(amplitude=-4.0), grid_shape=grid_shape)
+    terms = rs.expansion_terms(pot)
+    lams = np.geomspace(1e-3, 1e-1, 8)
+    norms, _, _ = rs.expansion_residual(terms, lams)
+    want = dense.expansion_residual_norms(terms, lams)
+    minv_norms = [rs.operator_norm(np.linalg.inv(rs.m_tilde(pot, lam))) for lam in lams]
+    assert np.all(np.abs(norms[0] - want[0]) <= 1e-14 * np.array(minv_norms))
+    assert np.max(np.abs(norms[1:] - want[1:]) / want[1:]) <= MODES_TOL

@@ -39,11 +39,13 @@ def test_assembled_matrix_kernel_symmetry(small_pot):
 
 def test_m_taylor_first_order(small_pot):
     # ||M(lambda) - (a/lambda) P - T|| = O(lambda), slope 1 on a log-log fit
-    qs = rs.QSplit(small_pot)
     T = rs.t_tilde(small_pot)
+    u = rs.QSplit(small_pot).u
+    P = np.zeros_like(T)                    # u u^T in mode 0
+    P[0] = np.outer(u, u)
     a = (1 + 1j) * small_pot.normV_grid / (8 * np.pi)
     lams = np.geomspace(1e-4, 1e-2, 6)
-    norms = [rs.operator_norm(rs.m_tilde(small_pot, lam) - (a / lam) * qs.P - T)
+    norms = [rs.operator_norm(rs.m_tilde(small_pot, lam) - (a / lam) * P - T)
              for lam in lams]
     fit = fit_loglog(lams, norms)
     assert abs(fit.slope - 1.0) < 0.05
@@ -105,29 +107,30 @@ def test_expansion_requires_regularity(small_pot, monkeypatch):
 
 def test_expansion_structure(strong_terms):
     t = strong_terms
-    P = t.qsplit.P
+    u = t.qsplit.u
+    P = dense.projection_stack(t)
     # the lambda^0 term A0 = D0 is Q-sandwiched: P D0 = D0 P = 0
     assert np.max(np.abs(P @ t.D0)) < 1e-10
     assert np.max(np.abs(t.D0 @ P)) < 1e-10
     # D0 inverts QTQ on the Q-subspace
     for gap in t.qsplit.restrict(t.D0 @ rs.t_tilde(t.pot) @ t.D0 - t.D0):
         assert np.max(np.abs(gap)) < 1e-10
-    # the (1/a) P part of C1
-    assert np.max(np.abs(t.ptilde - P / t.a)) < 1e-14
+    # the (1/a) P part of C1: D0 u = 0 and F u = u - T D0 u = u, so
+    # u^T C1 u = u^T F^T F u / a = 1/a
+    assert u @ t.C1[0] @ u == pytest.approx(1.0 / t.a, rel=1e-14)
     # the appendix constant a; a1 enters C1 and A2, which test_modes
     # compares with the dense expansion
     assert t.a == pytest.approx((1 + 1j) * t.pot.normV_grid / (8 * np.pi))
 
 
 def test_expansion_residual_slopes(strong_terms):
-    norms, (fit, fit2, fit3), solve_residuals = rs.expansion_residual(
-        strong_terms, LAMS, drops=((), ("a2",), ("ptilde",)))
+    norms, (fit, fit2, fit3), solve_residuals = rs.expansion_residual(strong_terms, LAMS)
     assert abs(fit.slope - 3.0) <= 0.3
     assert fit.r_squared >= 0.98
     assert np.all(solve_residuals < 1e-9)
     assert solve_residuals.shape == LAMS.shape
-    # one norms row and one fit per drop set, in order (the slopes above
-    # tell them apart)
+    # one norms row and one fit each for Gamma3, Gamma3 + lambda^2 A2 and
+    # Gamma3 + (lambda/a) P, in order (the slopes above tell them apart)
     assert norms.shape == (3, LAMS.size)
     assert abs(fit2.slope - 2.0) <= 0.3
     assert abs(fit3.slope - 1.0) <= 0.3
